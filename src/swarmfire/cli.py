@@ -22,6 +22,8 @@ from .config import (ConfigError, PRESETS, STRATEGIES, ScenarioConfig,
                      load_config, to_dict)
 from .engine import RunResult, monte_carlo, run, summarize
 
+POSITIVE = click.IntRange(min=1)   # rejected with exit code 2, naming the flag
+
 CSV_COLUMNS = ["run_index", "strategy", "n_swarms", "detection_time_s",
                "mission_time_s", "fer", "objective", "complete_flag"]
 
@@ -114,16 +116,14 @@ def cmd_run(config_path, seed, run_index, trace_path, out_dir) -> None:
 
 @main.command("mc")
 @click.argument("config_path")
-@click.option("--runs", type=int, required=True, help="Number of runs.")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--runs", type=POSITIVE, required=True, help="Number of runs.")
+@click.option("--jobs", type=POSITIVE, default=1, show_default=True,
+              help="Worker processes.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               show_default=True)
 def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
     """Monte-Carlo batch of seeded runs; summary CSV + aggregate JSON."""
-    if runs < 1:
-        click.echo("error: --runs must be >= 1", err=True)
-        sys.exit(2)
     cfg = _load(config_path, seed)
     results = monte_carlo(cfg, runs, jobs=jobs)
     agg = summarize(results)
@@ -148,8 +148,9 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
 @click.argument("config_path")
 @click.option("--strategies", default="MSCIDC,UNIFORM,NORMAL,LEVY",
               show_default=True, help="Comma-separated strategy list.")
-@click.option("--runs", type=int, required=True)
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--runs", type=POSITIVE, required=True)
+@click.option("--jobs", type=POSITIVE, default=1, show_default=True,
+              help="Worker processes.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               show_default=True)
@@ -160,9 +161,6 @@ def cmd_compare(config_path, strategies, runs, jobs, seed, out_dir) -> None:
     if bad:
         click.echo(f"error: unknown strategies {bad}; "
                    f"valid names: {list(STRATEGIES)}", err=True)
-        sys.exit(2)
-    if runs < 1:
-        click.echo("error: --runs must be >= 1", err=True)
         sys.exit(2)
     cfg = _load(config_path, seed)
     all_results: list[RunResult] = []

@@ -34,7 +34,6 @@ class SwarmState:
     id: int
     member_ids: list[int]
     mode: SwarmMode = SwarmMode.SEARCH
-    fire_id: int | None = None
     repel_until: float = -math.inf
     repel_heading: float | None = None
     explore: bool | None = None   # last search stage, to detect switches
@@ -86,7 +85,8 @@ class World:
         self.swarms: list[SwarmState] = []
         self._spawn()
 
-        self.readings: dict[int, sn.SensorReading] = {}
+        # latest SensorReading per uav id; None before the first sample
+        self.readings: list[sn.SensorReading | None] = [None] * len(self.uavs)
         self.records: dict[int, mi.FireMitigationRecord] = {}
         self.pending_targets: dict[int, float] = {}   # uav id -> approach angle
         self.detected: dict[int, float] = {}
@@ -100,6 +100,8 @@ class World:
         self.total_area0 = sum(fi.area(f) for f in self.fires)
         self.peak_total_area = self.total_area0
         self._cutoff = sn.cull_distance(cfg.sensing)
+        self._arrival = ve.arrival_radius(cfg.kinematics.cruise_speed,
+                                          cfg.engine.dt)
         diag = math.hypot(*cfg.area)
         self._l_max = diag / cfg.search.levy_step
         self._log_state()
@@ -124,6 +126,7 @@ class World:
                     self.uavs.append(ve.UavState(id=uid, swarm_id=sid, pos=pos))
                     members.append(uid)
                     uid += 1
+                # member_ids ascend and never change; the tick relies on it
                 self.swarms.append(SwarmState(id=sid, member_ids=members))
         else:
             # Baselines: every UAV acts independently (swarm of one).
@@ -137,9 +140,6 @@ class World:
 
     def _event(self, kind: str, t: float, **payload) -> None:
         self.events.append({"type": kind, "t": t, **payload})
-
-    def _fire_active(self, f: fi.FireFront) -> bool:
-        return f.state in (fi.FireState.BURNING, fi.FireState.UNDER_MITIGATION)
 
     def fires_remaining(self) -> int:
         return len(self.fires) - len(self.extinguished)
@@ -168,71 +168,75 @@ class World:
         cfg = self.cfg
         dt = cfg.engine.dt
         t_now = self.time + dt
+        fires = self.fires
+        uavs = self.uavs
 
         # (1) fire growth for fires not yet under mitigation
-        for f in self.fires:
+        for f in fires:
             if f.state is fi.FireState.BURNING:
                 fi.grow(f, dt)
 
-        # (2) sensing, fixed uav order
-        new_readings = {}
-        for uav in self.uavs:
-            prev = self.readings.get(uav.id)
-            rng = self.rng.agent(uav.id) if cfg.sensing.noise_std > 0 else None
-            new_readings[uav.id] = sn.sample(
-                uav.id, uav.pos, self.fires, prev, t_now, dt, cfg.sensing,
-                rng=rng, cutoff=self._cutoff)
-        self.readings = new_readings
-
-        # (3) detection bookkeeping
-        for uav in self.uavs:
-            r = self.readings[uav.id]
-            if (r.detected is not None and r.fire_id is not None
-                    and r.fire_id not in self.detected
-                    and self._fire_active(self.fires[r.fire_id])):
-                self.detected[r.fire_id] = t_now
-                self.detected_area[r.fire_id] = fi.area(self.fires[r.fire_id])
-                self._event("detection", t_now, fire=r.fire_id, uav=uav.id)
+        # (2) sensing and (3) detection bookkeeping, fixed uav order.  No
+        # fire changes state while the UAVs sample, so every fire a reading
+        # names is active for the rest of this tick's search stage.
+        active = sn.active_fires(fires)
+        sensing = cfg.sensing
+        noisy = sensing.noise_std > 0
+        readings = self.readings
+        detected = self.detected
+        for uav in uavs:
+            uid = uav.id
+            r = sn.sample(uid, uav.pos, active, readings[uid], t_now, dt,
+                          sensing, self.rng.agent(uid) if noisy else None,
+                          self._cutoff)
+            readings[uid] = r
+            if r.detected is not None and r.fire_id not in detected:
+                detected[r.fire_id] = t_now
+                self.detected_area[r.fire_id] = fi.area(fires[r.fire_id])
+                self._event("detection", t_now, fire=r.fire_id, uav=uid)
 
         # (4) per-swarm search / coordination
+        search = (self._mscidc_search if cfg.engine.strategy == "MSCIDC"
+                  else self._baseline_search)
         for swarm in self.swarms:
             if swarm.mode is SwarmMode.SEARCH:
-                self._search_step(swarm, t_now)
+                search(swarm, t_now)
 
         # (5) mitigation control and approach waypoints
         for fid in sorted(self.records):
             self._mitigation_step(fid, t_now)
 
         # (6) vehicle step, fixed uav order
-        for uav in self.uavs:
+        kin = cfg.kinematics
+        cruise, tau, pole = kin.cruise_speed, kin.tracking_tau, kin.pole
+        area = cfg.area
+        last_heading = self.last_heading
+        for uav in uavs:
             if uav.has_waypoint:
                 v_ref = ve.reference_velocity(uav.pos, uav.waypoint,
-                                              uav.waypoint_vel,
-                                              cfg.kinematics.cruise_speed,
-                                              cfg.kinematics.tracking_tau)
+                                              uav.waypoint_vel, cruise, tau)
             else:
                 v_ref = (0.0, 0.0)
-            ve.step(uav, v_ref, cfg.kinematics.pole, dt)
-            uav.pos = se.clamp_to_area(uav.pos, cfg.area)
-            speed = math.hypot(*uav.vel)
-            if speed > 0.1:
-                self.last_heading[uav.id] = math.atan2(uav.vel[1], uav.vel[0])
+            ve.step(uav, v_ref, pole, dt)
+            uav.pos = se.clamp_to_area(uav.pos, area)
+            vx, vy = uav.vel
+            if math.hypot(vx, vy) > 0.1:
+                last_heading[uav.id] = math.atan2(vy, vx)
 
         # (7) quenching
         for fid in sorted(self.records):
-            f = self.fires[fid]
+            f = fires[fid]
             if f.state is not fi.FireState.UNDER_MITIGATION:
                 continue
-            rec = self.records[fid]
-            n_active = rec.joined_count()
+            n_active = self.records[fid].joined_count()
             if n_active >= 1:
                 fi.apply_quench(f, n_active, self.area_rate, dt)
                 if f.state is fi.FireState.EXTINGUISHED:
                     self._extinguish(fid, t_now)
 
         # (8) bookkeeping
-        total_area = sum(fi.area(f) for f in self.fires
-                         if f.state is not fi.FireState.EXTINGUISHED)
+        spent = fi.FireState.EXTINGUISHED
+        total_area = sum(fi.area(f) for f in fires if f.state is not spent)
         if total_area > self.peak_total_area:
             self.peak_total_area = total_area
         self.time = t_now
@@ -243,25 +247,16 @@ class World:
 
     # -- search phase ------------------------------------------------------
 
-    def _search_step(self, swarm: SwarmState, t_now: float) -> None:
-        cfg = self.cfg
-        if cfg.engine.strategy == "MSCIDC":
-            self._mscidc_search(swarm, t_now)
-        else:
-            self._baseline_search(swarm, t_now)
-
     def _mscidc_search(self, swarm: SwarmState, t_now: float) -> None:
         cfg = self.cfg
         members = swarm.member_ids
-        readings = {uid: self.readings[uid] for uid in members}
+        readings = self.readings
+        uavs = self.uavs
 
         # Detection by any member locks the swarm onto the fire (or merges).
-        for uid in sorted(members):
+        for uid in members:
             r = readings[uid]
-            if r.detected is None or r.fire_id is None:
-                continue
-            f = self.fires[r.fire_id]
-            if not self._fire_active(f):
+            if r.detected is None:
                 continue
             if self._lock_or_merge(swarm, r.fire_id, t_now):
                 return
@@ -269,12 +264,12 @@ class World:
 
         # Repulsion off a busy fire seen at intermediate probability.
         if t_now >= swarm.repel_until:
-            for uid in sorted(members):
+            for uid in members:
                 r = readings[uid]
-                if r.fire_id is None or r.fire_id not in self.records:
+                rec = self.records.get(r.fire_id)
+                if rec is None:
                     continue
                 f = self.fires[r.fire_id]
-                rec = self.records[r.fire_id]
                 merge_ok = mi.merging_decision(
                     fi.area(f), self.fires_remaining(), rec.n_swarms,
                     cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
@@ -290,12 +285,12 @@ class World:
                     self._event("repulsion", t_now, swarm=swarm.id,
                                 fire=r.fire_id)
                     for mid in members:
-                        self.uavs[mid].has_waypoint = False
+                        uavs[mid].has_waypoint = False
                         self.returning.discard(mid)
                     break
 
         # Stage selection and waypoint generation.
-        temp_max = max(readings[uid].temperature for uid in members)
+        k_star, temp_max = se.max_info_member(members, readings)
         repelled = t_now < swarm.repel_until
         explore = True if repelled else se.select_explore(
             temp_max, cfg.sensing.temp_threshold)
@@ -305,25 +300,18 @@ class World:
             swarm.explore = explore
             for mid in members:
                 if mid not in self.returning:
-                    self.uavs[mid].has_waypoint = False
-        k_star = se.max_info_member(
-            {uid: readings[uid].temp_rate for uid in members})
+                    uavs[mid].has_waypoint = False
         if repelled and swarm.repel_heading is not None:
             phi_center = swarm.repel_heading
         else:
             phi_center = self._heading_of(k_star)
-        phi0 = se.search_cone_halfwidth(temp_max, cfg.search.cone_gain,
-                                        cfg.search.cone_rate)
-        center = self._swarm_center(swarm)
-        mean_vel = self._swarm_mean_vel(swarm)
-        p_info = self.uavs[k_star].pos
-        step_scale = cfg.search.levy_step if explore else cfg.search.brown_step
+        center = cx, cy = self._swarm_center(swarm)
 
+        due = []   # members that draw a new waypoint this tick
         for uid in members:
-            uav = self.uavs[uid]
+            uav = uavs[uid]
             px, py = uav.pos
-            off = math.hypot(px - center[0], py - center[1])
-            if off > cfg.swarm_radius:
+            if math.hypot(px - cx, py - cy) > cfg.swarm_radius:
                 # local attraction: pull strays back to the swarm center
                 uav.waypoint = center
                 uav.waypoint_vel = (0.0, 0.0)
@@ -333,27 +321,37 @@ class World:
             if uid in self.returning:
                 self.returning.discard(uid)
                 uav.has_waypoint = False
-            if uav.has_waypoint and not ve.reached(
-                    uav.pos, uav.waypoint, cfg.kinematics.cruise_speed,
-                    cfg.engine.dt):
+            if uav.has_waypoint and not ve.reached(uav.pos, uav.waypoint,
+                                                   self._arrival):
                 continue
-            rng = self.rng.agent(uid)
+            due.append(uav)
+        if not due:
+            return
+
+        search = cfg.search
+        phi0 = se.search_cone_halfwidth(temp_max, search.cone_gain,
+                                        search.cone_rate)
+        mvx, mvy = self._swarm_mean_vel(swarm)
+        p_info = uavs[k_star].pos
+        step_scale = search.levy_step if explore else search.brown_step
+        mode = (ve.UavMode.REPELLED if repelled
+                else ve.UavMode.EXPLORE if explore
+                else ve.UavMode.EXPLOIT)
+        for uav in due:
+            rng = self.rng.agent(uav.id)
             psi = se.sample_heading(phi_center, phi0, rng)
             length = se.sample_step_length(explore, rng,
-                                           cfg.search.levy_tail_exponent,
+                                           search.levy_tail_exponent,
                                            self._l_max)
             travel = min(step_scale * length / cfg.kinematics.cruise_speed,
                          120.0)
-            center_pred = (center[0] + mean_vel[0] * travel,
-                           center[1] + mean_vel[1] * travel)
+            center_pred = (cx + mvx * travel, cy + mvy * travel)
             uav.waypoint = se.next_waypoint(p_info, psi, step_scale, length,
                                             cfg.area, center_pred,
                                             cfg.swarm_radius)
             uav.waypoint_vel = (0.0, 0.0)
             uav.has_waypoint = True
-            uav.mode = (ve.UavMode.REPELLED if repelled
-                        else ve.UavMode.EXPLORE if explore
-                        else ve.UavMode.EXPLOIT)
+            uav.mode = mode
 
     def _heading_of(self, uid: int) -> float:
         uav = self.uavs[uid]
@@ -365,9 +363,8 @@ class World:
         return self.rng.agent(uid).uniform(-math.pi, math.pi)
 
     def _max_info_heading(self, swarm: SwarmState) -> float:
-        rates = {uid: self.readings[uid].temp_rate
-                 for uid in swarm.member_ids}
-        return self._heading_of(se.max_info_member(rates))
+        k_star, _ = se.max_info_member(swarm.member_ids, self.readings)
+        return self._heading_of(k_star)
 
     def _baseline_search(self, swarm: SwarmState, t_now: float) -> None:
         cfg = self.cfg
@@ -375,14 +372,12 @@ class World:
         uav = self.uavs[uid]
         r = self.readings[uid]
 
-        if (r.detected is not None and r.fire_id is not None
-                and self._fire_active(self.fires[r.fire_id])):
+        if r.detected is not None:
             self._baseline_join(swarm, r.fire_id, t_now)
             return
 
-        if uav.has_waypoint and not ve.reached(
-                uav.pos, uav.waypoint, cfg.kinematics.cruise_speed,
-                cfg.engine.dt):
+        if uav.has_waypoint and not ve.reached(uav.pos, uav.waypoint,
+                                               self._arrival):
             return
         uav.waypoint = se.baseline_waypoint(
             cfg.engine.strategy, uav.pos, uav.vel, r.temperature,
@@ -436,10 +431,8 @@ class World:
                           detector: bool) -> None:
         f = self.fires[fid]
         swarm.mode = SwarmMode.MITIGATE
-        swarm.fire_id = fid
         for uid in swarm.member_ids:
             uav = self.uavs[uid]
-            uav.fire_id = fid
             self.returning.discard(uid)
             if uid in self.pending_targets:
                 theta = self.pending_targets[uid]
@@ -477,38 +470,36 @@ class World:
         self._event("join-request", t_now, swarm=swarm.id, fire=fid)
 
     def _mitigation_step(self, fid: int, t_now: float) -> None:
-        cfg = self.cfg
         f = self.fires[fid]
         rec = self.records[fid]
         if f.state is fi.FireState.EXTINGUISHED:
             return
-        dt = cfg.engine.dt
+        m = self.cfg.mitigation
+        dt = self.cfg.engine.dt
+        uavs = self.uavs
 
         # Approach and join for assigned members.
         for track in rec.tracks:
-            uav = self.uavs[track.uav_id]
+            uav = uavs[track.uav_id]
             if not track.joined:
                 uav.waypoint = fi.point_on_front(f, track.theta_ref)
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
-                if ve.reached(uav.pos, uav.waypoint,
-                              cfg.kinematics.cruise_speed, dt):
+                if ve.reached(uav.pos, uav.waypoint, self._arrival):
                     track.joined = True
                     track.join_time = t_now
                     track.theta = track.theta_ref
-                    f.joined_uavs.append((uav.id, t_now))
                     uav.mode = ve.UavMode.MITIGATE
                     if f.state is fi.FireState.BURNING:
                         f.state = fi.FireState.UNDER_MITIGATION
                     self._event("join", t_now, uav=uav.id, fire=fid)
                 continue
-            omega = mi.nominal_angular_velocity(
-                f.a, f.b, cfg.mitigation.mitigation_speed, track.theta)
+            omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
+                                                track.theta)
             theta, theta_ref, direction = mi.angular_control(
                 track.theta, track.theta_ref, track.direction,
-                track.lo, track.hi, omega, cfg.mitigation.track_gain,
-                cfg.mitigation.turn_margin, dt,
-                cfg.mitigation.use_printed_angular_law)
+                track.lo, track.hi, omega, m.track_gain, m.turn_margin, dt,
+                m.use_printed_angular_law)
             track.theta = theta
             track.theta_ref = theta_ref
             track.direction = direction
@@ -522,26 +513,23 @@ class World:
         if rec.pending_merge:
             all_arrived = True
             for uid in rec.pending_merge:
-                uav = self.uavs[uid]
+                uav = uavs[uid]
                 theta = self.pending_targets[uid]
                 uav.waypoint = fi.point_on_front(f, theta)
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
-                if not ve.reached(uav.pos, uav.waypoint,
-                                  cfg.kinematics.cruise_speed, dt):
+                if not ve.reached(uav.pos, uav.waypoint, self._arrival):
                     all_arrived = False
             if all_arrived:
                 keep = {t.uav_id: t for t in rec.tracks}
-                union = [(t.uav_id, self.uavs[t.uav_id].pos)
-                         for t in rec.tracks]
-                union += [(u, self.uavs[u].pos) for u in rec.pending_merge]
+                union = [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks]
+                union += [(u, uavs[u].pos) for u in rec.pending_merge]
                 rec.tracks = mi.assign_sectors(f, union, keep=keep)
                 for track in rec.tracks:
                     if track.uav_id in rec.pending_merge:
                         track.joined = True
                         track.join_time = t_now
-                        f.joined_uavs.append((track.uav_id, t_now))
-                        self.uavs[track.uav_id].mode = ve.UavMode.MITIGATE
+                        uavs[track.uav_id].mode = ve.UavMode.MITIGATE
                         self._event("join", t_now, uav=track.uav_id, fire=fid)
                     elif track.joined:
                         # keep swept position continuous inside the new sector
@@ -563,12 +551,10 @@ class World:
         for sid in rec.swarm_ids:
             swarm = self.swarms[sid]
             swarm.mode = SwarmMode.SEARCH
-            swarm.fire_id = None
             swarm.repel_until = -math.inf
             swarm.repel_heading = None
             for uid in swarm.member_ids:
                 uav = self.uavs[uid]
-                uav.fire_id = None
                 uav.mode = ve.UavMode.EXPLORE
                 uav.has_waypoint = False
                 uav.waypoint_vel = (0.0, 0.0)
@@ -619,13 +605,10 @@ def preposition_mitigation(world: World, fid: int,
         uav = world.uavs[track.uav_id]
         uav.pos = fi.point_on_front(f, track.theta_ref)
         uav.mode = ve.UavMode.MITIGATE
-        uav.fire_id = fid
         track.joined = True
         track.join_time = 0.0
-        f.joined_uavs.append((track.uav_id, 0.0))
         swarm = world.swarms[uav.swarm_id]
         swarm.mode = SwarmMode.MITIGATE
-        swarm.fire_id = fid
         if swarm.id not in rec.swarm_ids:
             rec.swarm_ids.append(swarm.id)
     world.records[fid] = rec
@@ -707,7 +690,7 @@ def monte_carlo(cfg: ScenarioConfig, n_runs: int,
     if jobs <= 1:
         results = [run(cfg, i) for i in range(n_runs)]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
             results = list(pool.map(_run_job,
                                     [(cfg, i) for i in range(n_runs)]))
     return sorted(results, key=lambda r: r.run_index)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -23,7 +23,6 @@ _DIST_TOL = 1.0e-10  # parameter tolerance for nearest-boundary search
 
 
 class FireState(enum.Enum):
-    UNLIT_KNOWN = "unlit-known"
     BURNING = "burning"
     UNDER_MITIGATION = "under-mitigation"
     EXTINGUISHED = "extinguished"
@@ -38,7 +37,6 @@ class FireFront:
     b: float
     spread: float = 0.0               # m/s added to both semi-axes
     state: FireState = FireState.BURNING
-    joined_uavs: list[tuple[int, float]] = field(default_factory=list)
     quenched_area_total: float = 0.0
 
 

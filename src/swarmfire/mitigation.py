@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fire import FireFront, inverse_sweep_angle
+from .fire import FireFront
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,15 +70,6 @@ class FireMitigationRecord:
             if t.uav_id == uav_id:
                 return t
         raise KeyError(f"uav {uav_id} not assigned to fire {self.fire_id}")
-
-
-def polar_sector_bounds(fire: FireFront, n: int) -> list[float]:
-    """Polar-angle boundaries matching the uniform parametric sectors."""
-    bounds = [0.0]
-    for m in range(1, n):
-        bounds.append(inverse_sweep_angle(fire.a, fire.b, TWO_PI * m / n))
-    bounds.append(TWO_PI)
-    return bounds
 
 
 def assign_sectors(fire: FireFront,

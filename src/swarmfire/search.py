@@ -24,18 +24,23 @@ def wrap_angle(angle: float) -> float:
     return a - math.pi
 
 
-def max_info_member(temp_rates: dict[int, float]) -> int:
-    """Member with the highest temperature gradient; ties to lowest id."""
-    if not temp_rates:
+def max_info_member(members: list[int], readings) -> tuple[int, float]:
+    """Member with the highest temperature gradient (ties to the lowest id;
+    ``members`` ascend by id) and the hottest temperature any member senses.
+    ``readings[uid]`` is the member's SensorReading."""
+    if not members:
         raise ValueError("no members with readings")
     best_id = None
     best = -math.inf
-    for uid in sorted(temp_rates):
-        r = temp_rates[uid]
-        if r > best:
-            best = r
+    temp_max = -math.inf
+    for uid in members:
+        r = readings[uid]
+        if r.temp_rate > best:
+            best = r.temp_rate
             best_id = uid
-    return best_id
+        if r.temperature > temp_max:
+            temp_max = r.temperature
+    return best_id, temp_max
 
 
 def search_cone_halfwidth(temp_max: float, cone_gain: float,
@@ -80,7 +85,14 @@ def select_explore(temp_max: float, temp_threshold: float) -> bool:
 
 def clamp_to_area(p: tuple[float, float],
                   area: tuple[float, float]) -> tuple[float, float]:
-    return (min(max(p[0], 0.0), area[0]), min(max(p[1], 0.0), area[1]))
+    """min(max(v, 0), extent) per axis, written as the comparisons those
+    builtins make (same result for -0.0 and NaN) at a fraction of their
+    call cost; this runs for every UAV on every tick."""
+    x, y = p
+    w, h = area
+    x = 0.0 if 0.0 > x else x
+    y = 0.0 if 0.0 > y else y
+    return (w if w < x else x, h if h < y else y)
 
 
 def next_waypoint(p_info: tuple[float, float], heading: float,

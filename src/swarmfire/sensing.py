@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .fire import FireFront, FireState, distance_to_front, nearest_front_point
 
 
-@dataclass
+@dataclass(slots=True)
 class SensorReading:
     uav_id: int
     time: float
@@ -27,7 +27,8 @@ class SensorReading:
     # detected = (center, a, b), present iff probability >= gamma
 
 
-def _active(fires: list[FireFront]) -> list[FireFront]:
+def active_fires(fires: list[FireFront]) -> list[FireFront]:
+    """The fires that burn: growing or under mitigation."""
     return [f for f in fires
             if f.state in (FireState.BURNING, FireState.UNDER_MITIGATION)]
 
@@ -37,7 +38,7 @@ def temperature_at(fires: list[FireFront], p: tuple[float, float],
     """Field temperature at p: ambient + (fire - ambient) * max Gaussian."""
     best = 0.0
     inv = 1.0 / (2.0 * temp_sigma * temp_sigma)
-    for f in _active(fires):
+    for f in active_fires(fires):
         d = distance_to_front(f, p)
         g = math.exp(-d * d * inv)
         if g > best:
@@ -60,26 +61,27 @@ def cull_distance(sensing) -> float:
     return max(sensing.sensing_radius, reach)
 
 
-def sample(uav_id: int, pos: tuple[float, float], fires: list[FireFront],
+def sample(uav_id: int, pos: tuple[float, float], active: list[FireFront],
            prev: SensorReading | None, time: float, dt: float,
            sensing, rng=None, cutoff: float | None = None) -> SensorReading:
     """One sensor sample for a UAV: temperature, rate, best fire candidate.
 
+    ``active`` is ``active_fires`` of the world, computed once per tick;
     ``sensing`` is a SensingParams; ``rng`` is used only when noise_std > 0.
     Fires whose center is farther than cutoff + semi-major axis are culled
     (their temperature contribution is below 0.01 K and detection is
     impossible there).
     """
-    active = _active(fires)
     if cutoff is None:
         cutoff = cull_distance(sensing)
+    px, py = pos
     best_fire = None
     best_d = math.inf
     temp_g = 0.0
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     for f in active:
         cx, cy = f.center
-        if math.hypot(pos[0] - cx, pos[1] - cy) - f.a > cutoff:
+        if math.hypot(px - cx, py - cy) - f.a > cutoff:
             continue
         d = distance_to_front(f, pos)
         g = math.exp(-d * d * inv_t)
@@ -93,18 +95,12 @@ def sample(uav_id: int, pos: tuple[float, float], fires: list[FireFront],
         temp += sensing.noise_std * rng.standard_normal()
     rate = 0.0 if prev is None else (temp - prev.temperature) / dt
 
-    prob = 0.0
-    heading = None
+    if best_fire is None or best_d > sensing.sensing_radius:
+        return SensorReading(uav_id, time, temp, rate, None, 0.0, None, None)
+    prob = detection_probability(best_d, sensing.sigma, sensing.sensing_radius)
+    fx, fy = nearest_front_point(best_fire, pos)
     descriptor = None
-    fire_id = None
-    if best_fire is not None and best_d <= sensing.sensing_radius:
-        fire_id = best_fire.id
-        prob = detection_probability(best_d, sensing.sigma,
-                                     sensing.sensing_radius)
-        fx, fy = nearest_front_point(best_fire, pos)
-        heading = math.atan2(fy - pos[1], fx - pos[0])
-        if prob >= sensing.detect_threshold:
-            descriptor = (best_fire.center, best_fire.a, best_fire.b)
-    return SensorReading(uav_id=uav_id, time=time, temperature=temp,
-                         temp_rate=rate, fire_id=fire_id, probability=prob,
-                         heading_to_fire=heading, detected=descriptor)
+    if prob >= sensing.detect_threshold:
+        descriptor = (best_fire.center, best_fire.a, best_fire.b)
+    return SensorReading(uav_id, time, temp, rate, best_fire.id, prob,
+                         math.atan2(fy - py, fx - px), descriptor)

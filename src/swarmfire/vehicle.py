@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 Vec = tuple[float, float]
 
@@ -33,9 +33,6 @@ class UavState:
     waypoint: Vec = (0.0, 0.0)
     waypoint_vel: Vec = (0.0, 0.0)
     has_waypoint: bool = False
-    # Sector assignment while mitigating: fire id and sweep state live in the
-    # mitigation record; this mirrors only the active fire id for fast lookup.
-    fire_id: int | None = None
 
 
 def reference_velocity(pos: Vec, target: Vec, target_vel: Vec,
@@ -61,7 +58,11 @@ def step(uav: UavState, v_ref: Vec, pole: float, dt: float) -> UavState:
     return uav
 
 
-def reached(pos: Vec, target: Vec, cruise_speed: float, dt: float) -> bool:
-    """Waypoint-arrival predicate: within max(2*V0*dt, 5 m)."""
-    radius = max(2.0 * cruise_speed * dt, 5.0)
+def arrival_radius(cruise_speed: float, dt: float) -> float:
+    """Waypoint-arrival radius: max(2*V0*dt, 5 m)."""
+    return max(2.0 * cruise_speed * dt, 5.0)
+
+
+def reached(pos: Vec, target: Vec, radius: float) -> bool:
+    """Waypoint-arrival predicate: within ``arrival_radius`` of the target."""
     return math.hypot(target[0] - pos[0], target[1] - pos[1]) < radius

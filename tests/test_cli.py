@@ -107,6 +107,14 @@ def test_mc_zero_runs_usage_error(small_config_path):
     assert "runs" in res.output
 
 
+@pytest.mark.parametrize("command", ["mc", "compare"])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_usage_error(small_config_path, command, jobs):
+    res = invoke(command, small_config_path, "--runs", "1", "--jobs", jobs)
+    assert res.exit_code == 2
+    assert "--jobs" in res.output
+
+
 def test_compare_structure(tmp_path, small_config_path):
     out = tmp_path / "cmp"
     res = invoke("compare", small_config_path, "--runs", "2",

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from swarmfire import engine
 from swarmfire import fire as fi
 from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
 from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
@@ -230,6 +231,31 @@ def test_summarize_single_run():
 def test_monte_carlo_rejects_zero_runs():
     with pytest.raises(ValueError):
         monte_carlo(small_cfg(), 0)
+
+
+def test_monte_carlo_caps_workers_at_runs(monkeypatch):
+    workers = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    cfg = small_cfg(t_max=60.0)
+    results = monte_carlo(cfg, 2, jobs=64)
+    assert workers == [2]
+    assert [r.run_index for r in results] == [0, 1]
+    monte_carlo(cfg, 3, jobs=2)
+    assert workers == [2, 2]
 
 
 # -- strategy coverage --------------------------------------------------------

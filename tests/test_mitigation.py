@@ -7,9 +7,8 @@ from swarmfire.fire import FireFront, area, point_on_front
 from swarmfire.mitigation import (FireMitigationRecord, SectorTrack,
                                   angular_control, assign_sectors,
                                   closed_form_quench_time, merging_decision,
-                                  nominal_angular_velocity, polar_sector_bounds,
-                                  quench_area_rate, repulsion_decision,
-                                  repulsion_heading)
+                                  nominal_angular_velocity, quench_area_rate,
+                                  repulsion_decision, repulsion_heading)
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,12 +81,6 @@ def test_sector_areas_equal_in_parametric_angle():
         lo, hi = TWO_PI * m / n, TWO_PI * (m + 1) / n
         val, _ = integrate.quad(lambda t: 0.5 * a * b, lo, hi)
         assert val == pytest.approx(math.pi * a * b / n)
-
-
-def test_polar_sector_bounds_match_partition():
-    from swarmfire.fire import partition_sectors
-    f = make_fire()
-    assert polar_sector_bounds(f, 6) == partition_sectors(f, 6)
 
 
 def test_nominal_angular_velocity_circle():

@@ -1,7 +1,10 @@
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from swarmfire.config import SearchParams
 from swarmfire.search import (baseline_waypoint, clamp_to_area,
@@ -27,21 +30,29 @@ def test_wrap_angle_range():
     assert wrap_angle(math.pi) == pytest.approx(math.pi)
 
 
+def readings(rates, temps=None):
+    temps = temps or [300.0] * len(rates)
+    return {uid: SimpleNamespace(temp_rate=r, temperature=t)
+            for (uid, r), t in zip(rates.items(), temps)}
+
+
 def test_max_info_member_argmax():
-    assert max_info_member({0: 0.1, 1: 0.5, 2: 0.2}) == 1
+    r = readings({0: 0.1, 1: 0.5, 2: 0.2}, [310.0, 305.0, 320.0])
+    assert max_info_member([0, 1, 2], r) == (1, 320.0)
 
 
 def test_max_info_member_tie_lowest_id():
-    assert max_info_member({4: 0.0, 2: 0.0, 7: 0.0}) == 2
+    r = readings({4: 0.0, 2: 0.0, 7: 0.0})
+    assert max_info_member([2, 4, 7], r) == (2, 300.0)
 
 
 def test_max_info_member_single():
-    assert max_info_member({9: -3.0}) == 9
+    assert max_info_member([9], readings({9: -3.0})) == (9, 300.0)
 
 
 def test_max_info_member_empty_raises():
     with pytest.raises(ValueError):
-        max_info_member({})
+        max_info_member([], {})
 
 
 def test_cone_halfwidth_logistic():
@@ -132,6 +143,15 @@ def test_next_waypoint_disk_projection():
 
 def test_clamp_to_area():
     assert clamp_to_area((-5.0, 10500.0), AREA) == (0.0, 10000.0)
+
+
+@given(st.floats(), st.floats())
+def test_clamp_to_area_matches_min_max(x, y):
+    """Bit for bit the builtin form, -0.0, infinities and NaN included."""
+    def bits(p):
+        return struct.pack("dd", *p)
+    expected = (min(max(x, 0.0), AREA[0]), min(max(y, 0.0), AREA[1]))
+    assert bits(clamp_to_area((x, y), AREA)) == bits(expected)
 
 
 # -- baselines ----------------------------------------------------------------

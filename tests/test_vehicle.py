@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmfire.vehicle import (UavState, reached, reference_velocity, step)
+from swarmfire.vehicle import (UavState, arrival_radius, reached,
+                               reference_velocity, step)
 
 
 def make_uav(pos=(0.0, 0.0), vel=(0.0, 0.0)):
@@ -86,14 +87,16 @@ def test_waypoint_convergence_time():
         v_ref = reference_velocity(uav.pos, target, (0.0, 0.0), v0, tau)
         step(uav, v_ref, pole, dt)
         t += dt
-        if reached(uav.pos, target, v0, dt):
+        if reached(uav.pos, target, arrival_radius(v0, dt)):
             break
-    assert reached(uav.pos, target, v0, dt)
+    assert reached(uav.pos, target, arrival_radius(v0, dt))
 
 
 def test_reached_radius_scales_with_step():
-    assert reached((0.0, 0.0), (15.0, 0.0), 20.0, 0.5)      # radius 20
-    assert not reached((0.0, 0.0), (25.0, 0.0), 20.0, 0.5)
+    assert arrival_radius(20.0, 0.5) == 20.0
+    assert reached((0.0, 0.0), (15.0, 0.0), arrival_radius(20.0, 0.5))
+    assert not reached((0.0, 0.0), (25.0, 0.0), arrival_radius(20.0, 0.5))
     # small dt: 5 m floor
-    assert reached((0.0, 0.0), (4.0, 0.0), 20.0, 0.01)
-    assert not reached((0.0, 0.0), (6.0, 0.0), 20.0, 0.01)
+    assert arrival_radius(20.0, 0.01) == 5.0
+    assert reached((0.0, 0.0), (4.0, 0.0), arrival_radius(20.0, 0.01))
+    assert not reached((0.0, 0.0), (6.0, 0.0), arrival_radius(20.0, 0.01))
