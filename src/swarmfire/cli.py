@@ -13,13 +13,14 @@ import dataclasses
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import click
 
 from . import __version__
 from .config import (ConfigError, PRESETS, STRATEGIES, ScenarioConfig,
-                     load_config, to_dict)
+                     load_config, to_dict, validate)
 from .engine import RunResult, monte_carlo, run, summarize
 
 POSITIVE = click.IntRange(min=1)   # rejected with exit code 2, naming the flag
@@ -59,18 +60,34 @@ def _write_trace(path: Path, result: RunResult) -> None:
 
 
 def _load(config_arg: str, seed: int | None) -> ScenarioConfig:
+    """The config with the seed override applied; a config error or a bad
+    seed exits with code 2."""
+    env_seed = os.environ.get("SWARMFIRE_SEED")
     try:
         cfg = load_config(config_arg)
+        if seed is None and env_seed is not None:
+            try:
+                seed = int(env_seed)
+            except ValueError:
+                raise ConfigError(f"SWARMFIRE_SEED: expected an integer, "
+                                  f"got {env_seed!r}") from None
+        if seed is not None:
+            cfg = validate(dataclasses.replace(
+                cfg, engine=dataclasses.replace(cfg.engine, base_seed=seed)))
     except ConfigError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    env_seed = os.environ.get("SWARMFIRE_SEED")
-    if seed is None and env_seed is not None:
-        seed = int(env_seed)
-    if seed is not None:
-        cfg = dataclasses.replace(
-            cfg, engine=dataclasses.replace(cfg.engine, base_seed=seed))
     return cfg
+
+
+@contextmanager
+def _writing_or_exit_3():
+    """Any OSError raised while writing outputs exits with code 3."""
+    try:
+        yield
+    except OSError as exc:
+        click.echo(f"error: cannot write output: {exc}", err=True)
+        sys.exit(3)
 
 
 def _print_metrics(r: RunResult) -> None:
@@ -101,7 +118,7 @@ def cmd_run(config_path, seed, run_index, trace_path, out_dir) -> None:
     cfg = _load(config_path, seed)
     result = run(cfg, run_index, collect_trace=trace_path is not None)
     _print_metrics(result)
-    try:
+    with _writing_or_exit_3():
         if trace_path:
             _write_trace(Path(trace_path), result)
         if out_dir:
@@ -109,9 +126,6 @@ def cmd_run(config_path, seed, run_index, trace_path, out_dir) -> None:
             out.mkdir(parents=True, exist_ok=True)
             _write_summary(out / "summary.csv", [result])
             _write_manifest(out / "manifest.json", cfg)
-    except OSError as exc:
-        click.echo(f"error: cannot write output: {exc}", err=True)
-        sys.exit(3)
 
 
 @main.command("mc")
@@ -127,16 +141,13 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
     cfg = _load(config_path, seed)
     results = monte_carlo(cfg, runs, jobs=jobs)
     agg = summarize(results)
-    try:
+    with _writing_or_exit_3():
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_summary(out / "summary.csv", results)
         (out / "aggregate.json").write_text(
             json.dumps(agg, indent=2, sort_keys=True) + "\n")
         _write_manifest(out / "manifest.json", cfg)
-    except OSError as exc:
-        click.echo(f"error: cannot write output: {exc}", err=True)
-        sys.exit(3)
     click.echo(f"{runs} runs ({agg['n_complete']} complete)")
     for name in ("detection_time", "mission_time", "fer"):
         st = agg[name]
@@ -178,7 +189,7 @@ def cmd_compare(config_path, strategies, runs, jobs, seed, out_dir) -> None:
             differences[f"{a}-{b}"] = {
                 m: aggregates[a][m]["mean"] - aggregates[b][m]["mean"]
                 for m in ("detection_time", "mission_time", "fer")}
-    try:
+    with _writing_or_exit_3():
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_summary(out / "compare.csv", all_results)
@@ -186,9 +197,6 @@ def cmd_compare(config_path, strategies, runs, jobs, seed, out_dir) -> None:
             {"aggregates": aggregates, "mean_differences": differences},
             indent=2, sort_keys=True) + "\n")
         _write_manifest(out / "manifest.json", cfg)
-    except OSError as exc:
-        click.echo(f"error: cannot write output: {exc}", err=True)
-        sys.exit(3)
     for name in names:
         st = aggregates[name]
         click.echo(f"{name:8s} detection={st['detection_time']['mean']:.4g}s "

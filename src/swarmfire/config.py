@@ -1,18 +1,21 @@
 """Scenario configuration: schema, defaults, validation and presets.
 
-All physical constants live here with documented defaults.  A config is a
-single JSON document; unknown keys are rejected so that typos surface as
-errors instead of silently falling back to defaults.  Configs are immutable
-after validation and safe to share between parallel runs.
+All physical constants live here with documented defaults.  Each field is
+declared once, with its type, its default and its bounds; the bounds sit in
+the field metadata under their JSON-Schema keywords.  Parsing (`from_dict`),
+validation (`validate`) and `schemas/config.schema.json` are all derived
+from these declarations.  A config is a single JSON document; unknown keys
+are rejected so that typos surface as errors instead of silently falling
+back to defaults.  Configs are immutable after validation and safe to share
+between parallel runs.
 """
-
-from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+import operator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Union
+from typing import Union, get_args, get_origin
 
 STRATEGIES = ("MSCIDC", "UNIFORM", "NORMAL", "LEVY", "OMS")
 
@@ -21,12 +24,23 @@ class ConfigError(ValueError):
     """Raised when a config file fails to parse or violates an invariant."""
 
 
+def _f(default=MISSING, **bounds):
+    """A field whose bounds (`minimum`, `exclusiveMaximum`, `enum`,
+    `minItems`, `items` for per-item bounds, ...) are its metadata."""
+    return field(default=default, metadata=bounds)
+
+
+def _pos(default=MISSING):
+    """A field that must be strictly positive."""
+    return _f(default, exclusiveMinimum=0)
+
+
 @dataclass(frozen=True)
 class FireSpec:
     """Initial geometry of one fire: center (m), semi-major/minor axes (m)."""
     center: tuple[float, float]
-    a: float
-    b: float
+    a: float = _pos()
+    b: float = _pos()
 
 
 @dataclass(frozen=True)
@@ -36,63 +50,67 @@ class FuelParams:
     Defaults are the pine-forest values: intensity = alpha * L_f**beta,
     spread rate = intensity / (heat_of_combustion * fuel_mass).
     """
-    alpha: float = 259.833        # kW / m^(1+beta)
-    beta: float = 2.174           # dimensionless
-    flame_length: float = 4.0     # m
-    heat_of_combustion: float = 18600.0   # kJ/kg
-    fuel_mass: float = 4.0        # kg/m^2
+    alpha: float = _pos(259.833)              # kW / m^(1+beta)
+    beta: float = _pos(2.174)                 # dimensionless
+    flame_length: float = _pos(4.0)           # m
+    heat_of_combustion: float = _pos(18600.0)   # kJ/kg
+    fuel_mass: float = _pos(4.0)              # kg/m^2
 
 
 @dataclass(frozen=True)
 class QuenchParams:
     """Water-delivery constants; critical flow = c * L_f**nu (kg/m^2/s)."""
-    c: float = 0.1
-    nu: float = 1.0
-    water_rate: float = 80.0      # kg/s sprayed per UAV
+    c: float = _pos(0.1)
+    nu: float = _f(1.0, minimum=0)
+    water_rate: float = _pos(80.0)            # kg/s sprayed per UAV
 
 
 @dataclass(frozen=True)
 class KinematicsParams:
     """First-order UAV model: cruise speed, velocity-lag pole, tracking tau."""
-    cruise_speed: float = 20.0    # m/s
-    pole: float = 1.0             # 1/s
-    tracking_tau: float = 1.0     # m
+    cruise_speed: float = _pos(20.0)          # m/s
+    pole: float = _pos(1.0)                   # 1/s
+    tracking_tau: float = _pos(1.0)           # m
 
 
 @dataclass(frozen=True)
 class SensingParams:
     """Thermal sensing and Gaussian detection-probability constants."""
-    sensing_radius: float = 300.0     # m, hard detection cutoff
-    sigma: float = 100.0              # m, detection-probability std dev
-    detect_threshold: float = 0.9     # gamma: P >= gamma confirms a fire
-    repel_threshold: float = 0.5      # gamma0: lower bound for repulsion
-    temp_threshold: float = 330.0     # K (xi): explore/exploit switch
-    temp_sigma: float = 250.0         # m, temperature-field falloff
-    ambient_temp: float = 300.0       # K
-    fire_temp: float = 1200.0         # K
-    noise_std: float = 0.0            # K, optional additive sensor noise
+    sensing_radius: float = _pos(300.0)       # m, hard detection cutoff
+    sigma: float = _pos(100.0)                # m, detection-prob. std dev
+    # gamma: P >= gamma confirms a fire
+    detect_threshold: float = _f(0.9, exclusiveMinimum=0, maximum=1)
+    # gamma0: lower bound for repulsion, below detect_threshold
+    repel_threshold: float = _f(0.5, exclusiveMinimum=0, exclusiveMaximum=1)
+    temp_threshold: float = 330.0             # K (xi): explore/exploit switch
+    temp_sigma: float = _pos(250.0)           # m, temperature-field falloff
+    ambient_temp: float = 300.0               # K
+    fire_temp: float = 1200.0                 # K, above ambient_temp
+    noise_std: float = _f(0.0, minimum=0)     # K, optional additive noise
 
 
 @dataclass(frozen=True)
 class SearchParams:
     """Cooperative information-driven search constants."""
-    cone_gain: float = math.pi / 3    # K_phi (rad), max heading half-width
-    cone_rate: float = 0.05           # K_e (1/K), logistic rate
-    levy_step: float = 500.0          # m, exploration step scale
-    brown_step: float = 50.0          # m, exploitation step scale
-    levy_tail_exponent: float = 1.5   # Pareto tail of exploration lengths
+    # K_phi (rad), max heading half-width
+    cone_gain: float = _f(math.pi / 3, exclusiveMinimum=0, maximum=math.pi)
+    cone_rate: float = _pos(0.05)             # K_e (1/K), logistic rate
+    levy_step: float = _pos(500.0)            # m, exploration step scale
+    brown_step: float = _pos(50.0)            # m, exploitation step scale
+    levy_tail_exponent: float = _pos(1.5)     # Pareto tail of levy lengths
 
 
 @dataclass(frozen=True)
 class MitigationParams:
     """Sector-sweep control gains and merging/repulsion thresholds."""
-    track_gain: float = -1.0          # K_m (1/s), must be negative
-    turn_margin: float = 0.05         # delta_theta (rad)
-    mitigation_speed: float = 10.0    # m/s tangential sweep speed cap
-    merge_area: float = 1.0e5         # delta_A (m^2)
-    merge_fires: int = 2              # delta_f (count of remaining fires)
-    merge_swarms: int = 2             # delta_s (max swarms per fire)
-    repel_cooldown: float = 60.0      # s, repelled-swarm exploration hold
+    track_gain: float = _f(-1.0, exclusiveMaximum=0)   # K_m (1/s)
+    turn_margin: float = _pos(0.05)           # delta_theta (rad)
+    mitigation_speed: float = _pos(10.0)      # m/s sweep cap, <= cruise_speed
+    merge_area: float = _pos(1.0e5)           # delta_A (m^2)
+    merge_fires: int = _f(2, minimum=0)       # delta_f (remaining fires)
+    merge_swarms: int = _f(2, minimum=1)      # delta_s (max swarms per fire)
+    # s, repelled-swarm exploration hold
+    repel_cooldown: float = _f(60.0, minimum=0)
     use_printed_angular_law: bool = False  # uncorrected sweep law, for fidelity runs
 
 
@@ -102,26 +120,29 @@ class ObjectiveParams:
     w1: float = 1.0
     w2: float = 1.0
     w3: float = 1.0
-    quench_time_max: float = 3600.0   # s
+    quench_time_max: float = _pos(3600.0)     # s
 
 
 @dataclass(frozen=True)
 class EngineParams:
     """Discrete-time engine settings and the seeded determinism contract."""
-    dt: float = 0.5                   # s
-    t_max: float = 14400.0            # s (4 h)
-    base_seed: int = 2024
-    strategy: str = "MSCIDC"
-    trace_stride: int = 10            # log every N ticks
+    dt: float = _pos(0.5)                     # s
+    t_max: float = _pos(14400.0)              # s (4 h)
+    base_seed: int = _f(2024, minimum=0)
+    strategy: str = _f("MSCIDC", enum=STRATEGIES)
+    trace_stride: int = _f(10, minimum=1)     # log every N ticks
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full validated scenario; immutable after load."""
-    area: tuple[float, float] = (10000.0, 10000.0)   # Omega: width, height (m)
+    # Omega: width, height (m); origin is (0, 0)
+    area: tuple[float, float] = _f((10000.0, 10000.0),
+                                   items={"exclusiveMinimum": 0})
     fires: tuple[FireSpec, ...] = ()
-    swarm_sizes: tuple[int, ...] = (3, 2, 2, 2, 2, 2, 2)
-    swarm_radius: float = 250.0       # m
+    swarm_sizes: tuple[int, ...] = _f((3, 2, 2, 2, 2, 2, 2), minItems=1,
+                                      items={"minimum": 1})
+    swarm_radius: float = _pos(250.0)         # m
     fuel: FuelParams = field(default_factory=FuelParams)
     quench: QuenchParams = field(default_factory=QuenchParams)
     kinematics: KinematicsParams = field(default_factory=KinematicsParams)
@@ -159,151 +180,119 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
-def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every invariant; raises ConfigError naming the offending field."""
-    w, h = cfg.area
-    _require(w > 0 and h > 0, "area: both extents must be positive")
-    _require(len(cfg.swarm_sizes) > 0, "swarm_sizes: at least one swarm required")
-    _require(all(n >= 1 for n in cfg.swarm_sizes),
-             "swarm_sizes: every swarm needs at least one UAV")
-    _require(cfg.swarm_radius > 0, "swarm_radius must be positive")
-
-    for i, f in enumerate(cfg.fires):
-        _require(f.a >= f.b > 0, f"fires[{i}]: requires a >= b > 0")
-        x, y = f.center
-        _require(0 <= x <= w and 0 <= y <= h,
-                 f"fires[{i}]: center outside search area")
-
-    fu = cfg.fuel
-    for name in ("alpha", "beta", "flame_length", "heat_of_combustion", "fuel_mass"):
-        _require(getattr(fu, name) > 0, f"fuel.{name} must be positive")
-
-    q = cfg.quench
-    _require(q.c > 0, "quench.c must be positive")
-    _require(q.nu >= 0, "quench.nu must be non-negative")
-    _require(q.water_rate > 0, "quench.water_rate must be positive")
-
-    k = cfg.kinematics
-    _require(k.cruise_speed > 0, "kinematics.cruise_speed must be positive")
-    _require(k.pole > 0, "kinematics.pole must be positive")
-    _require(k.tracking_tau > 0, "kinematics.tracking_tau must be positive")
-
-    s = cfg.sensing
-    _require(s.sensing_radius > 0, "sensing.sensing_radius must be positive")
-    _require(s.sigma > 0, "sensing.sigma must be positive")
-    _require(0 < s.repel_threshold < s.detect_threshold <= 1,
-             "sensing: 0 < gamma0 < gamma <= 1 violated "
-             "(repel_threshold must be below detect_threshold)")
-    _require(s.temp_sigma > 0, "sensing.temp_sigma must be positive")
-    _require(s.fire_temp > s.ambient_temp,
-             "sensing.fire_temp must exceed ambient_temp")
-    _require(s.noise_std >= 0, "sensing.noise_std must be non-negative")
-
-    se = cfg.search
-    _require(0 < se.cone_gain <= math.pi,
-             "search.cone_gain must lie in (0, pi]")
-    _require(se.cone_rate > 0, "search.cone_rate must be positive")
-    _require(se.levy_step > 0, "search.levy_step must be positive")
-    _require(se.brown_step > 0, "search.brown_step must be positive")
-    _require(se.levy_step / se.brown_step >= 5.0,
-             "search: levy_step must be at least 5x brown_step")
-    _require(se.levy_tail_exponent > 0,
-             "search.levy_tail_exponent must be positive")
-
-    m = cfg.mitigation
-    _require(m.track_gain < 0, "mitigation.track_gain (K_m) must be negative")
-    _require(m.turn_margin > 0, "mitigation.turn_margin must be positive")
-    _require(0 < m.mitigation_speed <= k.cruise_speed,
-             "mitigation.mitigation_speed must be in (0, cruise_speed]")
-    _require(m.merge_area > 0, "mitigation.merge_area must be positive")
-    _require(m.merge_fires >= 0, "mitigation.merge_fires must be non-negative")
-    _require(m.merge_swarms >= 1, "mitigation.merge_swarms must be >= 1")
-    _require(m.repel_cooldown >= 0, "mitigation.repel_cooldown must be non-negative")
-
-    o = cfg.objective
-    _require(o.quench_time_max > 0, "objective.quench_time_max must be positive")
-
-    e = cfg.engine
-    _require(e.dt > 0, "engine.dt must be positive")
-    _require(e.t_max > 0, "engine.t_max must be positive")
-    _require(e.strategy in STRATEGIES,
-             f"engine.strategy must be one of {STRATEGIES}")
-    _require(e.trace_stride >= 1, "engine.trace_stride must be >= 1")
-    return cfg
+def _child(path: str, name: str) -> str:
+    return f"{path}.{name}" if path else name
 
 
-_SECTION_TYPES = {
-    "fuel": FuelParams,
-    "quench": QuenchParams,
-    "kinematics": KinematicsParams,
-    "sensing": SensingParams,
-    "search": SearchParams,
-    "mitigation": MitigationParams,
-    "objective": ObjectiveParams,
-    "engine": EngineParams,
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string"}
+_BOUNDS = {   # JSON-Schema keyword -> (test the value must pass, wording)
+    "exclusiveMinimum": (operator.gt, ">"),
+    "minimum": (operator.ge, ">="),
+    "exclusiveMaximum": (operator.lt, "<"),
+    "maximum": (operator.le, "<="),
+    "enum": (lambda value, options: value in options, "one of"),
 }
 
 
-def _build_section(name: str, cls, data: dict):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name}: expected an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**data)
-    except TypeError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
+def _check(tp, value, meta, path: str) -> None:
+    """Type, finiteness and metadata bounds of one declared field, and of
+    every field below it.  A bool is not an int; an int passes as a float."""
+    if is_dataclass(tp):
+        _require(isinstance(value, tp),
+                 f"{path or 'top level'}: expected {tp.__name__}")
+        for f in fields(tp):
+            _check(f.type, getattr(value, f.name), f.metadata,
+                   _child(path, f.name))
+        return
+    if get_origin(tp) is tuple:
+        args = get_args(tp)
+        _require(isinstance(value, tuple), f"{path}: expected a list")
+        _require(args[-1] is Ellipsis or len(value) == len(args),
+                 f"{path}: expected {len(args)} items")
+        _require(len(value) >= meta.get("minItems", 0),
+                 f"{path}: expected at least {meta.get('minItems')} items")
+        for i, item in enumerate(value):
+            _check(args[0], item, meta.get("items", {}), f"{path}[{i}]")
+        return
+    _require(isinstance(value, bool) is (tp is bool)
+             and isinstance(value, (int, float) if tp is float else tp),
+             f"{path}: expected {_TYPE_NAMES[tp]}")
+    _require(not isinstance(value, float) or math.isfinite(value),
+             f"{path}: must be finite")
+    for key, (holds, wording) in _BOUNDS.items():
+        if key in meta:
+            _require(holds(value, meta[key]),
+                     f"{path} must be {wording} {meta[key]}")
+
+
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Check every invariant; raises ConfigError naming the offending field.
+
+    Per-field types and bounds come from the declarations above; only the
+    rules that tie two fields together are written here."""
+    _check(ScenarioConfig, cfg, {}, "")
+    for i, f in enumerate(cfg.fires):
+        _require(f.a >= f.b, f"fires[{i}]: requires a >= b")
+        for j, (v, extent) in enumerate(zip(f.center, cfg.area)):
+            _require(0 <= v <= extent,
+                     f"fires[{i}].center[{j}]: outside search area")
+    s = cfg.sensing
+    _require(s.repel_threshold < s.detect_threshold,
+             "sensing: 0 < gamma0 < gamma <= 1 violated "
+             "(repel_threshold must be below detect_threshold)")
+    _require(s.fire_temp > s.ambient_temp,
+             "sensing.fire_temp must exceed ambient_temp")
+    _require(cfg.search.levy_step / cfg.search.brown_step >= 5.0,
+             "search: levy_step must be at least 5x brown_step")
+    _require(cfg.mitigation.mitigation_speed <= cfg.kinematics.cruise_speed,
+             "mitigation.mitigation_speed must not exceed "
+             "kinematics.cruise_speed")
+    return cfg
+
+
+def _build(tp, data, path: str):
+    """Shape JSON data into the declared type: objects become dataclasses
+    (unknown or missing keys rejected), lists become tuples and integers
+    become floats where a float is declared.  Everything else passes
+    through unchanged for validate to judge."""
+    if is_dataclass(tp):
+        where = path or "top level"
+        _require(isinstance(data, dict), f"{where}: expected an object")
+        spec = {f.name: f for f in fields(tp)}
+        unknown = set(data) - set(spec)
+        _require(not unknown,
+                 f"{where}: unknown keys {sorted(unknown, key=str)}")
+        missing = [name for name, f in spec.items() if name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        _require(not missing, f"{where}: missing keys {missing}")
+        return tp(**{name: _build(spec[name].type, value, _child(path, name))
+                     for name, value in data.items()})
+    if get_origin(tp) is tuple:
+        _require(isinstance(data, (list, tuple)), f"{path}: expected a list")
+        return tuple(_build(get_args(tp)[0], item, f"{path}[{i}]")
+                     for i, item in enumerate(data))
+    if tp is float and type(data) is int:
+        try:
+            return float(data)
+        except OverflowError:
+            raise ConfigError(f"{path}: must be finite") from None
+    return data
 
 
 def from_dict(data: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig from a plain dict."""
-    if not isinstance(data, dict):
-        raise ConfigError("top level: expected a JSON object")
-    known = {"area", "fires", "swarm_sizes", "swarm_radius"} | set(_SECTION_TYPES)
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-
-    kwargs: dict = {}
-    if "area" in data:
-        area = data["area"]
-        if not (isinstance(area, (list, tuple)) and len(area) == 2):
-            raise ConfigError("area: expected [width, height]")
-        kwargs["area"] = (float(area[0]), float(area[1]))
-    if "fires" in data:
-        specs = []
-        for i, f in enumerate(data["fires"]):
-            if not isinstance(f, dict) or set(f) - {"center", "a", "b"}:
-                raise ConfigError(f"fires[{i}]: expected keys center, a, b")
-            try:
-                specs.append(FireSpec((float(f["center"][0]), float(f["center"][1])),
-                                      float(f["a"]), float(f["b"])))
-            except (KeyError, TypeError, IndexError) as exc:
-                raise ConfigError(f"fires[{i}]: malformed entry ({exc})") from exc
-        kwargs["fires"] = tuple(specs)
-    if "swarm_sizes" in data:
-        sizes = data["swarm_sizes"]
-        if not isinstance(sizes, (list, tuple)):
-            raise ConfigError("swarm_sizes: expected a list of counts")
-        kwargs["swarm_sizes"] = tuple(int(n) for n in sizes)
-    if "swarm_radius" in data:
-        kwargs["swarm_radius"] = float(data["swarm_radius"])
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            kwargs[name] = _build_section(name, cls, data[name])
-    return validate(ScenarioConfig(**kwargs))
+    return validate(_build(ScenarioConfig, data, ""))
 
 
 def to_dict(cfg: ScenarioConfig) -> dict:
-    """Inverse of from_dict; the result round-trips exactly."""
-    out = asdict(cfg)
-    out["fires"] = [{"center": list(f.center), "a": f.a, "b": f.b}
-                    for f in cfg.fires]
-    out["area"] = list(cfg.area)
-    out["swarm_sizes"] = list(cfg.swarm_sizes)
-    return out
+    """Inverse of from_dict (dataclasses become dicts, tuples lists); the
+    result round-trips exactly."""
+    if is_dataclass(cfg):
+        return {f.name: to_dict(getattr(cfg, f.name)) for f in fields(cfg)}
+    if isinstance(cfg, tuple):
+        return [to_dict(item) for item in cfg]
+    return cfg
 
 
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
@@ -314,10 +303,9 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config not found: {p}")
-    text = p.read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(p.read_text())
+    except (ValueError, RecursionError) as exc:   # bad JSON or bad UTF-8
         raise ConfigError(f"{p}: JSON parse failure: {exc}") from exc
     return from_dict(data)
 

@@ -373,7 +373,7 @@ class World:
         r = self.readings[uid]
 
         if r.detected is not None:
-            self._baseline_join(swarm, r.fire_id, t_now)
+            self._lock_or_merge(swarm, r.fire_id, t_now)
             return
 
         if uav.has_waypoint and not ve.reached(uav.pos, uav.waypoint,
@@ -382,7 +382,7 @@ class World:
         uav.waypoint = se.baseline_waypoint(
             cfg.engine.strategy, uav.pos, uav.vel, r.temperature,
             r.temp_rate, self.rng.agent(uid), cfg.area, cfg.search,
-            cfg.sensing.temp_threshold)
+            self._l_max, cfg.sensing.temp_threshold)
         uav.waypoint_vel = (0.0, 0.0)
         uav.has_waypoint = True
         uav.mode = ve.UavMode.EXPLORE
@@ -391,8 +391,11 @@ class World:
 
     def _lock_or_merge(self, swarm: SwarmState, fid: int,
                        t_now: float) -> bool:
-        """Returns True if the swarm transitioned into mitigation."""
+        """Returns True if the swarm transitioned into mitigation.  An MSCIDC
+        swarm merges into a locked fire under the merging_decision cap; a
+        lone baseline UAV joins uncapped and aligns like a detector."""
         cfg = self.cfg
+        mscidc = cfg.engine.strategy == "MSCIDC"
         f = self.fires[fid]
         rec = self.records.get(fid)
         member_pos = [(uid, self.uavs[uid].pos) for uid in swarm.member_ids]
@@ -405,11 +408,10 @@ class World:
             return True
         if swarm.id in rec.swarm_ids:
             return False
-        merge_ok = mi.merging_decision(
-            fi.area(f), self.fires_remaining(), rec.n_swarms,
-            cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
-            cfg.mitigation.merge_swarms)
-        if not merge_ok:
+        if mscidc and not mi.merging_decision(
+                fi.area(f), self.fires_remaining(), rec.n_swarms,
+                cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
+                cfg.mitigation.merge_swarms):
             return False
         rec.swarm_ids.append(swarm.id)
         rec.pending_merge.extend(swarm.member_ids)
@@ -422,8 +424,9 @@ class World:
         for tr in prospective:
             if tr.uav_id in rec.pending_merge:
                 self.pending_targets[tr.uav_id] = tr.theta_ref
-        self._enter_mitigation(swarm, fid, rec, t_now, detector=False)
-        self._event("merge", t_now, swarm=swarm.id, fire=fid)
+        self._enter_mitigation(swarm, fid, rec, t_now, detector=not mscidc)
+        self._event("merge" if mscidc else "join-request", t_now,
+                    swarm=swarm.id, fire=fid)
         return True
 
     def _enter_mitigation(self, swarm: SwarmState, fid: int,
@@ -442,32 +445,6 @@ class World:
             uav.waypoint_vel = (0.0, 0.0)
             uav.has_waypoint = True
             uav.mode = ve.UavMode.ALIGN if detector else ve.UavMode.ATTRACTED
-
-    def _baseline_join(self, swarm: SwarmState, fid: int,
-                       t_now: float) -> None:
-        """A lone baseline UAV joins a fire; no merge cap, no repulsion."""
-        f = self.fires[fid]
-        rec = self.records.get(fid)
-        uid = swarm.member_ids[0]
-        if rec is None:
-            rec = mi.FireMitigationRecord(fire_id=fid, swarm_ids=[swarm.id])
-            rec.tracks = mi.assign_sectors(f, [(uid, self.uavs[uid].pos)])
-            self.records[fid] = rec
-            self._enter_mitigation(swarm, fid, rec, t_now, detector=True)
-            self._event("lock", t_now, swarm=swarm.id, fire=fid)
-            return
-        if swarm.id in rec.swarm_ids:
-            return
-        rec.swarm_ids.append(swarm.id)
-        rec.pending_merge.append(uid)
-        union = [(t.uav_id, self.uavs[t.uav_id].pos) for t in rec.tracks]
-        union += [(u, self.uavs[u].pos) for u in rec.pending_merge]
-        prospective = mi.assign_sectors(f, union)
-        for tr in prospective:
-            if tr.uav_id in rec.pending_merge:
-                self.pending_targets[tr.uav_id] = tr.theta_ref
-        self._enter_mitigation(swarm, fid, rec, t_now, detector=True)
-        self._event("join-request", t_now, swarm=swarm.id, fire=fid)
 
     def _mitigation_step(self, fid: int, t_now: float) -> None:
         f = self.fires[fid]

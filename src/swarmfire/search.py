@@ -120,6 +120,7 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
                       vel: tuple[float, float], temperature: float,
                       temp_rate: float, rng: np.random.Generator,
                       area: tuple[float, float], search_params,
+                      l_max: float,
                       temp_threshold: float) -> tuple[float, float]:
     """Independent per-UAV waypoint for the comparison strategies.
 
@@ -127,9 +128,8 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
     current position at a uniform heading; OMS approximates a multi-level
     switching search (levy legs while cool, short legs while hot, heading
     biased along the current velocity when the temperature is rising).
+    ``l_max`` truncates the levy step factor (area diagonal / levy_step).
     """
-    diag = math.hypot(area[0], area[1])
-    l_max = diag / search_params.levy_step
     if strategy == "UNIFORM":
         return (rng.uniform(0.0, area[0]), rng.uniform(0.0, area[1]))
     if strategy == "NORMAL":

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 
 from swarmfire.cli import CSV_COLUMNS, main
 from swarmfire.config import load_config, write_config
+from test_config import MALFORMED
 
 import dataclasses
 
@@ -142,6 +143,32 @@ def test_seed_env_override(tmp_path, small_config_path):
     assert res.exit_code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["base_seed"] == 777
+
+
+def test_seed_env_not_an_integer_exit_2(small_config_path):
+    res = invoke("run", small_config_path, env={"SWARMFIRE_SEED": "12abc"})
+    assert res.exit_code == 2
+    assert "SWARMFIRE_SEED" in res.output
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--seed", "-5"], None),
+    ([], {"SWARMFIRE_SEED": "-5"}),
+])
+def test_negative_seed_exit_2(args, env):
+    res = invoke("run", "pine-table1", *args, env=env)
+    assert res.exit_code == 2
+    assert "engine.base_seed" in res.output
+
+
+@pytest.mark.parametrize("text, field", MALFORMED)
+def test_malformed_config_value_exit_2(tmp_path, text, field):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    res = invoke("run", str(p))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert field in res.output
 
 
 def test_unwritable_output_exit_3(small_config_path, tmp_path):

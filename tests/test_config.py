@@ -1,12 +1,30 @@
+"""Config tests.  Run as a script to regenerate the committed JSON schema
+from the dataclass declarations:
+
+    PYTHONPATH=src python tests/test_config.py
+"""
+
+import copy
 import dataclasses
 import json
 import math
+import re
+from dataclasses import MISSING, fields, is_dataclass
+from functools import reduce
+from operator import getitem
+from pathlib import Path
+from typing import get_args, get_origin
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import swarmfire
 from swarmfire.config import (ConfigError, PRESETS, ScenarioConfig,
                               from_dict, load_config, to_dict, validate,
                               write_config)
+
+SCHEMA_PATH = (Path(swarmfire.__file__).parent / "schemas"
+               / "config.schema.json")
 
 
 def test_preset_exists_and_validates():
@@ -91,7 +109,7 @@ def test_fire_axes_ordered():
 
 
 def test_fire_center_inside_area():
-    with pytest.raises(ConfigError, match="outside"):
+    with pytest.raises(ConfigError, match=r"fires\[0\]\.center\[0\]: outside"):
         from_dict({"area": [1000, 1000],
                    "fires": [{"center": [2000, 100], "a": 50, "b": 50}]})
 
@@ -108,11 +126,135 @@ def test_cone_gain_range():
         validate(_with(cfg, "search", cone_gain=2 * math.pi))
 
 
-def test_schema_file_matches_sections():
-    import swarmfire
-    from pathlib import Path
-    schema_path = Path(swarmfire.__file__).parent / "schemas" / "config.schema.json"
-    schema = json.loads(schema_path.read_text())
-    top = set(schema["properties"])
-    cfg_fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
-    assert top == cfg_fields
+# -- malformed values --------------------------------------------------------
+
+# Each JSON document with the field path its error must name; test_cli.py
+# runs the same documents through the CLI.
+MALFORMED = [
+    ('{"engine": {"dt": "0.5"}}', "engine.dt"),
+    ('{"fires": [{"center": [100, 100], "a": "x", "b": 50}]}', "fires[0].a"),
+    ('{"fires": 5}', "fires"),
+    ('{"engine": {"base_seed": -1}}', "engine.base_seed"),
+    ('{"engine": {"t_max": Infinity}}', "engine.t_max"),
+    ('{"swarm_sizes": [2.7]}', "swarm_sizes[0]"),
+    ('{"engine": {"trace_stride": 2.5}}', "engine.trace_stride"),
+    ('{"engine": {"trace_stride": true}}', "engine.trace_stride"),
+    ('{"objective": {"w1": NaN}}', "objective.w1"),
+    ('{"area": [Infinity, 10000]}', "area[0]"),
+    ('{"quench": {"c": null}}', "quench.c"),
+    ('{"swarm_radius": 1e999}', "swarm_radius"),
+    ('{"swarm_radius": 1%s}' % ("0" * 400), "swarm_radius"),
+    ('{"fires": [{"center": [100], "a": 50, "b": 50}]}', "fires[0].center"),
+    ('{"fires": [{"a": 50, "b": 50}]}', "fires[0]: missing keys"),
+    ('{"mitigation": {"use_printed_angular_law": 1}}',
+     "mitigation.use_printed_angular_law"),
+]
+
+
+@pytest.mark.parametrize("text, path", MALFORMED)
+def test_malformed_value_names_field(text, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        from_dict(json.loads(text))
+
+
+def test_json_integers_become_floats():
+    cfg = from_dict({"area": [4000, 4000], "swarm_radius": 250,
+                     "sensing": {"sigma": 100}})
+    assert cfg == from_dict({"area": [4000.0, 4000.0],
+                             "swarm_radius": 250.0,
+                             "sensing": {"sigma": 100.0}})
+    assert type(cfg.sensing.sigma) is float
+
+
+# -- one-leaf mutations of the preset document -------------------------------
+
+PRESET_DOC = to_dict(PRESETS["pine-table1"])
+
+
+def _paths(doc, path=()):
+    """Path to every value below the root of a JSON document."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.sampled_from([-1, 0, 2**63, 10**400, -10**400]),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.text(max_size=4), st.lists(st.integers() | st.floats(), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(path=st.sampled_from(list(_paths(PRESET_DOC))),
+       action=st.sampled_from(["replace", "delete", "extra"]),
+       value=JUNK, key=st.text(max_size=6))
+def test_one_leaf_mutation_gives_config_or_config_error(path, action,
+                                                         value, key):
+    doc = copy.deepcopy(PRESET_DOC)
+    parent = reduce(getitem, path[:-1], doc)
+    if action == "replace":
+        parent[path[-1]] = value
+    elif action == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[key] = value
+    else:
+        parent.append(value)
+    try:
+        cfg = from_dict(doc)
+    except ConfigError:
+        return
+    assert from_dict(to_dict(cfg)) == cfg
+
+
+# -- the JSON schema, generated from the field declarations ------------------
+
+_JSON_TYPES = {float: "number", int: "integer", bool: "boolean",
+               str: "string"}
+
+
+def schema_of(tp, meta=None, default=MISSING) -> dict:
+    """JSON schema of a declared type; bounds come from the field metadata
+    under the same keywords."""
+    meta = dict(meta or {})
+    if is_dataclass(tp):
+        out = {"description": tp.__doc__.splitlines()[0], "type": "object",
+               "additionalProperties": False,
+               "properties": {f.name: schema_of(f.type, f.metadata, f.default)
+                              for f in fields(tp)}}
+        required = [f.name for f in fields(tp) if f.default is MISSING
+                    and f.default_factory is MISSING]
+        if required:
+            out["required"] = required
+    elif get_origin(tp) is tuple:
+        args = get_args(tp)
+        out = {"type": "array",
+               "items": schema_of(args[0], meta.pop("items", {}))}
+        if args[-1] is not Ellipsis:
+            out["minItems"] = out["maxItems"] = len(args)
+        out.update(meta)
+    else:
+        out = {"type": _JSON_TYPES[tp], **meta}
+    if default is not MISSING:
+        out["default"] = to_dict(default)
+    return out
+
+
+def schema_text() -> str:
+    schema = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+              "title": "swarmfire scenario configuration",
+              **schema_of(ScenarioConfig)}
+    return json.dumps(schema, indent=2) + "\n"
+
+
+def test_schema_file_is_generated_from_fields():
+    assert SCHEMA_PATH.read_text() == schema_text(), (
+        "regenerate with: PYTHONPATH=src python tests/test_config.py")
+
+
+if __name__ == "__main__":
+    SCHEMA_PATH.write_text(schema_text())

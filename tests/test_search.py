@@ -159,7 +159,8 @@ def test_clamp_to_area_matches_min_max(x, y):
 def test_uniform_fills_area():
     g = rng(23)
     pts = [baseline_waypoint("UNIFORM", (0.0, 0.0), (0.0, 0.0), 300.0, 0.0,
-                             g, AREA, PARAMS, 330.0) for _ in range(20000)]
+                             g, AREA, PARAMS, L_MAX, 330.0)
+           for _ in range(20000)]
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     # chi-square on a 10x10 occupancy grid
@@ -176,7 +177,7 @@ def test_normal_step_lengths():
     steps = []
     for _ in range(20000):
         wp = baseline_waypoint("NORMAL", pos, (0.0, 0.0), 300.0, 0.0,
-                               g, AREA, PARAMS, 330.0)
+                               g, AREA, PARAMS, L_MAX, 330.0)
         steps.append(math.hypot(wp[0] - pos[0], wp[1] - pos[1]))
     assert np.mean(steps) == pytest.approx(
         PARAMS.brown_step * math.sqrt(2 / math.pi), rel=0.03)
@@ -188,7 +189,7 @@ def test_levy_steps_heavy_tailed():
     steps = []
     for _ in range(20000):
         wp = baseline_waypoint("LEVY", pos, (0.0, 0.0), 300.0, 0.0,
-                               g, AREA, PARAMS, 330.0)
+                               g, AREA, PARAMS, L_MAX, 330.0)
         steps.append(math.hypot(wp[0] - pos[0], wp[1] - pos[1]))
     assert max(steps) > 2000.0
     assert np.median(steps) < 1500.0
@@ -198,9 +199,11 @@ def test_oms_switches_on_temperature():
     g = rng(37)
     pos = (5000.0, 5000.0)
     cool = [baseline_waypoint("OMS", pos, (0.0, 0.0), 300.0, 0.0,
-                              g, AREA, PARAMS, 330.0) for _ in range(2000)]
+                              g, AREA, PARAMS, L_MAX, 330.0)
+            for _ in range(2000)]
     hot = [baseline_waypoint("OMS", pos, (0.0, 0.0), 500.0, 0.0,
-                             g, AREA, PARAMS, 330.0) for _ in range(2000)]
+                             g, AREA, PARAMS, L_MAX, 330.0)
+           for _ in range(2000)]
     mean_cool = np.mean([math.hypot(p[0] - pos[0], p[1] - pos[1]) for p in cool])
     mean_hot = np.mean([math.hypot(p[0] - pos[0], p[1] - pos[1]) for p in hot])
     assert mean_cool > 3 * mean_hot
@@ -212,7 +215,7 @@ def test_oms_heading_bias_when_rising():
     vel = (10.0, 0.0)
     for _ in range(500):
         wp = baseline_waypoint("OMS", pos, vel, 300.0, 1.0,
-                               g, AREA, PARAMS, 330.0)
+                               g, AREA, PARAMS, L_MAX, 330.0)
         ang = math.atan2(wp[1] - pos[1], wp[0] - pos[0])
         assert abs(ang) <= math.pi / 4 + 1e-9
 
@@ -220,7 +223,7 @@ def test_oms_heading_bias_when_rising():
 def test_unknown_strategy_raises():
     with pytest.raises(ValueError):
         baseline_waypoint("WALK", (0.0, 0.0), (0.0, 0.0), 300.0, 0.0,
-                          rng(), AREA, PARAMS, 330.0)
+                          rng(), AREA, PARAMS, L_MAX, 330.0)
 
 
 def test_all_baseline_waypoints_inside_area():
@@ -228,6 +231,6 @@ def test_all_baseline_waypoints_inside_area():
     for strat in ("UNIFORM", "NORMAL", "LEVY", "OMS"):
         for _ in range(2000):
             wp = baseline_waypoint(strat, (50.0, 9950.0), (5.0, 5.0), 300.0,
-                                   0.5, g, AREA, PARAMS, 330.0)
+                                   0.5, g, AREA, PARAMS, L_MAX, 330.0)
             assert 0.0 <= wp[0] <= AREA[0]
             assert 0.0 <= wp[1] <= AREA[1]
