@@ -253,9 +253,10 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
 
 def _build(tp, data, path: str):
     """Shape JSON data into the declared type: objects become dataclasses
-    (unknown or missing keys rejected), lists become tuples and integers
-    become floats where a float is declared.  Everything else passes
-    through unchanged for validate to judge."""
+    (unknown or missing keys rejected), lists become tuples, integers
+    become floats where a float is declared and integral floats become
+    integers where an integer is declared.  Everything else passes through
+    unchanged for validate to judge."""
     if is_dataclass(tp):
         where = path or "top level"
         _require(isinstance(data, dict), f"{where}: expected an object")
@@ -277,6 +278,9 @@ def _build(tp, data, path: str):
             return float(data)
         except OverflowError:
             raise ConfigError(f"{path}: must be finite") from None
+    if (tp is int and type(data) is float and math.isfinite(data)
+            and data.is_integer()):
+        return int(data)   # JSON Schema's "integer" admits 2.0
     return data
 
 

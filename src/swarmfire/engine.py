@@ -21,7 +21,7 @@ from . import search as se
 from . import sensing as sn
 from . import vehicle as ve
 from .config import ScenarioConfig
-from .rng import RngStreams
+from .rng import RngStreams, uniform
 
 
 class SwarmMode(enum.Enum):
@@ -115,12 +115,12 @@ class World:
         uid = 0
         if cfg.engine.strategy == "MSCIDC":
             for sid, size in enumerate(cfg.swarm_sizes):
-                cx = rng.uniform(0.0, w)
-                cy = rng.uniform(0.0, h)
+                cx = uniform(rng, 0.0, w)
+                cy = uniform(rng, 0.0, h)
                 members = []
                 for _ in range(size):
-                    r = cfg.swarm_radius * math.sqrt(rng.uniform())
-                    ang = rng.uniform(-math.pi, math.pi)
+                    r = cfg.swarm_radius * math.sqrt(uniform(rng, 0.0, 1.0))
+                    ang = uniform(rng, -math.pi, math.pi)
                     pos = se.clamp_to_area((cx + r * math.cos(ang),
                                             cy + r * math.sin(ang)), cfg.area)
                     self.uavs.append(ve.UavState(id=uid, swarm_id=sid, pos=pos))
@@ -131,7 +131,7 @@ class World:
         else:
             # Baselines: every UAV acts independently (swarm of one).
             for sid in range(cfg.n_uavs):
-                pos = (rng.uniform(0.0, w), rng.uniform(0.0, h))
+                pos = (uniform(rng, 0.0, w), uniform(rng, 0.0, h))
                 self.uavs.append(ve.UavState(id=uid, swarm_id=sid, pos=pos))
                 self.swarms.append(SwarmState(id=sid, member_ids=[uid]))
                 uid += 1
@@ -206,22 +206,8 @@ class World:
         for fid in sorted(self.records):
             self._mitigation_step(fid, t_now)
 
-        # (6) vehicle step, fixed uav order
-        kin = cfg.kinematics
-        cruise, tau, pole = kin.cruise_speed, kin.tracking_tau, kin.pole
-        area = cfg.area
-        last_heading = self.last_heading
-        for uav in uavs:
-            if uav.has_waypoint:
-                v_ref = ve.reference_velocity(uav.pos, uav.waypoint,
-                                              uav.waypoint_vel, cruise, tau)
-            else:
-                v_ref = (0.0, 0.0)
-            ve.step(uav, v_ref, pole, dt)
-            uav.pos = se.clamp_to_area(uav.pos, area)
-            vx, vy = uav.vel
-            if math.hypot(vx, vy) > 0.1:
-                last_heading[uav.id] = math.atan2(vy, vx)
+        # (6) vehicle stage, fixed uav order
+        ve.step(uavs, cfg.kinematics, dt, cfg.area, self.last_heading)
 
         # (7) quenching
         for fid in sorted(self.records):
@@ -360,7 +346,7 @@ class World:
             return math.atan2(uav.vel[1], uav.vel[0])
         if uid in self.last_heading:
             return self.last_heading[uid]
-        return self.rng.agent(uid).uniform(-math.pi, math.pi)
+        return uniform(self.rng.agent(uid), -math.pi, math.pi)
 
     def _max_info_heading(self, swarm: SwarmState) -> float:
         k_star, _ = se.max_info_member(swarm.member_ids, self.readings)

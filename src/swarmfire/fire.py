@@ -140,6 +140,11 @@ def _quadrant_param(a: float, b: float, x: float, y: float) -> float:
         dg = c * (ct * ct - st * st) - x * a * ct - y * b * st
         if dg != 0.0:
             t_new = t - g / dg
+            # A step that rounds to zero means t is a root to working
+            # precision.  The bracket end was just set to t, so the test
+            # below would reject the step and bisect away from the root.
+            if t_new == t:
+                return t
         else:
             t_new = 0.5 * (lo + hi)
         if not (lo < t_new < hi):

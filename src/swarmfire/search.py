@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .rng import uniform
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -52,7 +54,7 @@ def search_cone_halfwidth(temp_max: float, cone_gain: float,
 def sample_heading(phi_center: float, phi0: float,
                    rng: np.random.Generator) -> float:
     """Uniform draw on [phi_center - phi0, phi_center + phi0], wrapped."""
-    return wrap_angle(phi_center + rng.uniform(-phi0, phi0))
+    return wrap_angle(phi_center + uniform(rng, -phi0, phi0))
 
 
 def sample_levy_length(rng: np.random.Generator, tail_exponent: float,
@@ -131,12 +133,12 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
     ``l_max`` truncates the levy step factor (area diagonal / levy_step).
     """
     if strategy == "UNIFORM":
-        return (rng.uniform(0.0, area[0]), rng.uniform(0.0, area[1]))
+        return (uniform(rng, 0.0, area[0]), uniform(rng, 0.0, area[1]))
     if strategy == "NORMAL":
-        heading = rng.uniform(-math.pi, math.pi)
+        heading = uniform(rng, -math.pi, math.pi)
         step = search_params.brown_step * sample_brown_length(rng)
     elif strategy == "LEVY":
-        heading = rng.uniform(-math.pi, math.pi)
+        heading = uniform(rng, -math.pi, math.pi)
         step = search_params.levy_step * sample_levy_length(
             rng, search_params.levy_tail_exponent, l_max)
     elif strategy == "OMS":
@@ -144,7 +146,7 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
             phi = math.atan2(vel[1], vel[0])
             heading = sample_heading(phi, 0.25 * math.pi, rng)
         else:
-            heading = rng.uniform(-math.pi, math.pi)
+            heading = uniform(rng, -math.pi, math.pi)
         if temperature < temp_threshold:
             step = search_params.levy_step * sample_levy_length(
                 rng, search_params.levy_tail_exponent, l_max)

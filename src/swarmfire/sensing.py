@@ -33,19 +33,6 @@ def active_fires(fires: list[FireFront]) -> list[FireFront]:
             if f.state in (FireState.BURNING, FireState.UNDER_MITIGATION)]
 
 
-def temperature_at(fires: list[FireFront], p: tuple[float, float],
-                   ambient: float, fire_temp: float, temp_sigma: float) -> float:
-    """Field temperature at p: ambient + (fire - ambient) * max Gaussian."""
-    best = 0.0
-    inv = 1.0 / (2.0 * temp_sigma * temp_sigma)
-    for f in active_fires(fires):
-        d = distance_to_front(f, p)
-        g = math.exp(-d * d * inv)
-        if g > best:
-            best = g
-    return ambient + (fire_temp - ambient) * best
-
-
 def detection_probability(d: float, sigma: float, sensing_radius: float) -> float:
     """Gaussian detection probability, hard zero beyond the sensing radius."""
     if d > sensing_radius:

@@ -35,27 +35,47 @@ class UavState:
     has_waypoint: bool = False
 
 
-def reference_velocity(pos: Vec, target: Vec, target_vel: Vec,
-                       cruise_speed: float, tau: float) -> Vec:
-    """Velocity command toward the target; speed saturates below cruise_speed
-    as tracking error grows, plus the target's own velocity feed-forward."""
-    ex = target[0] - pos[0]
-    ey = target[1] - pos[1]
-    gain = cruise_speed / (tau + math.hypot(ex, ey))
-    return (gain * ex + target_vel[0], gain * ey + target_vel[1])
+def step(uavs: list[UavState], kin, dt: float, area: Vec,
+         last_heading: dict[int, float]) -> None:
+    """The vehicle stage of one tick: advance every UAV in list order.
 
-
-def step(uav: UavState, v_ref: Vec, pole: float, dt: float) -> UavState:
-    """Advance one step: exact first-order lag for velocity, trapezoidal
-    integral for position."""
-    decay = math.exp(-pole * dt)
-    vx0, vy0 = uav.vel
-    vx = v_ref[0] + (vx0 - v_ref[0]) * decay
-    vy = v_ref[1] + (vy0 - v_ref[1]) * decay
-    px, py = uav.pos
-    uav.pos = (px + 0.5 * dt * (vx0 + vx), py + 0.5 * dt * (vy0 + vy))
-    uav.vel = (vx, vy)
-    return uav
+    A UAV with a waypoint flies toward it at a reference velocity whose
+    speed saturates below the cruise speed as the tracking error grows,
+    plus the waypoint's own velocity as feed-forward; one without holds a
+    zero reference.  The velocity follows the reference through the exact
+    first-order lag and the position integrates it trapezoidally, then is
+    clamped into the area.  ``last_heading[id]`` records the heading of
+    every UAV faster than 0.1 m/s.  ``kin`` is a KinematicsParams.
+    """
+    cruise, tau = kin.cruise_speed, kin.tracking_tau
+    decay = math.exp(-kin.pole * dt)
+    half_dt = 0.5 * dt
+    w, h = area
+    hypot = math.hypot
+    for uav in uavs:
+        px, py = uav.pos
+        vx0, vy0 = uav.vel
+        if uav.has_waypoint:
+            tx, ty = uav.waypoint
+            ex = tx - px
+            ey = ty - py
+            gain = cruise / (tau + hypot(ex, ey))
+            fx, fy = uav.waypoint_vel
+            rx = gain * ex + fx
+            ry = gain * ey + fy
+        else:
+            rx = ry = 0.0
+        vx = rx + (vx0 - rx) * decay
+        vy = ry + (vy0 - ry) * decay
+        x = px + half_dt * (vx0 + vx)
+        y = py + half_dt * (vy0 + vy)
+        # min(max(v, 0), extent), as search.clamp_to_area writes it
+        x = 0.0 if 0.0 > x else x
+        y = 0.0 if 0.0 > y else y
+        uav.pos = (w if w < x else x, h if h < y else y)
+        uav.vel = (vx, vy)
+        if hypot(vx, vy) > 0.1:
+            last_heading[uav.id] = math.atan2(vy, vx)
 
 
 def arrival_radius(cruise_speed: float, dt: float) -> float:

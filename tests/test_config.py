@@ -139,6 +139,8 @@ MALFORMED = [
     ('{"swarm_sizes": [2.7]}', "swarm_sizes[0]"),
     ('{"engine": {"trace_stride": 2.5}}', "engine.trace_stride"),
     ('{"engine": {"trace_stride": true}}', "engine.trace_stride"),
+    ('{"engine": {"trace_stride": NaN}}', "engine.trace_stride"),
+    ('{"swarm_sizes": [Infinity]}', "swarm_sizes[0]"),
     ('{"objective": {"w1": NaN}}', "objective.w1"),
     ('{"area": [Infinity, 10000]}', "area[0]"),
     ('{"quench": {"c": null}}', "quench.c"),
@@ -164,6 +166,18 @@ def test_json_integers_become_floats():
                              "swarm_radius": 250.0,
                              "sensing": {"sigma": 100.0}})
     assert type(cfg.sensing.sigma) is float
+
+
+def test_integral_floats_become_integers():
+    """JSON Schema's "integer" admits 2.0, so the loader does too."""
+    cfg = from_dict({"swarm_sizes": [2.0, 3.0],
+                     "engine": {"trace_stride": 2.0, "base_seed": 7.0},
+                     "mitigation": {"merge_fires": -0.0}})
+    assert cfg == from_dict({"swarm_sizes": [2, 3],
+                             "engine": {"trace_stride": 2, "base_seed": 7},
+                             "mitigation": {"merge_fires": 0}})
+    assert type(cfg.engine.trace_stride) is int
+    assert [type(n) for n in cfg.swarm_sizes] == [int, int]
 
 
 # -- one-leaf mutations of the preset document -------------------------------

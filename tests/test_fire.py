@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy import integrate, optimize
 
 from swarmfire.fire import (EXTINGUISH_AREA, FireFront, FireState, apply_quench,
@@ -215,6 +215,29 @@ def test_distance_matches_parametric_minimum(a, b, px, py):
         return
     assert d == pytest.approx(exact_boundary_distance(a, b, px, py),
                               rel=1e-6, abs=1e-6)
+
+
+def one_ulp_outward(v: float) -> float:
+    return math.nextafter(v, math.copysign(math.inf, v))
+
+
+@given(st.floats(10.0, 1000.0), st.floats(10.0, 1000.0),
+       st.floats(0.0, TWO_PI))
+def test_distance_one_ulp_outside_front(a, b, t):
+    """A point one ulp outside the front is within rounding of it; a
+    solver that leaves a converged root for bisection misses by ~1e-7."""
+    assume(a != b)
+    if b > a:
+        a, b = b, a
+    x = one_ulp_outward(a * math.cos(t))
+    y = one_ulp_outward(b * math.sin(t))
+    assert boundary_distance(a, b, x, y) < 1e-9
+
+
+def test_distance_one_ulp_outside_front_example():
+    # the solver once bisected away from the converged root here: 4.4e-8
+    assert boundary_distance(674.4709784223395, 620.6211392977884,
+                             284.28511564146186, 562.7987583676666) < 1e-9
 
 
 def test_nearest_front_point_on_boundary():

@@ -3,11 +3,25 @@ import math
 import pytest
 
 from swarmfire.config import SensingParams
-from swarmfire.fire import FireFront, FireState
-from swarmfire.sensing import (cull_distance, detection_probability, sample,
-                               temperature_at)
+from swarmfire.fire import FireFront, FireState, distance_to_front
+from swarmfire.sensing import (active_fires, cull_distance,
+                               detection_probability, sample)
 
 SENSING = SensingParams()
+
+
+def temperature_at(fires: list[FireFront], p: tuple[float, float],
+                   ambient: float, fire_temp: float, temp_sigma: float) -> float:
+    """Oracle for the field temperature at p: ambient + (fire - ambient) *
+    max Gaussian over the active fires, without culling."""
+    best = 0.0
+    inv = 1.0 / (2.0 * temp_sigma * temp_sigma)
+    for f in active_fires(fires):
+        d = distance_to_front(f, p)
+        g = math.exp(-d * d * inv)
+        if g > best:
+            best = g
+    return ambient + (fire_temp - ambient) * best
 
 
 def make_fire(a=100.0, b=100.0, center=(0.0, 0.0), fid=0):
@@ -130,3 +144,14 @@ def test_sample_culling_matches_full_evaluation():
     assert full.temperature == pytest.approx(culled.temperature, abs=1e-9)
     assert full.fire_id == culled.fire_id
     assert full.probability == culled.probability
+
+
+def test_sample_temperature_matches_field_oracle():
+    fires = [make_fire(a=300.0, b=250.0, center=(1000.0, 1000.0), fid=0),
+             make_fire(center=(1600.0, 1200.0), fid=1)]
+    for pos in [(1000.0, 1000.0), (1350.0, 1050.0), (1450.0, 1100.0),
+                (2000.0, 2000.0), (9000.0, 9000.0)]:
+        r = sample(0, pos, fires, None, 1.0, 1.0, SENSING, cutoff=1e9)
+        assert r.temperature == temperature_at(
+            fires, pos, SENSING.ambient_temp, SENSING.fire_temp,
+            SENSING.temp_sigma)

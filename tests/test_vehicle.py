@@ -1,65 +1,192 @@
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
 
-from swarmfire.vehicle import (UavState, arrival_radius, reached,
-                               reference_velocity, step)
+from swarmfire.config import KinematicsParams
+from swarmfire.search import clamp_to_area
+from swarmfire.vehicle import UavState, arrival_radius, reached, step
+
+KIN = KinematicsParams(cruise_speed=20.0, pole=1.0, tracking_tau=1.0)
+# A pole so fast that the velocity equals its reference after one step
+# (exp(-1e3) is 0.0), so a stage step reads out the reference velocity.
+INSTANT = KinematicsParams(cruise_speed=20.0, pole=1.0e3, tracking_tau=1.0)
+AREA = (10000.0, 10000.0)
 
 
 def make_uav(pos=(0.0, 0.0), vel=(0.0, 0.0)):
     return UavState(id=0, swarm_id=0, pos=pos, vel=vel)
 
 
+def fly(uav, target, target_vel=(0.0, 0.0), kin=KIN, dt=1.0):
+    """One vehicle-stage step of a single UAV toward ``target``."""
+    uav.waypoint = target
+    uav.waypoint_vel = target_vel
+    uav.has_waypoint = True
+    step([uav], kin, dt, AREA, {})
+    return uav
+
+
+# -- oracle: the per-UAV composition the stage replaced -------------------------
+
+def oracle_reference_velocity(pos, target, target_vel, cruise_speed, tau):
+    ex = target[0] - pos[0]
+    ey = target[1] - pos[1]
+    gain = cruise_speed / (tau + math.hypot(ex, ey))
+    return (gain * ex + target_vel[0], gain * ey + target_vel[1])
+
+
+def oracle_step_one(uav, v_ref, pole, dt):
+    decay = math.exp(-pole * dt)
+    vx0, vy0 = uav.vel
+    vx = v_ref[0] + (vx0 - v_ref[0]) * decay
+    vy = v_ref[1] + (vy0 - v_ref[1]) * decay
+    px, py = uav.pos
+    uav.pos = (px + 0.5 * dt * (vx0 + vx), py + 0.5 * dt * (vy0 + vy))
+    uav.vel = (vx, vy)
+
+
+def oracle_stage(uavs, kin, dt, area, last_heading):
+    for uav in uavs:
+        if uav.has_waypoint:
+            v_ref = oracle_reference_velocity(
+                uav.pos, uav.waypoint, uav.waypoint_vel, kin.cruise_speed,
+                kin.tracking_tau)
+        else:
+            v_ref = (0.0, 0.0)
+        oracle_step_one(uav, v_ref, kin.pole, dt)
+        uav.pos = clamp_to_area(uav.pos, area)
+        vx, vy = uav.vel
+        if math.hypot(vx, vy) > 0.1:
+            last_heading[uav.id] = math.atan2(vy, vx)
+
+
+def bits(*values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def snapshot(uavs, last_heading):
+    return ([(bits(*u.pos), bits(*u.vel)) for u in uavs],
+            {k: bits(v) for k, v in last_heading.items()})
+
+
+def twin_runs(specs, kin, dt, area, ticks=1):
+    """Stage and oracle on identical copies; returns both snapshots."""
+    out = []
+    for stage in (step, oracle_stage):
+        uavs = [UavState(id=i, swarm_id=0, pos=pos, vel=vel,
+                         waypoint=wp or (0.0, 0.0), waypoint_vel=wv,
+                         has_waypoint=wp is not None)
+                for i, (pos, vel, wp, wv) in enumerate(specs)]
+        last_heading = {0: 1.25}
+        for _ in range(ticks):
+            stage(uavs, kin, dt, area, last_heading)
+        out.append(snapshot(uavs, last_heading))
+    return out
+
+
+AREA_W, AREA_H = 1000.0, 800.0
+coord_x = st.one_of(st.floats(-20.0, 20.0), st.floats(-20.0, AREA_W + 20.0),
+                    st.floats(AREA_W - 20.0, AREA_W + 20.0))
+coord_y = st.one_of(st.floats(-20.0, 20.0), st.floats(-20.0, AREA_H + 20.0),
+                    st.floats(AREA_H - 20.0, AREA_H + 20.0))
+# speeds near the 0.1 m/s heading threshold, and ordinary ones
+speed = st.one_of(st.floats(-0.2, 0.2), st.floats(-40.0, 40.0))
+uav_spec = st.tuples(
+    st.tuples(coord_x, coord_y), st.tuples(speed, speed),
+    st.one_of(st.none(), st.tuples(coord_x, coord_y)),
+    st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)))
+kinematics = st.builds(KinematicsParams, cruise_speed=st.floats(1.0, 40.0),
+                       pole=st.floats(0.1, 5.0),
+                       tracking_tau=st.floats(0.1, 5.0))
+
+
+@given(st.lists(uav_spec, min_size=1, max_size=6), kinematics,
+       st.floats(0.05, 2.0), st.integers(1, 3))
+def test_stage_matches_per_uav_oracle(specs, kin, dt, ticks):
+    """Bit for bit: positions, velocities and recorded headings."""
+    stage, oracle = twin_runs(specs, kin, dt, (AREA_W, AREA_H), ticks)
+    assert stage == oracle
+
+
+def test_stage_clamps_each_edge_and_heading_threshold():
+    specs = [
+        ((1.0, 400.0), (-30.0, 0.0), None, (0.0, 0.0)),           # west
+        ((999.0, 400.0), (30.0, 0.0), None, (0.0, 0.0)),          # east
+        ((500.0, 1.0), (0.0, -30.0), None, (0.0, 0.0)),           # south
+        ((500.0, 799.0), (0.0, 30.0), None, (0.0, 0.0)),          # north
+        ((500.0, 400.0), (0.0, 0.0), (1500.0, -300.0), (0.0, 0.0)),
+        ((500.0, 400.0), (0.164, 0.0), None, (0.0, 0.0)),         # slows below
+        ((500.0, 400.0), (0.166, 0.0), None, (0.0, 0.0)),         # stays above
+    ]
+    stage, oracle = twin_runs(specs, KIN, 0.5, (AREA_W, AREA_H))
+    assert stage == oracle
+    uavs = [UavState(id=i, swarm_id=0, pos=p, vel=v) for i, (p, v, _, _)
+            in enumerate(specs[:4])]
+    step(uavs, KIN, 0.5, (AREA_W, AREA_H), {})
+    assert [u.pos for u in uavs] == [(0.0, 400.0), (AREA_W, 400.0),
+                                     (500.0, 0.0), (500.0, AREA_H)]
+    decay = math.exp(-0.5)
+    assert 0.099 < 0.164 * decay < 0.1 < 0.166 * decay < 0.101
+    headings = {}
+    slow = UavState(id=5, swarm_id=0, pos=(500.0, 400.0), vel=(0.164, 0.0))
+    fast = UavState(id=6, swarm_id=0, pos=(500.0, 400.0), vel=(0.166, 0.0))
+    step([slow, fast], KIN, 0.5, (AREA_W, AREA_H), headings)
+    assert headings == {6: 0.0}
+
+
+# -- reference velocity, read out through an instant-lag stage step ------------
+
 def test_reference_velocity_zero_error():
-    assert reference_velocity((5.0, 5.0), (5.0, 5.0), (0.0, 0.0),
-                              20.0, 1.0) == (0.0, 0.0)
+    uav = fly(make_uav(pos=(5.0, 5.0)), (5.0, 5.0), kin=INSTANT)
+    assert uav.vel == (0.0, 0.0)
 
 
 def test_reference_velocity_value():
-    vx, vy = reference_velocity((0.0, 0.0), (100.0, 0.0), (0.0, 0.0),
-                                20.0, 1.0)
+    vx, vy = fly(make_uav(), (100.0, 0.0), kin=INSTANT).vel
     assert vx == pytest.approx(20.0 * 100.0 / 101.0)
     assert vy == 0.0
 
 
 def test_reference_velocity_feed_forward():
-    vx, vy = reference_velocity((0.0, 0.0), (0.0, 0.0), (3.0, -4.0),
-                                20.0, 1.0)
-    assert (vx, vy) == (3.0, -4.0)
+    uav = fly(make_uav(), (0.0, 0.0), (3.0, -4.0), kin=INSTANT)
+    assert uav.vel == (3.0, -4.0)
 
 
 @given(st.floats(-5000, 5000), st.floats(-5000, 5000),
        st.floats(-5000, 5000), st.floats(-5000, 5000))
 def test_reference_speed_bounded(px, py, tx, ty):
-    v = reference_velocity((px, py), (tx, ty), (0.0, 0.0), 20.0, 1.0)
-    assert math.hypot(*v) <= 20.0
+    uav = fly(make_uav(pos=(px, py)), (tx, ty), kin=INSTANT)
+    assert math.hypot(*uav.vel) <= 20.0
 
+
+# -- velocity lag and position integration -------------------------------------
 
 def test_step_equilibrium():
-    uav = make_uav(vel=(10.0, 0.0))
-    step(uav, (10.0, 0.0), 1.0, 1.0)
+    uav = fly(make_uav(vel=(10.0, 0.0)), (0.0, 0.0), (10.0, 0.0))
     assert uav.vel == pytest.approx((10.0, 0.0))
     assert uav.pos == pytest.approx((10.0, 0.0))
 
 
 def test_step_exponential_rise():
-    uav = make_uav()
-    step(uav, (10.0, 0.0), 1.0, 1.0)
+    uav = fly(make_uav(), (0.0, 0.0), (10.0, 0.0))
     assert uav.vel[0] == pytest.approx(10.0 * (1.0 - math.exp(-1.0)))
 
 
 def test_step_matches_fine_euler():
     """Exact discretization vs 10x-finer explicit Euler over 60 s."""
     pole, dt = 1.0, 0.5
-    uav = make_uav()
-    ex, ey = 0.0, 0.0          # Euler twin state
+    start = (5000.0, 5000.0)   # mid-area, so the clamp never acts
+    uav = make_uav(pos=start)
+    ex, ey = 0.0, 0.0          # Euler twin state, relative to start
     vx = vy = 0.0
     path = 0.0
     for k in range(120):
-        # time-varying reference to exercise the transient repeatedly
+        # time-varying reference to exercise the transient repeatedly;
+        # a waypoint on the UAV itself makes its velocity the reference
         v_ref = (10.0 * math.cos(0.05 * k), 6.0 * math.sin(0.03 * k))
-        step(uav, v_ref, pole, dt)
+        fly(uav, uav.pos, v_ref, dt=dt)
         n_sub = 10
         h = dt / n_sub
         for _ in range(n_sub):
@@ -70,22 +197,22 @@ def test_step_matches_fine_euler():
             path += h * math.hypot(vx, vy)
     # positions agree to 0.1% of the distance actually flown
     tol = 1e-3 * path
-    assert abs(uav.pos[0] - ex) < tol
-    assert abs(uav.pos[1] - ey) < tol
+    assert abs(uav.pos[0] - start[0] - ex) < tol
+    assert abs(uav.pos[1] - start[1] - ey) < tol
     assert uav.vel[0] == pytest.approx(vx, rel=1e-2, abs=0.02)
     assert uav.vel[1] == pytest.approx(vy, rel=1e-2, abs=0.02)
 
 
 def test_waypoint_convergence_time():
     """Fixed waypoint is reached within ||e0||/V0 + 5/pole seconds."""
-    target = (800.0, -600.0)
-    v0, pole, tau, dt = 20.0, 1.0, 1.0, 0.5
-    uav = make_uav()
-    budget = math.hypot(*target) / v0 + 5.0 / pole
+    start = (1000.0, 1000.0)
+    target = (start[0] + 800.0, start[1] - 600.0)
+    v0, pole, dt = 20.0, 1.0, 0.5
+    uav = make_uav(pos=start)
+    budget = math.hypot(800.0, -600.0) / v0 + 5.0 / pole
     t = 0.0
     while t < budget:
-        v_ref = reference_velocity(uav.pos, target, (0.0, 0.0), v0, tau)
-        step(uav, v_ref, pole, dt)
+        fly(uav, target, dt=dt)
         t += dt
         if reached(uav.pos, target, arrival_radius(v0, dt)):
             break
