@@ -248,6 +248,9 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     _require(cfg.mitigation.mitigation_speed <= cfg.kinematics.cruise_speed,
              "mitigation.mitigation_speed must not exceed "
              "kinematics.cruise_speed")
+    _require(cfg.engine.t_max / cfg.engine.dt <= 1e6,
+             "engine.t_max: at most 1e6 ticks of engine.dt")
+    _require(cfg.n_uavs <= 1000, "swarm_sizes: at most 1000 UAVs in total")
     return cfg
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class World:
         # latest SensorReading per uav id; None before the first sample
         self.readings: list[sn.SensorReading | None] = [None] * len(self.uavs)
         self.records: dict[int, mi.FireMitigationRecord] = {}
-        self.pending_targets: dict[int, float] = {}   # uav id -> approach angle
         self.detected: dict[int, float] = {}
         self.detected_area: dict[int, float] = {}
         self.extinguished: dict[int, float] = {}
@@ -186,11 +185,11 @@ class World:
         detected = self.detected
         for uav in uavs:
             uid = uav.id
-            r = sn.sample(uid, uav.pos, active, readings[uid], t_now, dt,
-                          sensing, self.rng.agent(uid) if noisy else None,
+            r = sn.sample(uav.pos, active, readings[uid], dt, sensing,
+                          self.rng.agent(uid) if noisy else None,
                           self._cutoff)
             readings[uid] = r
-            if r.detected is not None and r.fire_id not in detected:
+            if r.detected and r.fire_id not in detected:
                 detected[r.fire_id] = t_now
                 self.detected_area[r.fire_id] = fi.area(fires[r.fire_id])
                 self._event("detection", t_now, fire=r.fire_id, uav=uid)
@@ -242,11 +241,14 @@ class World:
         # Detection by any member locks the swarm onto the fire (or merges).
         for uid in members:
             r = readings[uid]
-            if r.detected is None:
+            if not r.detected:
                 continue
             if self._lock_or_merge(swarm, r.fire_id, t_now):
                 return
             break
+
+        # The max-information member steers both repulsion and the search.
+        k_star, temp_max = se.max_info_member(members, readings)
 
         # Repulsion off a busy fire seen at intermediate probability.
         if t_now >= swarm.repel_until:
@@ -265,9 +267,9 @@ class World:
                         cfg.sensing.detect_threshold,
                         f.state is fi.FireState.UNDER_MITIGATION,
                         swarm.id in rec.swarm_ids, merge_ok):
-                    phi = self._max_info_heading(swarm)
                     swarm.repel_until = t_now + cfg.mitigation.repel_cooldown
-                    swarm.repel_heading = mi.repulsion_heading(phi)
+                    swarm.repel_heading = mi.repulsion_heading(
+                        self._heading_of(k_star))
                     self._event("repulsion", t_now, swarm=swarm.id,
                                 fire=r.fire_id)
                     for mid in members:
@@ -276,7 +278,6 @@ class World:
                     break
 
         # Stage selection and waypoint generation.
-        k_star, temp_max = se.max_info_member(members, readings)
         repelled = t_now < swarm.repel_until
         explore = True if repelled else se.select_explore(
             temp_max, cfg.sensing.temp_threshold)
@@ -348,17 +349,13 @@ class World:
             return self.last_heading[uid]
         return uniform(self.rng.agent(uid), -math.pi, math.pi)
 
-    def _max_info_heading(self, swarm: SwarmState) -> float:
-        k_star, _ = se.max_info_member(swarm.member_ids, self.readings)
-        return self._heading_of(k_star)
-
     def _baseline_search(self, swarm: SwarmState, t_now: float) -> None:
         cfg = self.cfg
         uid = swarm.member_ids[0]
         uav = self.uavs[uid]
         r = self.readings[uid]
 
-        if r.detected is not None:
+        if r.detected:
             self._lock_or_merge(swarm, r.fire_id, t_now)
             return
 
@@ -379,58 +376,52 @@ class World:
                        t_now: float) -> bool:
         """Returns True if the swarm transitioned into mitigation.  An MSCIDC
         swarm merges into a locked fire under the merging_decision cap; a
-        lone baseline UAV joins uncapped and aligns like a detector."""
+        lone baseline UAV joins uncapped and aligns like a detector.  The
+        alignment waypoints are set by _mitigation_step later in the tick."""
         cfg = self.cfg
         mscidc = cfg.engine.strategy == "MSCIDC"
         f = self.fires[fid]
         rec = self.records.get(fid)
-        member_pos = [(uid, self.uavs[uid].pos) for uid in swarm.member_ids]
         if rec is None:
             rec = mi.FireMitigationRecord(fire_id=fid, swarm_ids=[swarm.id])
-            rec.tracks = mi.assign_sectors(f, member_pos)
+            rec.tracks = mi.assign_sectors(
+                f, [(uid, self.uavs[uid].pos) for uid in swarm.member_ids])
             self.records[fid] = rec
-            self._enter_mitigation(swarm, fid, rec, t_now, detector=True)
-            self._event("lock", t_now, swarm=swarm.id, fire=fid)
-            return True
-        if swarm.id in rec.swarm_ids:
-            return False
-        if mscidc and not mi.merging_decision(
-                fi.area(f), self.fires_remaining(), rec.n_swarms,
-                cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
-                cfg.mitigation.merge_swarms):
-            return False
-        rec.swarm_ids.append(swarm.id)
-        rec.pending_merge.extend(swarm.member_ids)
-        # Provisional alignment targets from the prospective full partition;
-        # the actual repartition happens once every arrival reaches the front.
-        union = [(t.uav_id, self.uavs[t.uav_id].pos) for t in rec.tracks]
-        union += [(uid, self.uavs[uid].pos)
-                  for uid in rec.pending_merge]
-        prospective = mi.assign_sectors(f, union)
-        for tr in prospective:
-            if tr.uav_id in rec.pending_merge:
-                self.pending_targets[tr.uav_id] = tr.theta_ref
-        self._enter_mitigation(swarm, fid, rec, t_now, detector=not mscidc)
-        self._event("merge" if mscidc else "join-request", t_now,
-                    swarm=swarm.id, fire=fid)
+            detector, kind = True, "lock"
+        else:
+            if swarm.id in rec.swarm_ids:
+                return False
+            if mscidc and not mi.merging_decision(
+                    fi.area(f), self.fires_remaining(), rec.n_swarms,
+                    cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
+                    cfg.mitigation.merge_swarms):
+                return False
+            rec.swarm_ids.append(swarm.id)
+            pending = rec.pending_merge
+            pending.update(dict.fromkeys(swarm.member_ids, 0.0))
+            # Provisional alignment angles from the prospective full
+            # partition; the actual repartition happens in _mitigation_step
+            # once every arrival reaches the front.
+            for tr in mi.assign_sectors(f, self._record_members(rec)):
+                if tr.uav_id in pending:
+                    pending[tr.uav_id] = tr.theta_ref
+            detector = not mscidc
+            kind = "merge" if mscidc else "join-request"
+        swarm.mode = SwarmMode.MITIGATE
+        uav_mode = ve.UavMode.ALIGN if detector else ve.UavMode.ATTRACTED
+        for uid in swarm.member_ids:
+            self.returning.discard(uid)
+            self.uavs[uid].mode = uav_mode
+        self._event(kind, t_now, swarm=swarm.id, fire=fid)
         return True
 
-    def _enter_mitigation(self, swarm: SwarmState, fid: int,
-                          rec: mi.FireMitigationRecord, t_now: float,
-                          detector: bool) -> None:
-        f = self.fires[fid]
-        swarm.mode = SwarmMode.MITIGATE
-        for uid in swarm.member_ids:
-            uav = self.uavs[uid]
-            self.returning.discard(uid)
-            if uid in self.pending_targets:
-                theta = self.pending_targets[uid]
-            else:
-                theta = rec.track_for(uid).theta_ref
-            uav.waypoint = fi.point_on_front(f, theta)
-            uav.waypoint_vel = (0.0, 0.0)
-            uav.has_waypoint = True
-            uav.mode = ve.UavMode.ALIGN if detector else ve.UavMode.ATTRACTED
+    def _record_members(self, rec: mi.FireMitigationRecord
+                        ) -> list[tuple[int, tuple[float, float]]]:
+        """(uav id, position) of every UAV a record owns: sector tracks,
+        then pending merge arrivals."""
+        uavs = self.uavs
+        return ([(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks]
+                + [(uid, uavs[uid].pos) for uid in rec.pending_merge])
 
     def _mitigation_step(self, fid: int, t_now: float) -> None:
         f = self.fires[fid]
@@ -450,7 +441,6 @@ class World:
                 uav.has_waypoint = True
                 if ve.reached(uav.pos, uav.waypoint, self._arrival):
                     track.joined = True
-                    track.join_time = t_now
                     track.theta = track.theta_ref
                     uav.mode = ve.UavMode.MITIGATE
                     if f.state is fi.FireState.BURNING:
@@ -473,35 +463,27 @@ class World:
             uav.has_waypoint = True
 
         # Pending merge arrivals; repartition once everyone is at the front.
-        if rec.pending_merge:
+        pending = rec.pending_merge
+        if pending:
             all_arrived = True
-            for uid in rec.pending_merge:
+            for uid, theta in pending.items():
                 uav = uavs[uid]
-                theta = self.pending_targets[uid]
                 uav.waypoint = fi.point_on_front(f, theta)
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
                 if not ve.reached(uav.pos, uav.waypoint, self._arrival):
                     all_arrived = False
             if all_arrived:
+                # every track restarts at its new sector's midpoint
                 keep = {t.uav_id: t for t in rec.tracks}
-                union = [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks]
-                union += [(u, uavs[u].pos) for u in rec.pending_merge]
-                rec.tracks = mi.assign_sectors(f, union, keep=keep)
+                rec.tracks = mi.assign_sectors(f, self._record_members(rec),
+                                               keep=keep)
                 for track in rec.tracks:
-                    if track.uav_id in rec.pending_merge:
+                    if track.uav_id in pending:
                         track.joined = True
-                        track.join_time = t_now
                         uavs[track.uav_id].mode = ve.UavMode.MITIGATE
                         self._event("join", t_now, uav=track.uav_id, fire=fid)
-                    elif track.joined:
-                        # keep swept position continuous inside the new sector
-                        track.theta = min(max(track.theta, track.lo), track.hi)
-                        track.theta_ref = min(max(track.theta_ref, track.lo),
-                                              track.hi)
-                for uid in rec.pending_merge:
-                    self.pending_targets.pop(uid, None)
-                rec.pending_merge.clear()
+                pending.clear()
                 if f.state is fi.FireState.BURNING:
                     f.state = fi.FireState.UNDER_MITIGATION
 
@@ -509,8 +491,6 @@ class World:
         rec = self.records.pop(fid)
         self.extinguished[fid] = t_now
         self._event("extinguish", t_now, fire=fid)
-        for uid in rec.pending_merge:
-            self.pending_targets.pop(uid, None)
         for sid in rec.swarm_ids:
             swarm = self.swarms[sid]
             swarm.mode = SwarmMode.SEARCH
@@ -569,7 +549,6 @@ def preposition_mitigation(world: World, fid: int,
         uav.pos = fi.point_on_front(f, track.theta_ref)
         uav.mode = ve.UavMode.MITIGATE
         track.joined = True
-        track.join_time = 0.0
         swarm = world.swarms[uav.swarm_id]
         swarm.mode = SwarmMode.MITIGATE
         if swarm.id not in rec.swarm_ids:

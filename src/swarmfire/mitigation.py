@@ -34,14 +34,12 @@ def closed_form_quench_time(fire_area: float, n_uavs: int,
 class SectorTrack:
     """Sweep state of one UAV inside its sector (parametric angles)."""
     uav_id: int
-    sector_index: int
     lo: float
     hi: float
     theta: float
     theta_ref: float
     direction: int = 1            # mu in {-1, +1}
     joined: bool = False
-    join_time: float | None = None
 
 
 @dataclass
@@ -50,13 +48,10 @@ class FireMitigationRecord:
     fire_id: int
     swarm_ids: list[int] = field(default_factory=list)
     tracks: list[SectorTrack] = field(default_factory=list)
-    # UAVs of a merging swarm travelling to the front; the sectors are
+    # UAVs of merging swarms travelling to the front, by uav id, with the
+    # provisional alignment angle each flies to; the sectors are
     # repartitioned over everyone once all of them have arrived.
-    pending_merge: list[int] = field(default_factory=list)
-
-    @property
-    def n_uavs(self) -> int:
-        return len(self.tracks)
+    pending_merge: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_swarms(self) -> int:
@@ -64,12 +59,6 @@ class FireMitigationRecord:
 
     def joined_count(self) -> int:
         return sum(1 for t in self.tracks if t.joined)
-
-    def track_for(self, uav_id: int) -> SectorTrack:
-        for t in self.tracks:
-            if t.uav_id == uav_id:
-                return t
-        raise KeyError(f"uav {uav_id} not assigned to fire {self.fire_id}")
 
 
 def assign_sectors(fire: FireFront,
@@ -81,7 +70,8 @@ def assign_sectors(fire: FireFront,
     Members are sorted by their current angular position around the fire
     center (ties by uav id) and mapped to sectors in the same cyclic order,
     which keeps the initial travel short and preserves relative order on
-    repartition.  ``keep`` carries over joined/join-time state by uav id.
+    repartition.  Every track starts at its sector midpoint; ``keep``
+    carries over the joined flag and sweep direction by uav id.
     """
     if not members:
         raise ValueError("cannot assign sectors to an empty member list")
@@ -99,12 +89,11 @@ def assign_sectors(fire: FireFront,
         lo = TWO_PI * idx / n
         hi = TWO_PI * (idx + 1) / n
         mid = 0.5 * (lo + hi)
-        track = SectorTrack(uav_id=uid, sector_index=idx, lo=lo, hi=hi,
-                            theta=mid, theta_ref=mid)
+        track = SectorTrack(uav_id=uid, lo=lo, hi=hi, theta=mid,
+                            theta_ref=mid)
         if keep and uid in keep:
             old = keep[uid]
             track.joined = old.joined
-            track.join_time = old.join_time
             track.direction = old.direction
         tracks.append(track)
     return tracks

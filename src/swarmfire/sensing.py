@@ -16,15 +16,12 @@ from .fire import FireFront, FireState, distance_to_front, nearest_front_point
 
 @dataclass(slots=True)
 class SensorReading:
-    uav_id: int
-    time: float
     temperature: float            # K
     temp_rate: float              # K/s, backward difference of own samples
     fire_id: int | None           # nearest active fire within sensing radius
     probability: float            # detection probability of that fire
     heading_to_fire: float | None  # rad, bearing to nearest front point
-    detected: tuple[tuple[float, float], float, float] | None
-    # detected = (center, a, b), present iff probability >= gamma
+    detected: bool                # probability >= gamma
 
 
 def active_fires(fires: list[FireFront]) -> list[FireFront]:
@@ -48,9 +45,9 @@ def cull_distance(sensing) -> float:
     return max(sensing.sensing_radius, reach)
 
 
-def sample(uav_id: int, pos: tuple[float, float], active: list[FireFront],
-           prev: SensorReading | None, time: float, dt: float,
-           sensing, rng=None, cutoff: float | None = None) -> SensorReading:
+def sample(pos: tuple[float, float], active: list[FireFront],
+           prev: SensorReading | None, dt: float, sensing, rng=None,
+           cutoff: float | None = None) -> SensorReading:
     """One sensor sample for a UAV: temperature, rate, best fire candidate.
 
     ``active`` is ``active_fires`` of the world, computed once per tick;
@@ -83,11 +80,9 @@ def sample(uav_id: int, pos: tuple[float, float], active: list[FireFront],
     rate = 0.0 if prev is None else (temp - prev.temperature) / dt
 
     if best_fire is None or best_d > sensing.sensing_radius:
-        return SensorReading(uav_id, time, temp, rate, None, 0.0, None, None)
+        return SensorReading(temp, rate, None, 0.0, None, False)
     prob = detection_probability(best_d, sensing.sigma, sensing.sensing_radius)
     fx, fy = nearest_front_point(best_fire, pos)
-    descriptor = None
-    if prob >= sensing.detect_threshold:
-        descriptor = (best_fire.center, best_fire.a, best_fire.b)
-    return SensorReading(uav_id, time, temp, rate, best_fire.id, prob,
-                         math.atan2(fy - py, fx - px), descriptor)
+    return SensorReading(temp, rate, best_fire.id, prob,
+                         math.atan2(fy - py, fx - px),
+                         prob >= sensing.detect_threshold)

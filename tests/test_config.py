@@ -136,6 +136,8 @@ MALFORMED = [
     ('{"fires": 5}', "fires"),
     ('{"engine": {"base_seed": -1}}', "engine.base_seed"),
     ('{"engine": {"t_max": Infinity}}', "engine.t_max"),
+    ('{"engine": {"t_max": 1e300}}', "engine.t_max"),
+    ('{"swarm_sizes": [1000000000]}', "swarm_sizes"),
     ('{"swarm_sizes": [2.7]}', "swarm_sizes[0]"),
     ('{"engine": {"trace_stride": 2.5}}', "engine.trace_stride"),
     ('{"engine": {"trace_stride": true}}', "engine.trace_stride"),

@@ -135,6 +135,44 @@ def test_invariants_every_tick_small_run():
         check_invariants(world)
 
 
+def check_coordination(world: World) -> bool:
+    """Each fire's record is the one owner of its UAVs: a UAV sits in at most
+    one record's tracks or pending merges, exactly when its swarm mitigates,
+    and the record's sectors tile [0, 2*pi).  Returns whether a merge is
+    pending."""
+    owner = {}
+    for fid, rec in world.records.items():
+        uids = [t.uav_id for t in rec.tracks] + list(rec.pending_merge)
+        assert len(set(uids)) == len(uids)
+        for uid in uids:
+            assert uid not in owner
+            owner[uid] = fid
+            assert world.uavs[uid].swarm_id in rec.swarm_ids
+        assert rec.tracks[0].lo == 0.0
+        for prev, t in zip(rec.tracks, rec.tracks[1:]):
+            assert prev.hi == t.lo
+        assert abs(rec.tracks[-1].hi - 2 * math.pi) <= math.ulp(2 * math.pi)
+    for uav in world.uavs:
+        mitigating = world.swarms[uav.swarm_id].mode is SwarmMode.MITIGATE
+        assert (uav.id in owner) == mitigating
+    return any(rec.pending_merge for rec in world.records.values())
+
+
+def test_coordination_bookkeeping_every_tick():
+    base = load_config("pine-table1")
+    ticks_pending = 0
+    for strategy, dt in (("MSCIDC", 0.5), ("MSCIDC", 1.0), ("LEVY", 1.0)):
+        cfg = dataclasses.replace(base, engine=dataclasses.replace(
+            base.engine, strategy=strategy, dt=dt, t_max=1800.0))
+        for idx in (0, 1):
+            world = World(cfg, idx)
+            while not world.done():
+                world.tick()
+                ticks_pending += check_coordination(world)
+    # the grid reaches the merge path, not only locks
+    assert ticks_pending > 0
+
+
 def test_detected_count_non_decreasing():
     world = World(small_cfg(), 2)
     last = 0

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from swarmfire.fire import FireFront, area, point_on_front
@@ -50,22 +51,56 @@ def test_assign_sectors_single_uav():
 
 def test_assign_sectors_cyclic_order_preserved():
     f = make_fire()
-    # members placed at increasing angles get increasing sector indices
-    members = [(10, (300.0, 10.0)), (11, (0.0, 300.0)), (12, (-300.0, -10.0))]
+    # members placed at increasing angles get increasing sectors, listed
+    # in sector order
+    members = [(11, (0.0, 300.0)), (12, (-300.0, -10.0)), (10, (300.0, 10.0))]
     tracks = assign_sectors(f, members)
-    order = {t.uav_id: t.sector_index for t in tracks}
-    assert order[10] < order[11] < order[12]
+    assert [t.uav_id for t in tracks] == [10, 11, 12]
+    assert [t.lo for t in tracks] == sorted(t.lo for t in tracks)
 
 
 def test_assign_sectors_keep_state():
     f = make_fire()
-    old = SectorTrack(uav_id=3, sector_index=0, lo=0.0, hi=TWO_PI,
-                      theta=1.0, theta_ref=1.0, direction=-1, joined=True,
-                      join_time=42.0)
+    old = SectorTrack(uav_id=3, lo=0.0, hi=TWO_PI, theta=1.0, theta_ref=1.0,
+                      direction=-1, joined=True)
     tracks = assign_sectors(f, [(3, (400.0, 0.0)), (4, (-400.0, 0.0))],
                             keep={3: old})
-    t3 = [t for t in tracks if t.uav_id == 3][0]
-    assert t3.joined and t3.join_time == 42.0 and t3.direction == -1
+    t3, t4 = tracks
+    assert (t3.uav_id, t4.uav_id) == (3, 4)
+    assert t3.joined and t3.direction == -1
+    assert not t4.joined and t4.direction == 1
+    # the swept angle is not carried over: it restarts at the midpoint
+    assert t3.theta == t3.theta_ref == 0.5 * (t3.lo + t3.hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+                min_size=1, max_size=64),
+       st.booleans(), st.data())
+def test_assign_sectors_tracks_start_inside_contiguous_sectors(
+        positions, with_keep, data):
+    """Every track starts at theta == theta_ref inside [lo, hi], and the
+    sectors tile [0, 2*pi) in order; so a clamp to [lo, hi] right after a
+    repartition can change nothing."""
+    f = make_fire(center=(1.0, -2.0))
+    members = list(enumerate(positions))
+    keep = None
+    if with_keep:
+        kept = data.draw(st.sets(st.sampled_from(range(len(members)))))
+        keep = {uid: SectorTrack(uav_id=uid, lo=0.0, hi=1.0, theta=5.0,
+                                 theta_ref=-5.0, direction=-1, joined=True)
+                for uid in kept}
+    tracks = assign_sectors(f, members, keep=keep)
+    assert sorted(t.uav_id for t in tracks) == list(range(len(members)))
+    assert tracks[0].lo == 0.0
+    assert abs(tracks[-1].hi - TWO_PI) <= math.ulp(TWO_PI)
+    for prev, t in zip(tracks, tracks[1:]):
+        assert prev.hi == t.lo
+    for t in tracks:
+        assert t.lo < t.hi
+        assert t.lo <= t.theta == t.theta_ref <= t.hi
+        if keep and t.uav_id in keep:
+            assert t.joined and t.direction == -1
 
 
 def test_assign_sectors_empty_raises():
@@ -175,12 +210,8 @@ def test_repulsion_heading():
 
 def test_record_counts():
     rec = FireMitigationRecord(fire_id=0, swarm_ids=[1, 2])
-    rec.tracks = [SectorTrack(uav_id=i, sector_index=i, lo=0, hi=1,
-                              theta=0, theta_ref=0, joined=(i < 2))
+    rec.tracks = [SectorTrack(uav_id=i, lo=0, hi=1, theta=0, theta_ref=0,
+                              joined=(i < 2))
                   for i in range(4)]
-    assert rec.n_uavs == 4
     assert rec.n_swarms == 2
     assert rec.joined_count() == 2
-    assert rec.track_for(3).uav_id == 3
-    with pytest.raises(KeyError):
-        rec.track_for(99)

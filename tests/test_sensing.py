@@ -84,22 +84,21 @@ def test_cull_distance_covers_both_mechanisms():
 
 def test_sample_first_reading_zero_rate():
     f = make_fire()
-    r = sample(3, (500.0, 0.0), [f], None, 1.0, 1.0, SENSING)
+    r = sample((500.0, 0.0), [f], None, 1.0, SENSING)
     assert r.temp_rate == 0.0
-    assert r.uav_id == 3
 
 
 def test_sample_static_field_zero_rate():
     f = make_fire()
-    r1 = sample(0, (500.0, 0.0), [f], None, 1.0, 1.0, SENSING)
-    r2 = sample(0, (500.0, 0.0), [f], r1, 2.0, 1.0, SENSING)
+    r1 = sample((500.0, 0.0), [f], None, 1.0, SENSING)
+    r2 = sample((500.0, 0.0), [f], r1, 1.0, SENSING)
     assert r2.temp_rate == 0.0
 
 
 def test_sample_rate_positive_when_approaching():
     f = make_fire()
-    r1 = sample(0, (600.0, 0.0), [f], None, 1.0, 1.0, SENSING)
-    r2 = sample(0, (580.0, 0.0), [f], r1, 2.0, 1.0, SENSING)
+    r1 = sample((600.0, 0.0), [f], None, 1.0, SENSING)
+    r2 = sample((580.0, 0.0), [f], r1, 1.0, SENSING)
     assert r2.temp_rate > 0.0
 
 
@@ -108,29 +107,28 @@ def test_sample_detection_descriptor_threshold():
     # just outside on the major axis, inside the gamma=0.9 shell
     d_detect = 100.0 * math.sqrt(-2.0 * math.log(0.9))
     p_in = (1000.0 + 300.0 + 0.5 * d_detect, 1000.0)
-    r = sample(0, p_in, [f], None, 1.0, 1.0, SENSING)
-    assert r.detected is not None
+    r = sample(p_in, [f], None, 1.0, SENSING)
+    assert r.detected is True
     assert r.fire_id == 0
-    assert r.detected == (f.center, f.a, f.b)
-    # between detect shell and sensing radius: candidate but no descriptor
+    # between detect shell and sensing radius: candidate but no detection
     p_out = (1000.0 + 300.0 + 200.0, 1000.0)
-    r = sample(0, p_out, [f], None, 1.0, 1.0, SENSING)
-    assert r.detected is None
+    r = sample(p_out, [f], None, 1.0, SENSING)
+    assert r.detected is False
     assert r.fire_id == 0
     assert 0.0 < r.probability < 0.9
 
 
 def test_sample_heading_points_at_front():
     f = make_fire(center=(0.0, 0.0))
-    r = sample(0, (250.0, 0.0), [f], None, 1.0, 1.0, SENSING)
+    r = sample((250.0, 0.0), [f], None, 1.0, SENSING)
     assert r.heading_to_fire == pytest.approx(math.pi, abs=1e-6) or \
         r.heading_to_fire == pytest.approx(-math.pi, abs=1e-6)
 
 
 def test_sample_identical_for_equidistant_uavs():
     f = make_fire(center=(0.0, 0.0))
-    ra = sample(0, (200.0, 0.0), [f], None, 1.0, 1.0, SENSING)
-    rb = sample(1, (0.0, -200.0), [f], None, 1.0, 1.0, SENSING)
+    ra = sample((200.0, 0.0), [f], None, 1.0, SENSING)
+    rb = sample((0.0, -200.0), [f], None, 1.0, SENSING)
     assert ra.temperature == pytest.approx(rb.temperature)
     assert ra.probability == pytest.approx(rb.probability)
 
@@ -139,8 +137,8 @@ def test_sample_culling_matches_full_evaluation():
     fires = [make_fire(center=(0.0, 0.0), fid=0),
              make_fire(center=(9000.0, 9000.0), fid=1)]
     pos = (200.0, 100.0)
-    full = sample(0, pos, fires, None, 1.0, 1.0, SENSING, cutoff=1e9)
-    culled = sample(0, pos, fires, None, 1.0, 1.0, SENSING)
+    full = sample(pos, fires, None, 1.0, SENSING, cutoff=1e9)
+    culled = sample(pos, fires, None, 1.0, SENSING)
     assert full.temperature == pytest.approx(culled.temperature, abs=1e-9)
     assert full.fire_id == culled.fire_id
     assert full.probability == culled.probability
@@ -151,7 +149,7 @@ def test_sample_temperature_matches_field_oracle():
              make_fire(center=(1600.0, 1200.0), fid=1)]
     for pos in [(1000.0, 1000.0), (1350.0, 1050.0), (1450.0, 1100.0),
                 (2000.0, 2000.0), (9000.0, 9000.0)]:
-        r = sample(0, pos, fires, None, 1.0, 1.0, SENSING, cutoff=1e9)
+        r = sample(pos, fires, None, 1.0, SENSING, cutoff=1e9)
         assert r.temperature == temperature_at(
             fires, pos, SENSING.ambient_temp, SENSING.fire_temp,
             SENSING.temp_sigma)
