@@ -111,7 +111,6 @@ class MitigationParams:
     merge_swarms: int = _f(2, minimum=1)      # delta_s (max swarms per fire)
     # s, repelled-swarm exploration hold
     repel_cooldown: float = _f(60.0, minimum=0)
-    use_printed_angular_law: bool = False  # uncorrected sweep law, for fidelity runs
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,7 @@ def _child(path: str, name: str) -> str:
     return f"{path}.{name}" if path else name
 
 
-_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
-               str: "a string"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 _BOUNDS = {   # JSON-Schema keyword -> (test the value must pass, wording)
     "exclusiveMinimum": (operator.gt, ">"),
     "minimum": (operator.ge, ">="),
@@ -215,7 +213,7 @@ def _check(tp, value, meta, path: str) -> None:
         for i, item in enumerate(value):
             _check(args[0], item, meta.get("items", {}), f"{path}[{i}]")
         return
-    _require(isinstance(value, bool) is (tp is bool)
+    _require(not isinstance(value, bool)
              and isinstance(value, (int, float) if tp is float else tp),
              f"{path}: expected {_TYPE_NAMES[tp]}")
     _require(not isinstance(value, float) or math.isfinite(value),

@@ -66,19 +66,18 @@ class World:
     def __init__(self, cfg: ScenarioConfig, run_index: int,
                  collect_trace: bool = False):
         self.cfg = cfg
-        self.run_index = run_index
         self.collect_trace = collect_trace
         self.time = 0.0
         self.tick_index = 0
 
         intensity = fi.fireline_intensity(cfg.fuel.flame_length,
                                           cfg.fuel.alpha, cfg.fuel.beta)
-        self.spread = fi.spread_rate(intensity, cfg.fuel.heat_of_combustion,
-                                     cfg.fuel.fuel_mass)
+        spread = fi.spread_rate(intensity, cfg.fuel.heat_of_combustion,
+                                cfg.fuel.fuel_mass)
         self.area_rate = mi.quench_area_rate(cfg.quench.water_rate,
                                              cfg.quench.c, cfg.quench.nu,
                                              cfg.fuel.flame_length)
-        self.fires = [fi.FireFront(i, s.center, s.a, s.b, spread=self.spread)
+        self.fires = [fi.FireFront(i, s.center, s.a, s.b, spread=spread)
                       for i, s in enumerate(cfg.fires)]
         self.rng = RngStreams(cfg.engine.base_seed, run_index, cfg.n_uavs)
         self.uavs: list[ve.UavState] = []
@@ -103,7 +102,7 @@ class World:
                                           cfg.engine.dt)
         diag = math.hypot(*cfg.area)
         self._l_max = diag / cfg.search.levy_step
-        self._log_state()
+        self._log_state(self.total_area0)
 
     # -- initialisation ----------------------------------------------------
 
@@ -142,6 +141,13 @@ class World:
 
     def fires_remaining(self) -> int:
         return len(self.fires) - len(self.extinguished)
+
+    def _merge_allowed(self, f: fi.FireFront,
+                       rec: mi.FireMitigationRecord) -> bool:
+        m = self.cfg.mitigation
+        return mi.merging_decision(
+            fi.area(f), self.fires_remaining(), rec.n_swarms, m.merge_area,
+            m.merge_fires, m.merge_swarms)
 
     def _swarm_center(self, swarm: SwarmState) -> tuple[float, float]:
         xs = ys = 0.0
@@ -208,11 +214,11 @@ class World:
         # (6) vehicle stage, fixed uav order
         ve.step(uavs, cfg.kinematics, dt, cfg.area, self.last_heading)
 
-        # (7) quenching
+        # (7) quenching.  A record with a joined track belongs to a fire
+        # under mitigation: every join moves its fire out of BURNING, and an
+        # extinguished fire's record is gone.
         for fid in sorted(self.records):
             f = fires[fid]
-            if f.state is not fi.FireState.UNDER_MITIGATION:
-                continue
             n_active = self.records[fid].joined_count()
             if n_active >= 1:
                 fi.apply_quench(f, n_active, self.area_rate, dt)
@@ -228,7 +234,7 @@ class World:
         self.tick_index += 1
         if (self.tick_index % cfg.engine.trace_stride == 0
                 or self.done()):
-            self._log_state()
+            self._log_state(total_area)
 
     # -- search phase ------------------------------------------------------
 
@@ -258,15 +264,11 @@ class World:
                 if rec is None:
                     continue
                 f = self.fires[r.fire_id]
-                merge_ok = mi.merging_decision(
-                    fi.area(f), self.fires_remaining(), rec.n_swarms,
-                    cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
-                    cfg.mitigation.merge_swarms)
                 if mi.repulsion_decision(
                         r.probability, cfg.sensing.repel_threshold,
                         cfg.sensing.detect_threshold,
                         f.state is fi.FireState.UNDER_MITIGATION,
-                        swarm.id in rec.swarm_ids, merge_ok):
+                        self._merge_allowed(f, rec)):
                     swarm.repel_until = t_now + cfg.mitigation.repel_cooldown
                     swarm.repel_heading = mi.repulsion_heading(
                         self._heading_of(k_star))
@@ -377,9 +379,10 @@ class World:
         """Returns True if the swarm transitioned into mitigation.  An MSCIDC
         swarm merges into a locked fire under the merging_decision cap; a
         lone baseline UAV joins uncapped and aligns like a detector.  The
-        alignment waypoints are set by _mitigation_step later in the tick."""
-        cfg = self.cfg
-        mscidc = cfg.engine.strategy == "MSCIDC"
+        alignment waypoints are set by _mitigation_step later in the tick.
+        Only searching swarms call this, and a searching swarm is in no
+        record's swarm_ids."""
+        mscidc = self.cfg.engine.strategy == "MSCIDC"
         f = self.fires[fid]
         rec = self.records.get(fid)
         if rec is None:
@@ -389,12 +392,7 @@ class World:
             self.records[fid] = rec
             detector, kind = True, "lock"
         else:
-            if swarm.id in rec.swarm_ids:
-                return False
-            if mscidc and not mi.merging_decision(
-                    fi.area(f), self.fires_remaining(), rec.n_swarms,
-                    cfg.mitigation.merge_area, cfg.mitigation.merge_fires,
-                    cfg.mitigation.merge_swarms):
+            if mscidc and not self._merge_allowed(f, rec):
                 return False
             rec.swarm_ids.append(swarm.id)
             pending = rec.pending_merge
@@ -426,8 +424,6 @@ class World:
     def _mitigation_step(self, fid: int, t_now: float) -> None:
         f = self.fires[fid]
         rec = self.records[fid]
-        if f.state is fi.FireState.EXTINGUISHED:
-            return
         m = self.cfg.mitigation
         dt = self.cfg.engine.dt
         uavs = self.uavs
@@ -451,8 +447,7 @@ class World:
                                                 track.theta)
             theta, theta_ref, direction = mi.angular_control(
                 track.theta, track.theta_ref, track.direction,
-                track.lo, track.hi, omega, m.track_gain, m.turn_margin, dt,
-                m.use_printed_angular_law)
+                track.lo, track.hi, omega, m.track_gain, m.turn_margin, dt)
             track.theta = theta
             track.theta_ref = theta_ref
             track.direction = direction
@@ -513,10 +508,9 @@ class World:
         s_s = len(self.swarms) - s_q
         return f_d, f_f, f_r, s_s, s_q
 
-    def _log_state(self) -> None:
+    def _log_state(self, total_area: float) -> None:
+        """Append a series row; total_area is the burning area now."""
         f_d, f_f, f_r, s_s, s_q = self.counters()
-        total_area = sum(fi.area(f) for f in self.fires
-                         if f.state is not fi.FireState.EXTINGUISHED)
         self.series.append((self.time, f_d, f_f, f_r, s_s, s_q, total_area))
         if self.collect_trace:
             self.trace.append({

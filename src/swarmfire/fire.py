@@ -1,5 +1,5 @@
-"""Elliptical fire fronts: spread dynamics, quench bookkeeping and
-equal-area sector geometry.
+"""Elliptical fire fronts: spread dynamics, front distances and quench
+bookkeeping.
 
 A fire is an axis-aligned ellipse with fixed center whose semi-axes grow at
 a constant rate; quenching removes area while holding a - b constant, so a
@@ -12,8 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-TWO_PI = 2.0 * math.pi
 
 # Below this residual area (m^2) a fire is declared extinguished; avoids
 # chasing an asymptotic tail of vanishing ellipses.
@@ -62,50 +60,6 @@ def grow(fire: FireFront, dt: float) -> FireFront:
         fire.a += fire.spread * dt
         fire.b += fire.spread * dt
     return fire
-
-
-def sweep_angle(a: float, b: float, gamma: float) -> float:
-    """Continuous, strictly increasing extension of atan((a/b)*tan(gamma)).
-
-    Maps the polar angle gamma of an ellipse point to its parametric angle;
-    the principal-branch arctan is wrong past pi/2, so the quadrant-aware
-    form with unwrapping is used.  sweep_angle(0) = 0, sweep_angle(2pi) = 2pi.
-    """
-    t = math.atan2(a * math.sin(gamma), b * math.cos(gamma))
-    # t and gamma always lie in the same quadrant, so |gamma - t| < pi/2 and
-    # rounding recovers the correct 2pi multiple.
-    return t + TWO_PI * round((gamma - t) / TWO_PI)
-
-
-def inverse_sweep_angle(a: float, b: float, t: float) -> float:
-    """Polar angle whose sweep_angle equals the parametric angle t."""
-    g = math.atan2(b * math.sin(t), a * math.cos(t))
-    return g + TWO_PI * round((t - g) / TWO_PI)
-
-
-def sector_area(fire: FireFront, gamma_lo: float, gamma_hi: float) -> float:
-    """Area (m^2) of the angular sector between two polar angles."""
-    if not (0.0 <= gamma_lo < gamma_hi <= TWO_PI):
-        raise ValueError(
-            f"sector bounds out of range: [{gamma_lo}, {gamma_hi}]")
-    return 0.5 * fire.a * fire.b * (sweep_angle(fire.a, fire.b, gamma_hi)
-                                    - sweep_angle(fire.a, fire.b, gamma_lo))
-
-
-def partition_sectors(fire: FireFront, n: int) -> list[float]:
-    """Polar-angle boundaries of n equal-area sectors, starting at 0.
-
-    Equal areas correspond to equally spaced parametric angles, so each
-    boundary is the exact inverse of the sweep-angle map; no iteration
-    tolerance is involved.
-    """
-    if n < 1:
-        raise ValueError("sector count must be >= 1")
-    bounds = [0.0]
-    for m in range(1, n):
-        bounds.append(inverse_sweep_angle(fire.a, fire.b, TWO_PI * m / n))
-    bounds.append(TWO_PI)
-    return bounds
 
 
 def point_on_front(fire: FireFront, theta: float) -> tuple[float, float]:
@@ -195,10 +149,8 @@ def apply_quench(fire: FireFront, n_active: int, area_rate: float,
 
     The axes are resized to enclose the net area with a - b held constant
     (positive root of the area quadratic).  Dropping to EXTINGUISH_AREA or
-    below ends the fire's life.
+    below ends the fire's life.  Only called on a fire under mitigation.
     """
-    if fire.state is not FireState.UNDER_MITIGATION:
-        return fire
     grown_a = fire.a + fire.spread * dt
     grown_b = fire.b + fire.spread * dt
     removed = n_active * area_rate * dt

@@ -1,10 +1,10 @@
-"""Divide-and-conquer mitigation: quench-rate model, equal-area sector
-assignment, the to-and-fro sweep control along the front, and the
+"""Divide-and-conquer mitigation: quench-rate model, non-overlapping
+sector assignment, the to-and-fro sweep control along the front, and the
 merging/repulsion decisions coordinating swarms across fires.
 
 Sweep angles here are the ellipse's parametric angle (the angle fed to
-(a*cos, b*sin)); equal-area sectors are then exactly uniform intervals of
-width 2*pi/N, which stay equal-area as the fire shrinks.
+(a*cos, b*sin)); sectors are uniform intervals of width 2*pi/N in it, so
+they also have equal areas, and stay equal as the fire shrinks.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ def quench_area_rate(water_rate: float, c: float, nu: float,
     """Area one UAV quenches per second (m^2/s): water rate over the
     critical flow rate c * L_f**nu."""
     return water_rate / (c * flame_length ** nu)
-
-
-def closed_form_quench_time(fire_area: float, n_uavs: int,
-                            area_rate: float) -> float:
-    """Quench time assuming simultaneous joins and no growth: A/(N*r_q)."""
-    return fire_area / (n_uavs * area_rate)
 
 
 @dataclass
@@ -65,7 +59,7 @@ def assign_sectors(fire: FireFront,
                    members: list[tuple[int, tuple[float, float]]],
                    keep: dict[int, SectorTrack] | None = None
                    ) -> list[SectorTrack]:
-    """Assign each member one of N equal-area sectors.
+    """Assign each member one of N equal sectors of the parametric angle.
 
     Members are sorted by their current angular position around the fire
     center (ties by uav id) and mapped to sectors in the same cyclic order,
@@ -108,16 +102,13 @@ def nominal_angular_velocity(a: float, b: float, speed: float,
 
 def angular_control(theta: float, theta_ref: float, direction: int,
                     lo: float, hi: float, omega: float, track_gain: float,
-                    turn_margin: float, dt: float,
-                    printed_law: bool = False
+                    turn_margin: float, dt: float
                     ) -> tuple[float, float, int]:
     """One step of the sector sweep: the reference angle ping-pongs between
     the sector bounds and the angle tracks it with first-order decay.
 
-    The default law is theta' = mu*omega + K_m*(theta - theta_ref), whose
-    tracking error decays as exp(K_m*t) regardless of sweep direction.  With
-    ``printed_law`` the drive term is omega (not mu*omega), which leaves a
-    steady-state offset on the return leg; kept for fidelity experiments.
+    The law is theta' = mu*omega + K_m*(theta - theta_ref), whose tracking
+    error decays as exp(K_m*t) regardless of sweep direction.
     """
     # Direction flip when the reference nears a bound while moving into it.
     if direction == -1 and theta_ref - lo < turn_margin:
@@ -133,14 +124,7 @@ def angular_control(theta: float, theta_ref: float, direction: int,
         new_ref = lo
         direction = 1
 
-    err = theta - theta_ref
-    decay = math.exp(track_gain * dt)
-    if printed_law:
-        # error ODE: err' = omega*(1 - mu) + K_m*err
-        err_ss = -omega * (1 - direction) / track_gain
-        new_err = err_ss + (err - err_ss) * decay
-    else:
-        new_err = err * decay
+    new_err = (theta - theta_ref) * math.exp(track_gain * dt)
     return (new_ref + new_err, new_ref, direction)
 
 
@@ -154,10 +138,10 @@ def merging_decision(fire_area: float, fires_remaining: int,
 
 def repulsion_decision(probability: float, repel_threshold: float,
                        detect_threshold: float, under_mitigation: bool,
-                       same_swarm: bool, merge_allowed: bool) -> bool:
+                       merge_allowed: bool) -> bool:
     """Whether a searching swarm is deflected off a busy fire.  Mutually
     exclusive with merging for the same (swarm, fire, tick)."""
-    return (under_mitigation and not same_swarm and not merge_allowed
+    return (under_mitigation and not merge_allowed
             and repel_threshold < probability < detect_threshold)
 
 

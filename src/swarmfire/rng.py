@@ -25,8 +25,6 @@ class RngStreams:
     """All random streams for one run, derived from (base_seed, run_index)."""
 
     def __init__(self, base_seed: int, run_index: int, n_agents: int):
-        self.base_seed = base_seed
-        self.run_index = run_index
         root = run_seed_sequence(base_seed, run_index)
         children = root.spawn(n_agents + 1)
         self.world = np.random.Generator(np.random.Philox(children[_WORLD_STREAM]))

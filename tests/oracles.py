@@ -1,0 +1,73 @@
+"""Independent oracles the tests check the engine against.
+
+None of this runs in a mission.  The engine spaces sectors evenly in the
+ellipse's parametric angle (``mitigation.assign_sectors``); the polar-angle
+sector geometry here derives the same equal-area partition another way, and
+the closed-form quench time is the no-growth, simultaneous-join limit of
+the quench model.
+"""
+
+import math
+
+from scipy import integrate
+
+TWO_PI = 2.0 * math.pi
+
+
+def sweep_angle(a: float, b: float, gamma: float) -> float:
+    """Continuous, strictly increasing extension of atan((a/b)*tan(gamma)).
+
+    Maps the polar angle gamma of an ellipse point to its parametric angle;
+    the principal-branch arctan is wrong past pi/2, so the quadrant-aware
+    form with unwrapping is used.  sweep_angle(0) = 0, sweep_angle(2pi) = 2pi.
+    """
+    t = math.atan2(a * math.sin(gamma), b * math.cos(gamma))
+    # t and gamma always lie in the same quadrant, so |gamma - t| < pi/2 and
+    # rounding recovers the correct 2pi multiple.
+    return t + TWO_PI * round((gamma - t) / TWO_PI)
+
+
+def inverse_sweep_angle(a: float, b: float, t: float) -> float:
+    """Polar angle whose sweep_angle equals the parametric angle t."""
+    g = math.atan2(b * math.sin(t), a * math.cos(t))
+    return g + TWO_PI * round((t - g) / TWO_PI)
+
+
+def sector_area(fire, gamma_lo: float, gamma_hi: float) -> float:
+    """Area (m^2) of the angular sector between two polar angles."""
+    if not (0.0 <= gamma_lo < gamma_hi <= TWO_PI):
+        raise ValueError(
+            f"sector bounds out of range: [{gamma_lo}, {gamma_hi}]")
+    return 0.5 * fire.a * fire.b * (sweep_angle(fire.a, fire.b, gamma_hi)
+                                    - sweep_angle(fire.a, fire.b, gamma_lo))
+
+
+def partition_sectors(fire, n: int) -> list[float]:
+    """Polar-angle boundaries of n equal-area sectors, starting at 0.
+
+    Equal areas correspond to equally spaced parametric angles, so each
+    boundary is the exact inverse of the sweep-angle map; no iteration
+    tolerance is involved.
+    """
+    if n < 1:
+        raise ValueError("sector count must be >= 1")
+    bounds = [0.0]
+    for m in range(1, n):
+        bounds.append(inverse_sweep_angle(fire.a, fire.b, TWO_PI * m / n))
+    bounds.append(TWO_PI)
+    return bounds
+
+
+def quad_sector_area(a, b, g_lo, g_hi):
+    """Integrate r(gamma)^2/2 over the polar angle."""
+    def r2(g):
+        c, s = math.cos(g), math.sin(g)
+        return (a * b) ** 2 / (b * b * c * c + a * a * s * s)
+    val, _ = integrate.quad(lambda g: 0.5 * r2(g), g_lo, g_hi, limit=200)
+    return val
+
+
+def closed_form_quench_time(fire_area: float, n_uavs: int,
+                            area_rate: float) -> float:
+    """Quench time assuming simultaneous joins and no growth: A/(N*r_q)."""
+    return fire_area / (n_uavs * area_rate)

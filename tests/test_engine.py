@@ -3,13 +3,13 @@ import math
 
 import pytest
 
+from oracles import closed_form_quench_time
 from swarmfire import engine
 from swarmfire import fire as fi
 from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
 from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
                               preposition_mitigation, run, summarize,
                               weighted_objective)
-from swarmfire.mitigation import closed_form_quench_time
 
 
 def small_cfg(**engine_kw):
@@ -43,7 +43,7 @@ def static_cfg(n_uavs, a=100.0, b=100.0, **kw):
 def test_static_quench_matches_closed_form(n):
     cfg = static_cfg(n)
     world = World(cfg, 0)
-    assert world.spread == pytest.approx(0.0, abs=1e-9)
+    assert world.fires[0].spread == pytest.approx(0.0, abs=1e-9)
     preposition_mitigation(world, 0, list(range(n)))
     expected = closed_form_quench_time(fi.area(world.fires[0]), n,
                                        world.area_rate)
@@ -138,10 +138,15 @@ def test_invariants_every_tick_small_run():
 def check_coordination(world: World) -> bool:
     """Each fire's record is the one owner of its UAVs: a UAV sits in at most
     one record's tracks or pending merges, exactly when its swarm mitigates,
-    and the record's sectors tile [0, 2*pi).  Returns whether a merge is
-    pending."""
+    and the record's sectors tile [0, 2*pi).  A searching swarm is in no
+    record, and a record with a joined track is on a fire under mitigation.
+    Returns whether a merge is pending."""
     owner = {}
     for fid, rec in world.records.items():
+        for sid in rec.swarm_ids:
+            assert world.swarms[sid].mode is not SwarmMode.SEARCH
+        if any(t.joined for t in rec.tracks):
+            assert world.fires[fid].state is fi.FireState.UNDER_MITIGATION
         uids = [t.uav_id for t in rec.tracks] + list(rec.pending_merge)
         assert len(set(uids)) == len(uids)
         for uid in uids:

@@ -2,14 +2,15 @@ import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
 
+from oracles import (closed_form_quench_time, inverse_sweep_angle,
+                     quad_sector_area)
 from swarmfire.fire import FireFront, area, point_on_front
 from swarmfire.mitigation import (FireMitigationRecord, SectorTrack,
                                   angular_control, assign_sectors,
-                                  closed_form_quench_time, merging_decision,
-                                  nominal_angular_velocity, quench_area_rate,
-                                  repulsion_decision, repulsion_heading)
+                                  merging_decision, nominal_angular_velocity,
+                                  quench_area_rate, repulsion_decision,
+                                  repulsion_heading)
 
 TWO_PI = 2.0 * math.pi
 
@@ -109,13 +110,20 @@ def test_assign_sectors_empty_raises():
 
 
 def test_sector_areas_equal_in_parametric_angle():
-    """Uniform parametric intervals carve equal areas (quadrature check)."""
-    a, b = 300.0, 250.0
-    n = 5
-    for m in range(n):
-        lo, hi = TWO_PI * m / n, TWO_PI * (m + 1) / n
-        val, _ = integrate.quad(lambda t: 0.5 * a * b, lo, hi)
-        assert val == pytest.approx(math.pi * a * b / n)
+    """The sectors assign_sectors hands out have equal areas: each bound,
+    mapped to its polar angle, delimits area/n by quadrature over the
+    polar angle."""
+    for a, b in [(300.0, 250.0), (150.0, 100.0), (200.0, 200.0),
+                 (100.0, 100.0), (50.0, 50.0)]:
+        f = make_fire(a, b)
+        for n in range(1, 9):
+            members = [(i, point_on_front(f, TWO_PI * (i + 0.5) / n))
+                       for i in range(n)]
+            for t in assign_sectors(f, members):
+                lo = inverse_sweep_angle(a, b, t.lo)
+                hi = inverse_sweep_angle(a, b, t.hi)
+                assert quad_sector_area(a, b, lo, hi) == pytest.approx(
+                    area(f) / n, rel=1e-12)
 
 
 def test_nominal_angular_velocity_circle():
@@ -173,19 +181,6 @@ def test_angular_control_reference_stays_in_bounds():
         assert mu in (-1, 1)
 
 
-def test_angular_control_printed_law_offset():
-    """The uncorrected law keeps a steady-state error on the return leg."""
-    theta, ref, mu = 0.6, 0.6, -1
-    omega, km = 0.05, -1.0
-    for _ in range(200):
-        theta, ref, mu = angular_control(theta, ref, mu, 0.0, 1.2, omega, km,
-                                         0.05, 0.1, printed_law=True)
-        if mu != -1:
-            break
-    # while still on the mu=-1 leg the offset approaches 2*omega/|km|
-    assert abs(theta - ref) > 0.05
-
-
 def test_merging_decision_clauses():
     assert merging_decision(2e5, 5, 1, 1e5, 2, 2)        # big fire
     assert merging_decision(1e4, 1, 1, 1e5, 2, 2)        # few fires left
@@ -194,12 +189,11 @@ def test_merging_decision_clauses():
 
 
 def test_repulsion_decision():
-    assert repulsion_decision(0.7, 0.5, 0.9, True, False, False)
-    assert not repulsion_decision(0.7, 0.5, 0.9, True, True, False)   # same swarm
-    assert not repulsion_decision(0.7, 0.5, 0.9, False, False, False) # not busy
-    assert not repulsion_decision(0.95, 0.5, 0.9, True, False, False) # above gamma
-    assert not repulsion_decision(0.3, 0.5, 0.9, True, False, False)  # below gamma0
-    assert not repulsion_decision(0.7, 0.5, 0.9, True, False, True)   # merge wins
+    assert repulsion_decision(0.7, 0.5, 0.9, True, False)
+    assert not repulsion_decision(0.7, 0.5, 0.9, False, False)  # not busy
+    assert not repulsion_decision(0.95, 0.5, 0.9, True, False)  # above gamma
+    assert not repulsion_decision(0.3, 0.5, 0.9, True, False)   # below gamma0
+    assert not repulsion_decision(0.7, 0.5, 0.9, True, True)    # merge wins
 
 
 def test_repulsion_heading():
