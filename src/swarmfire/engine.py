@@ -149,15 +149,6 @@ class World:
             fi.area(f), self.fires_remaining(), rec.n_swarms, m.merge_area,
             m.merge_fires, m.merge_swarms)
 
-    def _swarm_center(self, swarm: SwarmState) -> tuple[float, float]:
-        xs = ys = 0.0
-        for uid in swarm.member_ids:
-            px, py = self.uavs[uid].pos
-            xs += px
-            ys += py
-        n = len(swarm.member_ids)
-        return (xs / n, ys / n)
-
     def _swarm_mean_vel(self, swarm: SwarmState) -> tuple[float, float]:
         xs = ys = 0.0
         for uid in swarm.member_ids:
@@ -184,28 +175,23 @@ class World:
         # (2) sensing and (3) detection bookkeeping, fixed uav order.  No
         # fire changes state while the UAVs sample, so every fire a reading
         # names is active for the rest of this tick's search stage.
-        active = sn.active_fires(fires)
-        sensing = cfg.sensing
-        noisy = sensing.noise_std > 0
         readings = self.readings
         detected = self.detected
-        for uav in uavs:
-            uid = uav.id
-            r = sn.sample(uav.pos, active, readings[uid], dt, sensing,
-                          self.rng.agent(uid) if noisy else None,
-                          self._cutoff)
-            readings[uid] = r
-            if r.detected and r.fire_id not in detected:
-                detected[r.fire_id] = t_now
-                self.detected_area[r.fire_id] = fi.area(fires[r.fire_id])
-                self._event("detection", t_now, fire=r.fire_id, uav=uid)
+        for uid in sn.sample(uavs, sn.active_fires(fires), readings, dt,
+                             cfg.sensing, self.rng, self._cutoff):
+            fid = readings[uid].fire_id
+            if fid not in detected:
+                detected[fid] = t_now
+                self.detected_area[fid] = fi.area(fires[fid])
+                self._event("detection", t_now, fire=fid, uav=uid)
 
-        # (4) per-swarm search / coordination
-        search = (self._mscidc_search if cfg.engine.strategy == "MSCIDC"
-                  else self._baseline_search)
-        for swarm in self.swarms:
-            if swarm.mode is SwarmMode.SEARCH:
-                search(swarm, t_now)
+        # (4) search / coordination of every searching swarm, by id
+        if cfg.engine.strategy == "MSCIDC":
+            for swarm in self.swarms:
+                if swarm.mode is SwarmMode.SEARCH:
+                    self._mscidc_search(swarm, t_now)
+        else:
+            self._baseline_search(t_now)
 
         # (5) mitigation control and approach waypoints
         for fid in sorted(self.records):
@@ -241,32 +227,25 @@ class World:
     def _mscidc_search(self, swarm: SwarmState, t_now: float) -> None:
         cfg = self.cfg
         members = swarm.member_ids
-        readings = self.readings
         uavs = self.uavs
+        returning = self.returning
+        detector, k_star, temp_max, near, center = se.scan_members(
+            members, self.readings, uavs, self.records)
 
         # Detection by any member locks the swarm onto the fire (or merges).
-        for uid in members:
-            r = readings[uid]
-            if not r.detected:
-                continue
-            if self._lock_or_merge(swarm, r.fire_id, t_now):
-                return
-            break
+        if detector is not None and self._lock_or_merge(
+                swarm, detector.fire_id, t_now):
+            return
 
-        # The max-information member steers both repulsion and the search.
-        k_star, temp_max = se.max_info_member(members, readings)
-
-        # Repulsion off a busy fire seen at intermediate probability.
-        if t_now >= swarm.repel_until:
-            for uid in members:
-                r = readings[uid]
-                rec = self.records.get(r.fire_id)
-                if rec is None:
-                    continue
+        # Repulsion off a busy fire seen at intermediate probability; the
+        # max-information member steers both repulsion and the search.
+        if near and t_now >= swarm.repel_until:
+            sensing = cfg.sensing
+            for r, rec in near:
                 f = self.fires[r.fire_id]
                 if mi.repulsion_decision(
-                        r.probability, cfg.sensing.repel_threshold,
-                        cfg.sensing.detect_threshold,
+                        r.probability, sensing.repel_threshold,
+                        sensing.detect_threshold,
                         f.state is fi.FireState.UNDER_MITIGATION,
                         self._merge_allowed(f, rec)):
                     swarm.repel_until = t_now + cfg.mitigation.repel_cooldown
@@ -276,7 +255,7 @@ class World:
                                 fire=r.fire_id)
                     for mid in members:
                         uavs[mid].has_waypoint = False
-                        self.returning.discard(mid)
+                        returning.discard(mid)
                     break
 
         # Stage selection and waypoint generation.
@@ -288,35 +267,40 @@ class World:
             # immediately instead of after the current (possibly long) leg
             swarm.explore = explore
             for mid in members:
-                if mid not in self.returning:
+                if mid not in returning:
                     uavs[mid].has_waypoint = False
-        if repelled and swarm.repel_heading is not None:
-            phi_center = swarm.repel_heading
-        else:
-            phi_center = self._heading_of(k_star)
-        center = cx, cy = self._swarm_center(swarm)
 
+        cx, cy = center
+        swarm_radius = cfg.swarm_radius
+        arrival = self._arrival
+        hypot = math.hypot
         due = []   # members that draw a new waypoint this tick
         for uid in members:
             uav = uavs[uid]
             px, py = uav.pos
-            if math.hypot(px - cx, py - cy) > cfg.swarm_radius:
+            if hypot(px - cx, py - cy) > swarm_radius:
                 # local attraction: pull strays back to the swarm center
                 uav.waypoint = center
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
-                self.returning.add(uid)
+                returning.add(uid)
                 continue
-            if uid in self.returning:
-                self.returning.discard(uid)
+            if uid in returning:
+                returning.discard(uid)
                 uav.has_waypoint = False
-            if uav.has_waypoint and not ve.reached(uav.pos, uav.waypoint,
-                                                   self._arrival):
-                continue
+            elif uav.has_waypoint:
+                # not ve.reached: NaN distances count as not arrived
+                wx, wy = uav.waypoint
+                if not hypot(wx - px, wy - py) < arrival:
+                    continue
             due.append(uav)
         if not due:
             return
 
+        if repelled and swarm.repel_heading is not None:
+            phi_center = swarm.repel_heading
+        else:
+            phi_center = self._heading_of(k_star)
         search = cfg.search
         phi0 = se.search_cone_halfwidth(temp_max, search.cone_gain,
                                         search.cone_rate)
@@ -337,7 +321,7 @@ class World:
             center_pred = (cx + mvx * travel, cy + mvy * travel)
             uav.waypoint = se.next_waypoint(p_info, psi, step_scale, length,
                                             cfg.area, center_pred,
-                                            cfg.swarm_radius)
+                                            swarm_radius)
             uav.waypoint_vel = (0.0, 0.0)
             uav.has_waypoint = True
             uav.mode = mode
@@ -351,26 +335,39 @@ class World:
             return self.last_heading[uid]
         return uniform(self.rng.agent(uid), -math.pi, math.pi)
 
-    def _baseline_search(self, swarm: SwarmState, t_now: float) -> None:
+    def _baseline_search(self, t_now: float) -> None:
+        """Search stage of the baseline strategies: every searching swarm
+        (one UAV each), by id, locks on a detection or draws a new
+        independent waypoint once it reaches its current one."""
         cfg = self.cfg
-        uid = swarm.member_ids[0]
-        uav = self.uavs[uid]
-        r = self.readings[uid]
-
-        if r.detected:
-            self._lock_or_merge(swarm, r.fire_id, t_now)
-            return
-
-        if uav.has_waypoint and not ve.reached(uav.pos, uav.waypoint,
-                                               self._arrival):
-            return
-        uav.waypoint = se.baseline_waypoint(
-            cfg.engine.strategy, uav.pos, uav.vel, r.temperature,
-            r.temp_rate, self.rng.agent(uid), cfg.area, cfg.search,
-            self._l_max, cfg.sensing.temp_threshold)
-        uav.waypoint_vel = (0.0, 0.0)
-        uav.has_waypoint = True
-        uav.mode = ve.UavMode.EXPLORE
+        strategy = cfg.engine.strategy
+        uavs = self.uavs
+        readings = self.readings
+        arrival = self._arrival
+        hypot = math.hypot
+        waypoint = se.baseline_waypoint
+        for swarm in self.swarms:
+            if swarm.mode is not SwarmMode.SEARCH:
+                continue
+            uid = swarm.member_ids[0]
+            uav = uavs[uid]
+            r = readings[uid]
+            if r.detected:
+                self._lock_or_merge(swarm, r.fire_id, t_now)
+                continue
+            if uav.has_waypoint:
+                # not ve.reached: NaN distances count as not arrived
+                px, py = uav.pos
+                wx, wy = uav.waypoint
+                if not hypot(wx - px, wy - py) < arrival:
+                    continue
+            uav.waypoint = waypoint(
+                strategy, uav.pos, uav.vel, r.temperature, r.temp_rate,
+                self.rng.agent(uid), cfg.area, cfg.search, self._l_max,
+                cfg.sensing.temp_threshold)
+            uav.waypoint_vel = (0.0, 0.0)
+            uav.has_waypoint = True
+            uav.mode = ve.UavMode.EXPLORE
 
     # -- mitigation coordination ------------------------------------------
 

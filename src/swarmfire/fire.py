@@ -109,35 +109,43 @@ def _quadrant_param(a: float, b: float, x: float, y: float) -> float:
     return t
 
 
-def boundary_distance(a: float, b: float, dx: float, dy: float) -> float:
+def boundary_distance(a: float, b: float, dx: float,
+                      dy: float) -> tuple[float, float | None]:
     """Distance from a point (offset dx, dy from center) to the ellipse
-    boundary; 0 if the point is inside or on it."""
+    boundary, 0 if the point is inside or on it, and the first-quadrant
+    parametric angle of the nearest boundary point when it was solved for
+    (None inside the front and on a circle)."""
     x, y = abs(dx), abs(dy)
     if (x / a) ** 2 + (y / b) ** 2 <= 1.0:
-        return 0.0
+        return 0.0, None
     if a == b:
-        return math.hypot(x, y) - a
+        return math.hypot(x, y) - a, None
     t = _quadrant_param(a, b, x, y)
-    return math.hypot(x - a * math.cos(t), y - b * math.sin(t))
+    return math.hypot(x - a * math.cos(t), y - b * math.sin(t)), t
 
 
-def distance_to_front(fire: FireFront, p: tuple[float, float]) -> float:
-    """Euclidean distance from p to the nearest front point; 0 inside."""
+def distance_to_front(fire: FireFront,
+                      p: tuple[float, float]) -> tuple[float, float | None]:
+    """Euclidean distance from p to the nearest front point, 0 inside, and
+    the solved parameter that ``nearest_front_point`` accepts."""
     cx, cy = fire.center
     return boundary_distance(fire.a, fire.b, p[0] - cx, p[1] - cy)
 
 
-def nearest_front_point(fire: FireFront, p: tuple[float, float]) -> tuple[float, float]:
+def nearest_front_point(fire: FireFront, p: tuple[float, float],
+                        t: float | None = None) -> tuple[float, float]:
     """Closest boundary point to p.  For interior points the boundary point
     in p's polar direction is returned (any front point is equally 'nearest'
-    for bearing purposes once inside)."""
+    for bearing purposes once inside).  ``t`` is the parameter
+    ``distance_to_front`` solved for the same fire and point; without it
+    the point is solved for again."""
     cx, cy = fire.center
     dx, dy = p[0] - cx, p[1] - cy
-    x, y = abs(dx), abs(dy)
-    if (x / fire.a) ** 2 + (y / fire.b) ** 2 <= 1.0:
-        t = math.atan2(dy, dx)
-        return point_on_front(fire, t)
-    t = _quadrant_param(fire.a, fire.b, x, y)
+    if t is None:
+        x, y = abs(dx), abs(dy)
+        if (x / fire.a) ** 2 + (y / fire.b) ** 2 <= 1.0:
+            return point_on_front(fire, math.atan2(dy, dx))
+        t = _quadrant_param(fire.a, fire.b, x, y)
     bx = fire.a * math.cos(t) * (1.0 if dx >= 0 else -1.0)
     by = fire.b * math.sin(t) * (1.0 if dy >= 0 else -1.0)
     return (cx + bx, cy + by)

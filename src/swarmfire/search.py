@@ -26,23 +26,38 @@ def wrap_angle(angle: float) -> float:
     return a - math.pi
 
 
-def max_info_member(members: list[int], readings) -> tuple[int, float]:
-    """Member with the highest temperature gradient (ties to the lowest id;
-    ``members`` ascend by id) and the hottest temperature any member senses.
-    ``readings[uid]`` is the member's SensorReading."""
-    if not members:
-        raise ValueError("no members with readings")
-    best_id = None
-    best = -math.inf
-    temp_max = -math.inf
+def scan_members(members: list[int], readings, uavs, records):
+    """One pass over a searching swarm's members (ascending ids).
+
+    Returns the first member reading that detects a fire (or None); the
+    member with the highest temperature gradient (ties to the lowest id)
+    and the hottest temperature any member senses; ``(reading, record)``
+    for each member whose reading names a fire that has a record in
+    ``records``; and the mean member position.  ``readings[uid]`` is the
+    member's SensorReading and ``uavs[uid]`` its UavState.
+    """
+    detector = k_star = None
+    best = temp_max = -math.inf
+    near = []
+    xs = ys = 0.0
     for uid in members:
         r = readings[uid]
+        if r.detected and detector is None:
+            detector = r
         if r.temp_rate > best:
             best = r.temp_rate
-            best_id = uid
+            k_star = uid
         if r.temperature > temp_max:
             temp_max = r.temperature
-    return best_id, temp_max
+        if r.fire_id is not None:
+            rec = records.get(r.fire_id)
+            if rec is not None:
+                near.append((r, rec))
+        px, py = uavs[uid].pos
+        xs += px
+        ys += py
+    n = len(members)
+    return detector, k_star, temp_max, near, (xs / n, ys / n)
 
 
 def search_cone_halfwidth(temp_max: float, cone_gain: float,

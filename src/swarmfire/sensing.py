@@ -45,44 +45,65 @@ def cull_distance(sensing) -> float:
     return max(sensing.sensing_radius, reach)
 
 
-def sample(pos: tuple[float, float], active: list[FireFront],
-           prev: SensorReading | None, dt: float, sensing, rng=None,
-           cutoff: float | None = None) -> SensorReading:
-    """One sensor sample for a UAV: temperature, rate, best fire candidate.
+def sample(uavs, active: list[FireFront],
+           readings: list[SensorReading | None], dt: float, sensing,
+           streams, cutoff: float) -> list[int]:
+    """The sensing stage of one tick: sample every UAV in list order.
 
-    ``active`` is ``active_fires`` of the world, computed once per tick;
-    ``sensing`` is a SensingParams; ``rng`` is used only when noise_std > 0.
-    Fires whose center is farther than cutoff + semi-major axis are culled
-    (their temperature contribution is below 0.01 K and detection is
-    impossible there).
+    ``readings[uav.id]`` holds the UAV's previous reading (None before the
+    first) and is replaced by the new one: temperature, rate and the
+    nearest active fire within the sensing radius.  ``active`` is
+    ``active_fires`` of the world; ``sensing`` is a SensingParams;
+    ``streams`` is the run's RngStreams, drawn from only when
+    noise_std > 0.  Fires whose center is farther than cutoff +
+    semi-major axis are culled (their temperature contribution is below
+    0.01 K and detection is impossible there).  Returns the ids of the
+    UAVs whose reading detects a fire, in list order.
     """
-    if cutoff is None:
-        cutoff = cull_distance(sensing)
-    px, py = pos
-    best_fire = None
-    best_d = math.inf
-    temp_g = 0.0
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
-    for f in active:
-        cx, cy = f.center
-        if math.hypot(px - cx, py - cy) - f.a > cutoff:
-            continue
-        d = distance_to_front(f, pos)
-        g = math.exp(-d * d * inv_t)
-        if g > temp_g:
-            temp_g = g
-        if d < best_d:
-            best_d = d
-            best_fire = f
-    temp = sensing.ambient_temp + (sensing.fire_temp - sensing.ambient_temp) * temp_g
-    if rng is not None and sensing.noise_std > 0.0:
-        temp += sensing.noise_std * rng.standard_normal()
-    rate = 0.0 if prev is None else (temp - prev.temperature) / dt
+    ambient = sensing.ambient_temp
+    span = sensing.fire_temp - sensing.ambient_temp
+    noise_std = sensing.noise_std
+    noisy = noise_std > 0.0
+    radius = sensing.sensing_radius
+    sigma = sensing.sigma
+    threshold = sensing.detect_threshold
+    geometry = [(f, f.center[0], f.center[1], f.a) for f in active]
+    distance = distance_to_front
+    hypot, exp, inf = math.hypot, math.exp, math.inf
+    detections = []
+    for uav in uavs:
+        uid = uav.id
+        pos = uav.pos
+        px, py = pos
+        best_fire = best_t = None
+        best_d = inf
+        temp_g = 0.0
+        for f, cx, cy, a in geometry:
+            if hypot(px - cx, py - cy) - a > cutoff:
+                continue
+            d, t = distance(f, pos)
+            g = exp(-d * d * inv_t)
+            if g > temp_g:
+                temp_g = g
+            if d < best_d:
+                best_d = d
+                best_fire = f
+                best_t = t
+        temp = ambient + span * temp_g
+        if noisy:
+            temp += noise_std * streams.agent(uid).standard_normal()
+        prev = readings[uid]
+        rate = 0.0 if prev is None else (temp - prev.temperature) / dt
 
-    if best_fire is None or best_d > sensing.sensing_radius:
-        return SensorReading(temp, rate, None, 0.0, None, False)
-    prob = detection_probability(best_d, sensing.sigma, sensing.sensing_radius)
-    fx, fy = nearest_front_point(best_fire, pos)
-    return SensorReading(temp, rate, best_fire.id, prob,
-                         math.atan2(fy - py, fx - px),
-                         prob >= sensing.detect_threshold)
+        if best_fire is None or best_d > radius:
+            readings[uid] = SensorReading(temp, rate, None, 0.0, None, False)
+            continue
+        prob = detection_probability(best_d, sigma, radius)
+        fx, fy = nearest_front_point(best_fire, pos, best_t)
+        detected = prob >= threshold
+        readings[uid] = SensorReading(temp, rate, best_fire.id, prob,
+                                      math.atan2(fy - py, fx - px), detected)
+        if detected:
+            detections.append(uid)
+    return detections

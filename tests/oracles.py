@@ -4,12 +4,16 @@ None of this runs in a mission.  The engine spaces sectors evenly in the
 ellipse's parametric angle (``mitigation.assign_sectors``); the polar-angle
 sector geometry here derives the same equal-area partition another way, and
 the closed-form quench time is the no-growth, simultaneous-join limit of
-the quench model.
+the quench model.  The per-UAV sensor sample and the per-swarm member
+scans are the compositions the engine's one-call stages replaced.
 """
 
 import math
 
 from scipy import integrate
+
+from swarmfire.fire import distance_to_front, nearest_front_point
+from swarmfire.sensing import SensorReading, detection_probability
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,3 +75,65 @@ def closed_form_quench_time(fire_area: float, n_uavs: int,
                             area_rate: float) -> float:
     """Quench time assuming simultaneous joins and no growth: A/(N*r_q)."""
     return fire_area / (n_uavs * area_rate)
+
+
+def sample(pos, active, prev, dt, sensing, rng=None, cutoff=math.inf):
+    """One UAV's sensor sample, each fire's front solved for afresh."""
+    px, py = pos
+    best_fire = None
+    best_d = math.inf
+    temp_g = 0.0
+    inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
+    for f in active:
+        cx, cy = f.center
+        if math.hypot(px - cx, py - cy) - f.a > cutoff:
+            continue
+        d, _ = distance_to_front(f, pos)
+        g = math.exp(-d * d * inv_t)
+        if g > temp_g:
+            temp_g = g
+        if d < best_d:
+            best_d = d
+            best_fire = f
+    temp = sensing.ambient_temp + (sensing.fire_temp - sensing.ambient_temp) * temp_g
+    if rng is not None and sensing.noise_std > 0.0:
+        temp += sensing.noise_std * rng.standard_normal()
+    rate = 0.0 if prev is None else (temp - prev.temperature) / dt
+
+    if best_fire is None or best_d > sensing.sensing_radius:
+        return SensorReading(temp, rate, None, 0.0, None, False)
+    prob = detection_probability(best_d, sensing.sigma, sensing.sensing_radius)
+    fx, fy = nearest_front_point(best_fire, pos)
+    return SensorReading(temp, rate, best_fire.id, prob,
+                         math.atan2(fy - py, fx - px),
+                         prob >= sensing.detect_threshold)
+
+
+def max_info_member(members, readings):
+    """Member with the highest temperature gradient (ties to the lowest id;
+    ``members`` ascend by id) and the hottest temperature any member senses.
+    ``readings[uid]`` is the member's SensorReading."""
+    if not members:
+        raise ValueError("no members with readings")
+    best_id = None
+    best = -math.inf
+    temp_max = -math.inf
+    for uid in members:
+        r = readings[uid]
+        if r.temp_rate > best:
+            best = r.temp_rate
+            best_id = uid
+        if r.temperature > temp_max:
+            temp_max = r.temperature
+    return best_id, temp_max
+
+
+def swarm_center(members, uavs):
+    """Mean member position."""
+    xs = ys = 0.0
+    for uid in members:
+        px, py = uavs[uid].pos
+        xs += px
+        ys += py
+    n = len(members)
+    return (xs / n, ys / n)

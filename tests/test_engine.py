@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from oracles import closed_form_quench_time
+from oracles import closed_form_quench_time, max_info_member, swarm_center
 from swarmfire import engine
 from swarmfire import fire as fi
+from swarmfire import search as se
 from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
 from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
                               preposition_mitigation, run, summarize,
@@ -176,6 +177,38 @@ def test_coordination_bookkeeping_every_tick():
                 ticks_pending += check_coordination(world)
     # the grid reaches the merge path, not only locks
     assert ticks_pending > 0
+
+
+def test_member_scan_matches_oracles_every_tick():
+    """The search stage's one pass over a swarm's members finds what the
+    per-purpose scans find: the max-information member and temp_max, the
+    centre, the first detector and the members near a fire with a record."""
+    base = load_config("pine-table1")
+    scans = near_ticks = 0
+    for dt in (0.5, 1.0):
+        cfg = dataclasses.replace(base, engine=dataclasses.replace(
+            base.engine, dt=dt, t_max=1800.0))
+        for idx in (0, 1):
+            world = World(cfg, idx)
+            while not world.done():
+                world.tick()
+                for swarm in world.swarms:
+                    members = swarm.member_ids
+                    detector, k_star, temp_max, near, center = \
+                        se.scan_members(members, world.readings, world.uavs,
+                                        world.records)
+                    assert (k_star, temp_max) == max_info_member(
+                        members, world.readings)
+                    assert center == swarm_center(members, world.uavs)
+                    readings = [world.readings[uid] for uid in members]
+                    assert detector is next(
+                        (r for r in readings if r.detected), None)
+                    assert near == [(r, world.records[r.fire_id])
+                                    for r in readings
+                                    if r.fire_id in world.records]
+                    scans += 1
+                    near_ticks += bool(near)
+    assert scans > 0 and near_ticks > 0
 
 
 def test_detected_count_non_decreasing():

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -159,15 +160,15 @@ def test_point_on_front():
 
 def test_distance_circle():
     f = make_fire(100.0, 100.0)
-    assert distance_to_front(f, (250.0, 0.0)) == pytest.approx(150.0)
-    assert distance_to_front(f, (50.0, 0.0)) == 0.0
+    assert distance_to_front(f, (250.0, 0.0))[0] == pytest.approx(150.0)
+    assert distance_to_front(f, (50.0, 0.0)) == (0.0, None)
 
 
 def test_distance_ellipse_axes():
     f = make_fire(300.0, 250.0)
-    assert distance_to_front(f, (400.0, 0.0)) == pytest.approx(100.0)
-    assert distance_to_front(f, (0.0, 400.0)) == pytest.approx(150.0)
-    assert distance_to_front(f, (0.0, 0.0)) == 0.0
+    assert distance_to_front(f, (400.0, 0.0))[0] == pytest.approx(100.0)
+    assert distance_to_front(f, (0.0, 400.0))[0] == pytest.approx(150.0)
+    assert distance_to_front(f, (0.0, 0.0)) == (0.0, None)
 
 
 def exact_boundary_distance(a, b, px, py):
@@ -199,7 +200,7 @@ def exact_boundary_distance(a, b, px, py):
 def test_distance_matches_parametric_minimum(a, b, px, py):
     if b > a:
         a, b = b, a
-    d = boundary_distance(a, b, px, py)
+    d, _ = boundary_distance(a, b, px, py)
     inside = (px / a) ** 2 + (py / b) ** 2 <= 1.0
     if inside:
         assert d == 0.0
@@ -222,13 +223,13 @@ def test_distance_one_ulp_outside_front(a, b, t):
         a, b = b, a
     x = one_ulp_outward(a * math.cos(t))
     y = one_ulp_outward(b * math.sin(t))
-    assert boundary_distance(a, b, x, y) < 1e-9
+    assert boundary_distance(a, b, x, y)[0] < 1e-9
 
 
 def test_distance_one_ulp_outside_front_example():
     # the solver once bisected away from the converged root here: 4.4e-8
     assert boundary_distance(674.4709784223395, 620.6211392977884,
-                             284.28511564146186, 562.7987583676666) < 1e-9
+                             284.28511564146186, 562.7987583676666)[0] < 1e-9
 
 
 def test_nearest_front_point_on_boundary():
@@ -240,7 +241,40 @@ def test_nearest_front_point_on_boundary():
         assert (dx / 300.0) ** 2 + (dy / 250.0) ** 2 == pytest.approx(
             1.0, abs=1e-6)
         assert math.hypot(p[0] - bx, p[1] - by) == pytest.approx(
-            distance_to_front(f, p), abs=1e-6)
+            distance_to_front(f, p)[0], abs=1e-6)
+
+
+def bits(point):
+    return struct.pack("<2d", *point)
+
+
+@given(st.floats(10.0, 400.0), st.floats(10.0, 400.0),
+       st.floats(-2000.0, 2000.0), st.floats(-2000.0, 2000.0),
+       st.floats(-5000.0, 5000.0), st.floats(-5000.0, 5000.0))
+@example(239.0, 239.0, 0.03125, 239.0, 0.0, 0.0)
+def test_nearest_point_with_distance_parameter(a, b, px, py, cx, cy):
+    """The parameter the distance solve returns gives the same nearest point,
+    bit for bit, as the path that solves for itself."""
+    f = make_fire(a, b, center=(cx, cy))
+    p = (cx + px, cy + py)
+    _, t = distance_to_front(f, p)
+    assert bits(nearest_front_point(f, p, t)) == bits(
+        nearest_front_point(f, p))
+
+
+@given(st.floats(10.0, 1000.0), st.floats(10.0, 1000.0),
+       st.floats(0.0, TWO_PI))
+@example(674.4709784223395, 620.6211392977884, 0.0)
+@example(300.0, 300.0, 1.0)
+@example(300.0, 250.0, 0.5 * math.pi)
+def test_nearest_point_with_distance_parameter_one_ulp_outside(a, b, t):
+    f = make_fire(a, b)
+    p = (one_ulp_outward(a * math.cos(t)), one_ulp_outward(b * math.sin(t)))
+    d, t_solved = distance_to_front(f, p)
+    assert bits(nearest_front_point(f, p, t_solved)) == bits(
+        nearest_front_point(f, p))
+    if d > 0.0 and a != b:
+        assert t_solved is not None
 
 
 # -- quenching ----------------------------------------------------------------

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from oracles import max_info_member
 from swarmfire.config import SearchParams
-from swarmfire.search import (baseline_waypoint, clamp_to_area,
-                              max_info_member, next_waypoint, sample_brown_length,
-                              sample_heading, sample_levy_length,
-                              sample_step_length, search_cone_halfwidth,
-                              select_explore, wrap_angle)
+from swarmfire.search import (baseline_waypoint, clamp_to_area, next_waypoint,
+                              sample_brown_length, sample_heading,
+                              sample_levy_length, sample_step_length,
+                              search_cone_halfwidth, select_explore,
+                              wrap_angle)
 
 AREA = (10000.0, 10000.0)
 PARAMS = SearchParams()

@@ -1,11 +1,17 @@
+import dataclasses
 import math
+import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
+import oracles
 from swarmfire.config import SensingParams
 from swarmfire.fire import FireFront, FireState, distance_to_front
-from swarmfire.sensing import (active_fires, cull_distance,
+from swarmfire.rng import RngStreams
+from swarmfire.sensing import (SensorReading, active_fires, cull_distance,
                                detection_probability, sample)
+from swarmfire.vehicle import UavState
 
 SENSING = SensingParams()
 
@@ -17,11 +23,19 @@ def temperature_at(fires: list[FireFront], p: tuple[float, float],
     best = 0.0
     inv = 1.0 / (2.0 * temp_sigma * temp_sigma)
     for f in active_fires(fires):
-        d = distance_to_front(f, p)
+        d, _ = distance_to_front(f, p)
         g = math.exp(-d * d * inv)
         if g > best:
             best = g
     return ambient + (fire_temp - ambient) * best
+
+
+def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
+    """One UAV's reading, read out through a one-UAV stage call."""
+    readings = [prev]
+    sample([UavState(id=0, swarm_id=0, pos=pos)], fires, readings, dt,
+           sensing, None, cull_distance(sensing) if cutoff is None else cutoff)
+    return readings[0]
 
 
 def make_fire(a=100.0, b=100.0, center=(0.0, 0.0), fid=0):
@@ -84,21 +98,21 @@ def test_cull_distance_covers_both_mechanisms():
 
 def test_sample_first_reading_zero_rate():
     f = make_fire()
-    r = sample((500.0, 0.0), [f], None, 1.0, SENSING)
+    r = sample_one((500.0, 0.0), [f])
     assert r.temp_rate == 0.0
 
 
 def test_sample_static_field_zero_rate():
     f = make_fire()
-    r1 = sample((500.0, 0.0), [f], None, 1.0, SENSING)
-    r2 = sample((500.0, 0.0), [f], r1, 1.0, SENSING)
+    r1 = sample_one((500.0, 0.0), [f])
+    r2 = sample_one((500.0, 0.0), [f], r1)
     assert r2.temp_rate == 0.0
 
 
 def test_sample_rate_positive_when_approaching():
     f = make_fire()
-    r1 = sample((600.0, 0.0), [f], None, 1.0, SENSING)
-    r2 = sample((580.0, 0.0), [f], r1, 1.0, SENSING)
+    r1 = sample_one((600.0, 0.0), [f])
+    r2 = sample_one((580.0, 0.0), [f], r1)
     assert r2.temp_rate > 0.0
 
 
@@ -107,12 +121,12 @@ def test_sample_detection_descriptor_threshold():
     # just outside on the major axis, inside the gamma=0.9 shell
     d_detect = 100.0 * math.sqrt(-2.0 * math.log(0.9))
     p_in = (1000.0 + 300.0 + 0.5 * d_detect, 1000.0)
-    r = sample(p_in, [f], None, 1.0, SENSING)
+    r = sample_one(p_in, [f])
     assert r.detected is True
     assert r.fire_id == 0
     # between detect shell and sensing radius: candidate but no detection
     p_out = (1000.0 + 300.0 + 200.0, 1000.0)
-    r = sample(p_out, [f], None, 1.0, SENSING)
+    r = sample_one(p_out, [f])
     assert r.detected is False
     assert r.fire_id == 0
     assert 0.0 < r.probability < 0.9
@@ -120,15 +134,15 @@ def test_sample_detection_descriptor_threshold():
 
 def test_sample_heading_points_at_front():
     f = make_fire(center=(0.0, 0.0))
-    r = sample((250.0, 0.0), [f], None, 1.0, SENSING)
+    r = sample_one((250.0, 0.0), [f])
     assert r.heading_to_fire == pytest.approx(math.pi, abs=1e-6) or \
         r.heading_to_fire == pytest.approx(-math.pi, abs=1e-6)
 
 
 def test_sample_identical_for_equidistant_uavs():
     f = make_fire(center=(0.0, 0.0))
-    ra = sample((200.0, 0.0), [f], None, 1.0, SENSING)
-    rb = sample((0.0, -200.0), [f], None, 1.0, SENSING)
+    ra = sample_one((200.0, 0.0), [f])
+    rb = sample_one((0.0, -200.0), [f])
     assert ra.temperature == pytest.approx(rb.temperature)
     assert ra.probability == pytest.approx(rb.probability)
 
@@ -137,8 +151,8 @@ def test_sample_culling_matches_full_evaluation():
     fires = [make_fire(center=(0.0, 0.0), fid=0),
              make_fire(center=(9000.0, 9000.0), fid=1)]
     pos = (200.0, 100.0)
-    full = sample(pos, fires, None, 1.0, SENSING, cutoff=1e9)
-    culled = sample(pos, fires, None, 1.0, SENSING)
+    full = sample_one(pos, fires, cutoff=1e9)
+    culled = sample_one(pos, fires)
     assert full.temperature == pytest.approx(culled.temperature, abs=1e-9)
     assert full.fire_id == culled.fire_id
     assert full.probability == culled.probability
@@ -149,7 +163,122 @@ def test_sample_temperature_matches_field_oracle():
              make_fire(center=(1600.0, 1200.0), fid=1)]
     for pos in [(1000.0, 1000.0), (1350.0, 1050.0), (1450.0, 1100.0),
                 (2000.0, 2000.0), (9000.0, 9000.0)]:
-        r = sample(pos, fires, None, 1.0, SENSING, cutoff=1e9)
+        r = sample_one(pos, fires, cutoff=1e9)
         assert r.temperature == temperature_at(
             fires, pos, SENSING.ambient_temp, SENSING.fire_temp,
             SENSING.temp_sigma)
+
+
+# -- stage against the per-UAV oracle -------------------------------------------
+
+def reading_bits(r):
+    if r is None:
+        return None
+    heading = (None if r.heading_to_fire is None
+               else struct.pack("<d", r.heading_to_fire))
+    return (struct.pack("<3d", r.temperature, r.temp_rate, r.probability),
+            r.fire_id, heading, r.detected)
+
+
+def one_ulp_away(v: float, origin: float) -> float:
+    return math.nextafter(v, math.inf if v >= origin else -math.inf)
+
+
+def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
+    """Stage and per-UAV oracle on the same input, each with its own copy of
+    the run's Philox streams; returns both readings, detections and the next
+    draw of every agent stream."""
+    n = len(positions)
+    out = []
+    for stage in (True, False):
+        streams = RngStreams(seed, 0, n)
+        uavs = [UavState(id=i, swarm_id=0, pos=p)
+                for i, p in enumerate(positions)]
+        readings = list(prevs)
+        detections = []
+        for _ in range(ticks):
+            if stage:
+                detections.append(sample(
+                    uavs, fires, readings, dt, sensing,
+                    streams if sensing.noise_std > 0.0 else None, cutoff))
+            else:
+                for uav in uavs:
+                    readings[uav.id] = oracles.sample(
+                        uav.pos, fires, readings[uav.id], dt, sensing,
+                        streams.agent(uav.id), cutoff)
+                detections.append([u.id for u in uavs
+                                   if readings[u.id].detected])
+        draws = [streams.agent(i).random() for i in range(n)]
+        out.append(([reading_bits(r) for r in readings], detections, draws))
+    return out
+
+
+@st.composite
+def scene(draw):
+    """Fires (circles among them), UAVs anywhere, inside, on, one ulp
+    outside a front and on a fire's axes, and previous readings or None."""
+    fires = []
+    for fid in range(draw(st.integers(1, 4))):
+        a = draw(st.floats(10.0, 400.0))
+        b = a if draw(st.booleans()) else draw(st.floats(10.0, 400.0))
+        center = (draw(st.floats(0.0, 3000.0)), draw(st.floats(0.0, 3000.0)))
+        fires.append(FireFront(fid, center, a, b))
+    positions = []
+    for _ in range(draw(st.integers(1, 6))):
+        f = draw(st.sampled_from(fires))
+        (cx, cy), a, b = f.center, f.a, f.b
+        kind = draw(st.sampled_from(
+            ["free", "inside", "on", "outside", "x-axis", "y-axis", "center"]))
+        theta = draw(st.floats(0.0, 2.0 * math.pi))
+        if kind == "free":
+            p = (draw(st.floats(-500.0, 3500.0)),
+                 draw(st.floats(-500.0, 3500.0)))
+        elif kind in ("inside", "on", "outside"):
+            k = draw(st.floats(0.0, 0.999)) if kind == "inside" else 1.0
+            p = (cx + k * a * math.cos(theta), cy + k * b * math.sin(theta))
+            if kind == "outside":
+                p = (one_ulp_away(p[0], cx), one_ulp_away(p[1], cy))
+        elif kind == "x-axis":
+            p = (cx + draw(st.floats(-800.0, 800.0)), cy)
+        elif kind == "y-axis":
+            p = (cx, cy + draw(st.floats(-800.0, 800.0)))
+        else:
+            p = (cx, cy)
+        positions.append(p)
+    prevs = [draw(st.one_of(st.none(), st.builds(
+        SensorReading, st.floats(250.0, 1300.0), st.just(0.0),
+        st.just(None), st.just(0.0), st.just(None), st.just(False))))
+        for _ in positions]
+    noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = draw(st.one_of(st.just(cull_distance(sensing)),
+                            st.floats(0.0, 2000.0)))
+    return fires, positions, prevs, sensing, cutoff
+
+
+@given(scene(), st.floats(0.1, 2.0), st.integers(1, 2))
+def test_stage_matches_per_uav_oracle(sc, dt, ticks):
+    """Bit for bit: every reading field, the detections in UAV order and
+    the state of every agent stream afterwards."""
+    fires, positions, prevs, sensing, cutoff = sc
+    stage, oracle = twin_stage(fires, positions, prevs, dt, sensing, cutoff,
+                               ticks=ticks)
+    assert stage == oracle
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.5])
+def test_stage_best_fire_not_last(noise):
+    """The UAV nearest the middle fire names it, with the heading the
+    oracle's own solve gives; UAVs near the front detect it."""
+    fires = [FireFront(0, (0.0, 0.0), 300.0, 250.0),
+             FireFront(1, (1500.0, 0.0), 200.0, 120.0),
+             FireFront(2, (2400.0, 900.0), 150.0, 150.0)]
+    positions = [(1500.0, 150.0), (1720.0, 10.0), (1800.0, 0.0),
+                 (1500.0, 0.0), (300.0, 0.0), (5000.0, 5000.0)]
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    stage, oracle = twin_stage(fires, positions, [None] * 6, 0.5, sensing,
+                               cull_distance(sensing), ticks=2)
+    assert stage == oracle
+    ids = [r[1] for r in stage[0]]
+    assert ids == [1, 1, 1, 1, 0, None]
+    assert stage[1][0][:2] == [0, 1]
