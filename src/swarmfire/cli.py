@@ -23,7 +23,9 @@ from .config import (ConfigError, PRESETS, STRATEGIES, ScenarioConfig,
                      load_config, to_dict, validate)
 from .engine import RunResult, monte_carlo, run, summarize
 
-POSITIVE = click.IntRange(min=1)   # rejected with exit code 2, naming the flag
+# out-of-range values are rejected with exit code 2, naming the flag
+POSITIVE = click.IntRange(min=1)
+NON_NEGATIVE = click.IntRange(min=0)
 
 CSV_COLUMNS = ["run_index", "strategy", "n_swarms", "detection_time_s",
                "mission_time_s", "fer", "objective", "complete_flag"]
@@ -108,7 +110,7 @@ def main() -> None:
 @main.command("run")
 @click.argument("config_path")
 @click.option("--seed", type=int, default=None, help="Override base seed.")
-@click.option("--run-index", type=int, default=0, show_default=True)
+@click.option("--run-index", type=NON_NEGATIVE, default=0, show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(), default=None,
               help="Write a JSONL step trace to this path.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,

@@ -86,6 +86,9 @@ class World:
 
         # latest SensorReading per uav id; None before the first sample
         self.readings: list[sn.SensorReading | None] = [None] * len(self.uavs)
+        # per uav id: where its last full pass culled every fire (sn.sample)
+        self.far: list[tuple[float, float, float, float] | None] = (
+            [None] * len(self.uavs))
         self.records: dict[int, mi.FireMitigationRecord] = {}
         self.detected: dict[int, float] = {}
         self.detected_area: dict[int, float] = {}
@@ -177,8 +180,9 @@ class World:
         # names is active for the rest of this tick's search stage.
         readings = self.readings
         detected = self.detected
-        for uid in sn.sample(uavs, sn.active_fires(fires), readings, dt,
-                             cfg.sensing, self.rng, self._cutoff):
+        for uid in sn.sample(uavs, sn.active_fires(fires), readings,
+                             self.far, t_now, dt, cfg.sensing, self.rng,
+                             self._cutoff):
             fid = readings[uid].fire_id
             if fid not in detected:
                 detected[fid] = t_now

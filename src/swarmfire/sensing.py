@@ -45,9 +45,17 @@ def cull_distance(sensing) -> float:
     return max(sensing.sensing_radius, reach)
 
 
+# Slack (m) kept below a far UAV's clearance margin.  It absorbs the
+# rounding in what the skip test adds up (positions, front axes grown tick
+# by tick, elapsed time), which stays far below a millimetre.
+ROUNDING_ALLOWANCE = 1.0e-3
+
+
 def sample(uavs, active: list[FireFront],
-           readings: list[SensorReading | None], dt: float, sensing,
-           streams, cutoff: float) -> list[int]:
+           readings: list[SensorReading | None],
+           far: list[tuple[float, float, float, float] | None],
+           now: float, dt: float, sensing, streams,
+           cutoff: float) -> list[int]:
     """The sensing stage of one tick: sample every UAV in list order.
 
     ``readings[uav.id]`` holds the UAV's previous reading (None before the
@@ -59,6 +67,17 @@ def sample(uavs, active: list[FireFront],
     semi-major axis are culled (their temperature contribution is below
     0.01 K and detection is impossible there).  Returns the ids of the
     UAVs whose reading detects a fire, in list order.
+
+    ``far[uav.id]`` is None, or ``(x, y, margin, t0)``: at time t0 the UAV
+    stood at (x, y) and every active fire was culled, the nearest with
+    hypot(p - c) - a = cutoff + margin + ROUNDING_ALLOWANCE.  Centers are
+    fixed, a front grows by at most spread*dt per tick and fires only
+    leave ``active``, so while the UAV has moved less than
+    margin - max(spread) * (now - t0) every fire is still culled and the
+    per-fire loop is skipped.  ``now`` is the time of this tick.  The
+    stage keeps ``far`` up to date; only a pass that also writes
+    ``readings[uav.id]`` sets an entry.  A skipped noise-free UAV whose
+    previous reading is the settled ambient one keeps it.
     """
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     ambient = sensing.ambient_temp
@@ -69,27 +88,49 @@ def sample(uavs, active: list[FireFront],
     sigma = sensing.sigma
     threshold = sensing.detect_threshold
     geometry = [(f, f.center[0], f.center[1], f.a) for f in active]
+    growth = max([f.spread for f in active]) if active else 0.0
     distance = distance_to_front
     hypot, exp, inf = math.hypot, math.exp, math.inf
     detections = []
     for uav in uavs:
         uid = uav.id
-        pos = uav.pos
-        px, py = pos
-        best_fire = best_t = None
-        best_d = inf
-        temp_g = 0.0
-        for f, cx, cy, a in geometry:
-            if hypot(px - cx, py - cy) - a > cutoff:
-                continue
-            d, t = distance(f, pos)
-            g = exp(-d * d * inv_t)
-            if g > temp_g:
-                temp_g = g
-            if d < best_d:
-                best_d = d
-                best_fire = f
-                best_t = t
+        px, py = pos = uav.pos
+        last = far[uid]
+        if last is not None and (hypot(px - last[0], py - last[1])
+                                 + growth * (now - last[3]) < last[2]):
+            # every fire is still culled
+            if not noisy:
+                prev = readings[uid]
+                if (prev.temp_rate == 0.0 and prev.temperature == ambient
+                        and prev.fire_id is None):
+                    continue
+            best_fire = None
+            temp_g = 0.0
+        else:
+            best_fire = best_t = None
+            best_d = inf
+            temp_g = 0.0
+            culled = True
+            for f, cx, cy, a in geometry:
+                if hypot(px - cx, py - cy) - a > cutoff:
+                    continue
+                culled = False
+                d, t = distance(f, pos)
+                g = exp(-d * d * inv_t)
+                if g > temp_g:
+                    temp_g = g
+                if d < best_d:
+                    best_d = d
+                    best_fire = f
+                    best_t = t
+            if culled:
+                # rare: most UAVs clear of every fire took the skip above
+                clear = min([hypot(px - cx, py - cy) - a
+                             for _, cx, cy, a in geometry], default=inf)
+                far[uid] = (px, py, clear - cutoff - ROUNDING_ALLOWANCE,
+                            now)
+            elif last is not None:
+                far[uid] = None
         temp = ambient + span * temp_g
         if noisy:
             temp += noise_std * streams.agent(uid).standard_normal()

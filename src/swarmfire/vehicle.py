@@ -44,8 +44,10 @@ def step(uavs: list[UavState], kin, dt: float, area: Vec,
     plus the waypoint's own velocity as feed-forward; one without holds a
     zero reference.  The velocity follows the reference through the exact
     first-order lag and the position integrates it trapezoidally, then is
-    clamped into the area.  ``last_heading[id]`` records the heading of
-    every UAV faster than 0.1 m/s.  ``kin`` is a KinematicsParams.
+    clamped into the area.  When a UAV slows from above 0.1 m/s to at
+    most that, ``last_heading[id]`` records the heading it had; a UAV at
+    or below 0.1 m/s therefore finds there the heading of its last fast
+    tick.  ``kin`` is a KinematicsParams.
     """
     cruise, tau = kin.cruise_speed, kin.tracking_tau
     decay = math.exp(-kin.pole * dt)
@@ -74,8 +76,8 @@ def step(uavs: list[UavState], kin, dt: float, area: Vec,
         y = 0.0 if 0.0 > y else y
         uav.pos = (w if w < x else x, h if h < y else y)
         uav.vel = (vx, vy)
-        if hypot(vx, vy) > 0.1:
-            last_heading[uav.id] = math.atan2(vy, vx)
+        if not hypot(vx, vy) > 0.1 and hypot(vx0, vy0) > 0.1:
+            last_heading[uav.id] = math.atan2(vy0, vx0)
 
 
 def arrival_radius(cruise_speed: float, dt: float) -> float:

@@ -161,6 +161,13 @@ def test_negative_seed_exit_2(args, env):
     assert "engine.base_seed" in res.output
 
 
+def test_negative_run_index_exit_2():
+    res = invoke("run", "pine-table1", "--run-index", "-1")
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert "--run-index" in res.output
+
+
 @pytest.mark.parametrize("text, field", MALFORMED)
 def test_malformed_config_value_exit_2(tmp_path, text, field):
     p = tmp_path / "bad.json"

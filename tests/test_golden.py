@@ -2,8 +2,9 @@
 refactor of the engine.
 
 A fixed grid of missions on ``pine-table1`` (every strategy, dt 0.5 and
-1.0, run indices 0 and 1, horizon cut to 1800 s) plus one
-``preposition_mitigation`` World is hashed and compared with
+1.0, run indices 0 and 1, horizon cut to 1800 s), MSCIDC and NORMAL
+missions with noisy sensors (``noise_std`` 2.0, dt 0.5, run indices 0 and
+1) and one ``preposition_mitigation`` World is hashed and compared with
 ``tests/golden/digests.json``.  A run digest is a sha256 over the
 RunResult's event stream, its final metrics and its logged series; the
 World digest covers its event stream and its final UAV and fire state.
@@ -28,6 +29,8 @@ DIGESTS = Path(__file__).resolve().parent / "golden" / "digests.json"
 DTS = (0.5, 1.0)
 RUN_INDICES = (0, 1)
 T_MAX = 1800.0
+NOISY_STRATEGIES = ("MSCIDC", "NORMAL")
+NOISE_STD = 2.0
 # Every coordination path the engine has; the grid must exercise each one.
 REQUIRED_EVENTS = ("lock", "merge", "repulsion", "join", "extinguish")
 
@@ -36,10 +39,12 @@ def _sha(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
 
-def _cfg(strategy: str, dt: float):
+def _cfg(strategy: str, dt: float, noise_std: float = 0.0):
     cfg = load_config("pine-table1")
-    return dataclasses.replace(cfg, engine=dataclasses.replace(
-        cfg.engine, strategy=strategy, dt=dt, t_max=T_MAX))
+    return dataclasses.replace(
+        cfg, engine=dataclasses.replace(cfg.engine, strategy=strategy, dt=dt,
+                                        t_max=T_MAX),
+        sensing=dataclasses.replace(cfg.sensing, noise_std=noise_std))
 
 
 def run_digest(r) -> str:
@@ -80,6 +85,12 @@ def compute() -> tuple[dict[str, str], collections.Counter]:
                 r = run(_cfg(strategy, dt), idx)
                 digests[f"{strategy}/dt{dt}/run{idx}"] = run_digest(r)
                 events.update(e["type"] for e in r.events)
+    for strategy in NOISY_STRATEGIES:
+        for idx in RUN_INDICES:
+            r = run(_cfg(strategy, 0.5, NOISE_STD), idx)
+            digests[f"{strategy}/dt0.5/noise{NOISE_STD}/run{idx}"] = \
+                run_digest(r)
+            events.update(e["type"] for e in r.events)
     world = preposition_world()
     digests["preposition/MSCIDC/dt0.5/run0"] = world_digest(world)
     events.update(e["type"] for e in world.events)

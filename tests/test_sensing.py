@@ -1,13 +1,15 @@
+import copy
 import dataclasses
 import math
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from swarmfire.config import SensingParams
-from swarmfire.fire import FireFront, FireState, distance_to_front
+from swarmfire.fire import (FireFront, FireState, apply_quench,
+                            distance_to_front, grow)
 from swarmfire.rng import RngStreams
 from swarmfire.sensing import (SensorReading, active_fires, cull_distance,
                                detection_probability, sample)
@@ -33,8 +35,9 @@ def temperature_at(fires: list[FireFront], p: tuple[float, float],
 def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     """One UAV's reading, read out through a one-UAV stage call."""
     readings = [prev]
-    sample([UavState(id=0, swarm_id=0, pos=pos)], fires, readings, dt,
-           sensing, None, cull_distance(sensing) if cutoff is None else cutoff)
+    sample([UavState(id=0, swarm_id=0, pos=pos)], fires, readings, [None],
+           0.0, dt, sensing, None,
+           cull_distance(sensing) if cutoff is None else cutoff)
     return readings[0]
 
 
@@ -195,11 +198,12 @@ def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
         uavs = [UavState(id=i, swarm_id=0, pos=p)
                 for i, p in enumerate(positions)]
         readings = list(prevs)
+        far = [None] * n
         detections = []
-        for _ in range(ticks):
+        for k in range(ticks):
             if stage:
                 detections.append(sample(
-                    uavs, fires, readings, dt, sensing,
+                    uavs, fires, readings, far, (k + 1) * dt, dt, sensing,
                     streams if sensing.noise_std > 0.0 else None, cutoff))
             else:
                 for uav in uavs:
@@ -282,3 +286,149 @@ def test_stage_best_fire_not_last(noise):
     ids = [r[1] for r in stage[0]]
     assert ids == [1, 1, 1, 1, 0, None]
     assert stage[1][0][:2] == [0, 1]
+
+
+# -- far-field skip over many ticks ---------------------------------------------
+
+# Offsets (m) past the cull boundary a UAV is moved to: inside and outside
+# by less than the skip's rounding allowance, and by a few steps of growth.
+BOUNDARY_OFFSETS = st.one_of(
+    st.sampled_from([-1.0e-3, -5.0e-4, -1.0e-6, 0.0, 1.0e-6, 5.0e-4, 1.0e-3]),
+    st.floats(-2.0e-3, 2.0e-3), st.floats(-5.0, 5.0), st.floats(-80.0, 80.0))
+
+
+def to_boundary(pos, f, cutoff, offset):
+    """pos moved along the ray from f's center to where
+    hypot(p - c) - a = cutoff + offset."""
+    (cx, cy), r = f.center, f.a + cutoff + offset
+    dx, dy = pos[0] - cx, pos[1] - cy
+    norm = math.hypot(dx, dy)
+    if norm == 0.0:
+        dx, dy, norm = 1.0, 0.0, 1.0
+    return (cx + r * dx / norm, cy + r * dy / norm)
+
+
+@st.composite
+def moving_scene(draw):
+    """Fires with different spreads that grow, are quenched or go out, one
+    of those per fire and tick; UAVs that start near a cull boundary and
+    each tick stay, take a small step or move to just inside or outside a
+    boundary; noise-free or noisy sensors."""
+    fires = []
+    for fid in range(draw(st.integers(1, 3))):
+        a = draw(st.floats(10.0, 400.0))
+        b = a if draw(st.booleans()) else draw(st.floats(10.0, a))
+        center = (draw(st.floats(0.0, 3000.0)), draw(st.floats(0.0, 3000.0)))
+        spread = draw(st.one_of(st.sampled_from([0.0, 0.05, 1.0, 3.0]),
+                                st.floats(0.0, 3.0)))
+        fires.append(FireFront(fid, center, a, b, spread=spread))
+    noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = draw(st.one_of(st.just(cull_distance(sensing)),
+                            st.floats(0.0, 2000.0)))
+    n_uavs = draw(st.integers(1, 5))
+    starts = [to_boundary((draw(st.floats(-1.0, 1.0)),
+                           draw(st.floats(-1.0, 1.0))),
+                          draw(st.sampled_from(fires)), cutoff,
+                          draw(BOUNDARY_OFFSETS)) for _ in range(n_uavs)]
+    fire_acts = st.sampled_from(["grow", "grow", "grow", "quench", "none",
+                                 "out"])
+    uav_moves = st.one_of(
+        st.just(("stay",)),
+        st.tuples(st.just("step"), st.floats(-10.0, 10.0),
+                  st.floats(-10.0, 10.0)),
+        st.tuples(st.just("boundary"), st.integers(0, len(fires) - 1),
+                  BOUNDARY_OFFSETS))
+    ticks = [([draw(fire_acts) for _ in fires],
+              [draw(uav_moves) for _ in range(n_uavs)])
+             for _ in range(draw(st.integers(5, 40)))]
+    return fires, starts, ticks, sensing, cutoff
+
+
+def one_fire_scene(noise, spread, offset, acts, moves):
+    """One circular fire at the origin and one UAV starting ``offset`` m
+    beyond its cull boundary on the x axis."""
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = cull_distance(sensing)
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=spread)
+    return ([fire], [(100.0 + cutoff + offset, 0.0)],
+            [([act], [move]) for act, move in zip(acts, moves)], sensing,
+            cutoff)
+
+
+STAY = ("stay",)
+
+
+@settings(max_examples=100, deadline=None)
+@given(moving_scene(), st.floats(0.1, 2.0))
+# moves 5 m in, to 0.5 mm inside the cull boundary, after a pass 5 m out
+@example(one_fire_scene(0.0, 0.0, 5.0, ["none"] * 5,
+                        [STAY, ("boundary", 0, -5.0e-4), STAY, STAY, STAY]),
+         1.0)
+# stays 2 m out while the front grows 1 m per tick
+@example(one_fire_scene(0.0, 1.0, 2.0, ["grow"] * 5, [STAY] * 5), 1.0)
+# noisy, far from the fire throughout
+@example(one_fire_scene(2.0, 0.05, 500.0, ["grow"] * 5, [STAY] * 5), 0.5)
+def test_far_skip_matches_oracle_over_ticks(sc, dt):
+    """The stage, its skip state carried from tick to tick, against the
+    unskipped oracle while UAVs cross cull boundaries both ways and fronts
+    grow, shrink and go out: every reading field and the detections on
+    every tick, and each agent stream's next draw at the end."""
+    fires, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
+    n = len(starts)
+    uavs = [UavState(id=i, swarm_id=0, pos=p) for i, p in enumerate(starts)]
+    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
+    readings = [[None] * n, [None] * n]
+    far = [None] * n
+    now = 0.0
+    for fire_acts, moves in ticks:
+        for f, act in zip(fires, fire_acts):
+            if f.state is FireState.EXTINGUISHED:
+                continue
+            if act == "grow":
+                grow(f, dt)
+            elif act == "quench":
+                f.state = FireState.UNDER_MITIGATION
+                apply_quench(f, 2, 40.0, dt)
+            elif act == "out":
+                f.state = FireState.EXTINGUISHED
+        for uav, move in zip(uavs, moves):
+            if move[0] == "step":
+                uav.pos = (uav.pos[0] + move[1], uav.pos[1] + move[2])
+            elif move[0] == "boundary":
+                uav.pos = to_boundary(uav.pos, fires[move[1]], cutoff,
+                                      move[2])
+        now += dt
+        active = active_fires(fires)
+        detections = sample(uavs, active, readings[0], far, now, dt, sensing,
+                            streams[0], cutoff)
+        for uav in uavs:
+            readings[1][uav.id] = oracles.sample(
+                uav.pos, active, readings[1][uav.id], dt, sensing,
+                streams[1].agent(uav.id), cutoff)
+        assert [reading_bits(r) for r in readings[0]] == \
+            [reading_bits(r) for r in readings[1]]
+        assert detections == [u.id for u in uavs if readings[1][u.id].detected]
+    assert [streams[0].agent(i).random() for i in range(n)] == \
+        [streams[1].agent(i).random() for i in range(n)]
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.5])
+def test_far_uav_skips_and_keeps_settled_reading(noise):
+    """A UAV that stays far from every fire records its clearance, then
+    skips; noise-free, its settled ambient reading is kept as it is."""
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=1.0)
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = cull_distance(sensing)
+    uavs = [UavState(id=0, swarm_id=0, pos=(100.0 + cutoff + 50.0, 0.0))]
+    readings, far = [None], [None]
+    streams = RngStreams(7, 0, 1)
+    kept = []
+    for k in range(1, 5):
+        sample(uavs, [fire], readings, far, 0.5 * k, 0.5, sensing, streams,
+               cutoff)
+        kept.append(readings[0])
+    assert far[0][:2] == uavs[0].pos and far[0][3] == 0.5
+    assert far[0][2] == pytest.approx(50.0 - 1.0e-3)
+    assert (kept[1] is kept[2] is kept[3]) is (noise == 0.0)
+    assert kept[3].temperature != SENSING.ambient_temp or noise == 0.0
