@@ -84,17 +84,10 @@ class World:
         self.swarms: list[SwarmState] = []
         self._spawn()
 
-        # latest SensorReading per uav id; None before the first sample
-        self.readings: list[sn.SensorReading | None] = [None] * len(self.uavs)
-        # per uav id: where its last full pass culled every fire (sn.sample)
-        self.far: list[tuple[float, float, float, float] | None] = (
-            [None] * len(self.uavs))
         self.records: dict[int, mi.FireMitigationRecord] = {}
         self.detected: dict[int, float] = {}
         self.detected_area: dict[int, float] = {}
         self.extinguished: dict[int, float] = {}
-        self.returning: set[int] = set()              # members headed to C_s
-        self.last_heading: dict[int, float] = {}
         self.events: list[dict] = []
         self.series: list[tuple] = []
         self.trace: list[dict] = []
@@ -178,12 +171,10 @@ class World:
         # (2) sensing and (3) detection bookkeeping, fixed uav order.  No
         # fire changes state while the UAVs sample, so every fire a reading
         # names is active for the rest of this tick's search stage.
-        readings = self.readings
         detected = self.detected
-        for uid in sn.sample(uavs, sn.active_fires(fires), readings,
-                             self.far, t_now, dt, cfg.sensing, self.rng,
-                             self._cutoff):
-            fid = readings[uid].fire_id
+        for uid in sn.sample(uavs, sn.active_fires(fires), t_now, dt,
+                             cfg.sensing, self.rng, self._cutoff):
+            fid = uavs[uid].reading.fire_id
             if fid not in detected:
                 detected[fid] = t_now
                 self.detected_area[fid] = fi.area(fires[fid])
@@ -202,7 +193,7 @@ class World:
             self._mitigation_step(fid, t_now)
 
         # (6) vehicle stage, fixed uav order
-        ve.step(uavs, cfg.kinematics, dt, cfg.area, self.last_heading)
+        ve.step(uavs, cfg.kinematics, dt, cfg.area)
 
         # (7) quenching.  A record with a joined track belongs to a fire
         # under mitigation: every join moves its fire out of BURNING, and an
@@ -232,9 +223,8 @@ class World:
         cfg = self.cfg
         members = swarm.member_ids
         uavs = self.uavs
-        returning = self.returning
         detector, k_star, temp_max, near, center = se.scan_members(
-            members, self.readings, uavs, self.records)
+            members, uavs, self.records)
 
         # Detection by any member locks the swarm onto the fire (or merges).
         if detector is not None and self._lock_or_merge(
@@ -254,12 +244,12 @@ class World:
                         self._merge_allowed(f, rec)):
                     swarm.repel_until = t_now + cfg.mitigation.repel_cooldown
                     swarm.repel_heading = mi.repulsion_heading(
-                        self._heading_of(k_star))
+                        ve.heading(uavs[k_star], self.rng))
                     self._event("repulsion", t_now, swarm=swarm.id,
                                 fire=r.fire_id)
                     for mid in members:
                         uavs[mid].has_waypoint = False
-                        returning.discard(mid)
+                        uavs[mid].returning = False
                     break
 
         # Stage selection and waypoint generation.
@@ -271,7 +261,7 @@ class World:
             # immediately instead of after the current (possibly long) leg
             swarm.explore = explore
             for mid in members:
-                if mid not in returning:
+                if not uavs[mid].returning:
                     uavs[mid].has_waypoint = False
 
         cx, cy = center
@@ -287,10 +277,10 @@ class World:
                 uav.waypoint = center
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
-                returning.add(uid)
+                uav.returning = True
                 continue
-            if uid in returning:
-                returning.discard(uid)
+            if uav.returning:
+                uav.returning = False
                 uav.has_waypoint = False
             elif uav.has_waypoint:
                 # not ve.reached: NaN distances count as not arrived
@@ -304,7 +294,7 @@ class World:
         if repelled and swarm.repel_heading is not None:
             phi_center = swarm.repel_heading
         else:
-            phi_center = self._heading_of(k_star)
+            phi_center = ve.heading(uavs[k_star], self.rng)
         search = cfg.search
         phi0 = se.search_cone_halfwidth(temp_max, search.cone_gain,
                                         search.cone_rate)
@@ -330,15 +320,6 @@ class World:
             uav.has_waypoint = True
             uav.mode = mode
 
-    def _heading_of(self, uid: int) -> float:
-        uav = self.uavs[uid]
-        speed = math.hypot(*uav.vel)
-        if speed > 0.1:
-            return math.atan2(uav.vel[1], uav.vel[0])
-        if uid in self.last_heading:
-            return self.last_heading[uid]
-        return uniform(self.rng.agent(uid), -math.pi, math.pi)
-
     def _baseline_search(self, t_now: float) -> None:
         """Search stage of the baseline strategies: every searching swarm
         (one UAV each), by id, locks on a detection or draws a new
@@ -346,7 +327,6 @@ class World:
         cfg = self.cfg
         strategy = cfg.engine.strategy
         uavs = self.uavs
-        readings = self.readings
         arrival = self._arrival
         hypot = math.hypot
         waypoint = se.baseline_waypoint
@@ -355,7 +335,7 @@ class World:
                 continue
             uid = swarm.member_ids[0]
             uav = uavs[uid]
-            r = readings[uid]
+            r = uav.reading
             if r.detected:
                 self._lock_or_merge(swarm, r.fire_id, t_now)
                 continue
@@ -409,7 +389,7 @@ class World:
         swarm.mode = SwarmMode.MITIGATE
         uav_mode = ve.UavMode.ALIGN if detector else ve.UavMode.ATTRACTED
         for uid in swarm.member_ids:
-            self.returning.discard(uid)
+            self.uavs[uid].returning = False
             self.uavs[uid].mode = uav_mode
         self._event(kind, t_now, swarm=swarm.id, fire=fid)
         return True
@@ -625,12 +605,10 @@ def monte_carlo(cfg: ScenarioConfig, n_runs: int,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if jobs <= 1:
-        results = [run(cfg, i) for i in range(n_runs)]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
-            results = list(pool.map(_run_job,
-                                    [(cfg, i) for i in range(n_runs)]))
-    return sorted(results, key=lambda r: r.run_index)
+        return [run(cfg, i) for i in range(n_runs)]
+    # map yields results in the order of its inputs
+    with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
+        return list(pool.map(_run_job, [(cfg, i) for i in range(n_runs)]))
 
 
 def summarize(results: list[RunResult]) -> dict:

@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 
 from .fire import FireFront
 
-TWO_PI = 2.0 * math.pi
-
 
 def quench_area_rate(water_rate: float, c: float, nu: float,
                      flame_length: float) -> float:
@@ -74,14 +72,14 @@ def assign_sectors(fire: FireFront,
 
     def angle_of(item):
         uid, (px, py) = item
-        ang = math.atan2(py - cy, px - cx) % TWO_PI
+        ang = math.atan2(py - cy, px - cx) % math.tau
         return (ang, uid)
 
     ordered = sorted(members, key=angle_of)
     tracks = []
     for idx, (uid, _pos) in enumerate(ordered):
-        lo = TWO_PI * idx / n
-        hi = TWO_PI * (idx + 1) / n
+        lo = math.tau * idx / n
+        hi = math.tau * (idx + 1) / n
         mid = 0.5 * (lo + hi)
         track = SectorTrack(uav_id=uid, lo=lo, hi=hi, theta=mid,
                             theta_ref=mid)
@@ -147,8 +145,8 @@ def repulsion_decision(probability: float, repel_threshold: float,
 
 def repulsion_heading(max_info_heading: float) -> float:
     """Exploration heading opposite the maximum information direction."""
-    a = math.fmod(max_info_heading + TWO_PI, TWO_PI)
+    a = math.fmod(max_info_heading + math.tau, math.tau)
     out = a - math.pi
     if out <= -math.pi:
-        out += TWO_PI
+        out += math.tau
     return out

@@ -15,33 +15,32 @@ import numpy as np
 
 from .rng import uniform
 
-TWO_PI = 2.0 * math.pi
-
 
 def wrap_angle(angle: float) -> float:
     """Wrap to (-pi, pi]."""
-    a = math.fmod(angle + math.pi, TWO_PI)
+    a = math.fmod(angle + math.pi, math.tau)
     if a <= 0.0:
-        a += TWO_PI
+        a += math.tau
     return a - math.pi
 
 
-def scan_members(members: list[int], readings, uavs, records):
+def scan_members(members: list[int], uavs, records):
     """One pass over a searching swarm's members (ascending ids).
 
     Returns the first member reading that detects a fire (or None); the
     member with the highest temperature gradient (ties to the lowest id)
     and the hottest temperature any member senses; ``(reading, record)``
     for each member whose reading names a fire that has a record in
-    ``records``; and the mean member position.  ``readings[uid]`` is the
-    member's SensorReading and ``uavs[uid]`` its UavState.
+    ``records``; and the mean member position.  ``uavs[uid]`` is the
+    member's UavState, which holds its latest SensorReading.
     """
     detector = k_star = None
     best = temp_max = -math.inf
     near = []
     xs = ys = 0.0
     for uid in members:
-        r = readings[uid]
+        uav = uavs[uid]
+        r = uav.reading
         if r.detected and detector is None:
             detector = r
         if r.temp_rate > best:
@@ -53,7 +52,7 @@ def scan_members(members: list[int], readings, uavs, records):
             rec = records.get(r.fire_id)
             if rec is not None:
                 near.append((r, rec))
-        px, py = uavs[uid].pos
+        px, py = uav.pos
         xs += px
         ys += py
     n = len(members)

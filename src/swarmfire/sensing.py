@@ -51,33 +51,33 @@ def cull_distance(sensing) -> float:
 ROUNDING_ALLOWANCE = 1.0e-3
 
 
-def sample(uavs, active: list[FireFront],
-           readings: list[SensorReading | None],
-           far: list[tuple[float, float, float, float] | None],
-           now: float, dt: float, sensing, streams,
-           cutoff: float) -> list[int]:
+def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
+           streams, cutoff: float) -> list[int]:
     """The sensing stage of one tick: sample every UAV in list order.
 
-    ``readings[uav.id]`` holds the UAV's previous reading (None before the
-    first) and is replaced by the new one: temperature, rate and the
-    nearest active fire within the sensing radius.  ``active`` is
-    ``active_fires`` of the world; ``sensing`` is a SensingParams;
-    ``streams`` is the run's RngStreams, drawn from only when
-    noise_std > 0.  Fires whose center is farther than cutoff +
+    The per-UAV state lives on each UavState.  ``uav.reading`` holds the
+    previous reading (None before the first) and is replaced by the new
+    one: temperature, rate and the nearest active fire within the sensing
+    radius.  ``active`` is ``active_fires`` of the world; ``sensing`` is a
+    SensingParams; ``streams`` is the run's RngStreams, drawn from only
+    when noise_std > 0.  Fires whose center is farther than cutoff +
     semi-major axis are culled (their temperature contribution is below
-    0.01 K and detection is impossible there).  Returns the ids of the
-    UAVs whose reading detects a fire, in list order.
+    0.01 K and detection is impossible there).  Culling on ``a`` assumes
+    a >= b, which every fire of a run keeps: ``config.validate`` rejects
+    b > a, growth adds the same to both axes and quenching keeps a - b.
+    Returns the ids of the UAVs whose reading detects a fire, in list
+    order.
 
-    ``far[uav.id]`` is None, or ``(x, y, margin, t0)``: at time t0 the UAV
+    ``uav.far`` is None, or ``(x, y, margin, t0)``: at time t0 the UAV
     stood at (x, y) and every active fire was culled, the nearest with
     hypot(p - c) - a = cutoff + margin + ROUNDING_ALLOWANCE.  Centers are
     fixed, a front grows by at most spread*dt per tick and fires only
     leave ``active``, so while the UAV has moved less than
     margin - max(spread) * (now - t0) every fire is still culled and the
     per-fire loop is skipped.  ``now`` is the time of this tick.  The
-    stage keeps ``far`` up to date; only a pass that also writes
-    ``readings[uav.id]`` sets an entry.  A skipped noise-free UAV whose
-    previous reading is the settled ambient one keeps it.
+    stage keeps ``uav.far`` up to date; only a pass that also writes
+    ``uav.reading`` sets it.  A skipped noise-free UAV whose previous
+    reading is the settled ambient one keeps it.
     """
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     ambient = sensing.ambient_temp
@@ -93,14 +93,13 @@ def sample(uavs, active: list[FireFront],
     hypot, exp, inf = math.hypot, math.exp, math.inf
     detections = []
     for uav in uavs:
-        uid = uav.id
         px, py = pos = uav.pos
-        last = far[uid]
+        last = uav.far
         if last is not None and (hypot(px - last[0], py - last[1])
                                  + growth * (now - last[3]) < last[2]):
             # every fire is still culled
             if not noisy:
-                prev = readings[uid]
+                prev = uav.reading
                 if (prev.temp_rate == 0.0 and prev.temperature == ambient
                         and prev.fire_id is None):
                     continue
@@ -127,24 +126,23 @@ def sample(uavs, active: list[FireFront],
                 # rare: most UAVs clear of every fire took the skip above
                 clear = min([hypot(px - cx, py - cy) - a
                              for _, cx, cy, a in geometry], default=inf)
-                far[uid] = (px, py, clear - cutoff - ROUNDING_ALLOWANCE,
-                            now)
+                uav.far = (px, py, clear - cutoff - ROUNDING_ALLOWANCE, now)
             elif last is not None:
-                far[uid] = None
+                uav.far = None
         temp = ambient + span * temp_g
         if noisy:
-            temp += noise_std * streams.agent(uid).standard_normal()
-        prev = readings[uid]
+            temp += noise_std * streams.agent(uav.id).standard_normal()
+        prev = uav.reading
         rate = 0.0 if prev is None else (temp - prev.temperature) / dt
 
         if best_fire is None or best_d > radius:
-            readings[uid] = SensorReading(temp, rate, None, 0.0, None, False)
+            uav.reading = SensorReading(temp, rate, None, 0.0, None, False)
             continue
         prob = detection_probability(best_d, sigma, radius)
         fx, fy = nearest_front_point(best_fire, pos, best_t)
         detected = prob >= threshold
-        readings[uid] = SensorReading(temp, rate, best_fire.id, prob,
-                                      math.atan2(fy - py, fx - px), detected)
+        uav.reading = SensorReading(temp, rate, best_fire.id, prob,
+                                    math.atan2(fy - py, fx - px), detected)
         if detected:
-            detections.append(uid)
+            detections.append(uav.id)
     return detections

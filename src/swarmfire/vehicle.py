@@ -11,7 +11,13 @@ import enum
 import math
 from dataclasses import dataclass
 
+from .rng import uniform
+from .sensing import SensorReading
+
 Vec = tuple[float, float]
+
+# m/s; at or below it a UAV's velocity gives it no heading
+HEADING_MIN_SPEED = 0.1
 
 
 class UavMode(enum.Enum):
@@ -33,10 +39,14 @@ class UavState:
     waypoint: Vec = (0.0, 0.0)
     waypoint_vel: Vec = (0.0, 0.0)
     has_waypoint: bool = False
+    reading: SensorReading | None = None   # latest; None before the first
+    # where a full sensing pass culled every fire (see sensing.sample)
+    far: tuple[float, float, float, float] | None = None
+    last_heading: float | None = None      # of its last fast tick
+    returning: bool = False                # headed back to the swarm center
 
 
-def step(uavs: list[UavState], kin, dt: float, area: Vec,
-         last_heading: dict[int, float]) -> None:
+def step(uavs: list[UavState], kin, dt: float, area: Vec) -> None:
     """The vehicle stage of one tick: advance every UAV in list order.
 
     A UAV with a waypoint flies toward it at a reference velocity whose
@@ -44,16 +54,17 @@ def step(uavs: list[UavState], kin, dt: float, area: Vec,
     plus the waypoint's own velocity as feed-forward; one without holds a
     zero reference.  The velocity follows the reference through the exact
     first-order lag and the position integrates it trapezoidally, then is
-    clamped into the area.  When a UAV slows from above 0.1 m/s to at
-    most that, ``last_heading[id]`` records the heading it had; a UAV at
-    or below 0.1 m/s therefore finds there the heading of its last fast
-    tick.  ``kin`` is a KinematicsParams.
+    clamped into the area.  When a UAV slows from above HEADING_MIN_SPEED
+    to at most that, ``uav.last_heading`` records the heading it had: that
+    of its last fast tick (see ``heading``).  ``kin`` is a
+    KinematicsParams.
     """
     cruise, tau = kin.cruise_speed, kin.tracking_tau
     decay = math.exp(-kin.pole * dt)
     half_dt = 0.5 * dt
     w, h = area
     hypot = math.hypot
+    slow = HEADING_MIN_SPEED
     for uav in uavs:
         px, py = uav.pos
         vx0, vy0 = uav.vel
@@ -76,8 +87,20 @@ def step(uavs: list[UavState], kin, dt: float, area: Vec,
         y = 0.0 if 0.0 > y else y
         uav.pos = (w if w < x else x, h if h < y else y)
         uav.vel = (vx, vy)
-        if not hypot(vx, vy) > 0.1 and hypot(vx0, vy0) > 0.1:
-            last_heading[uav.id] = math.atan2(vy0, vx0)
+        if not hypot(vx, vy) > slow and hypot(vx0, vy0) > slow:
+            uav.last_heading = math.atan2(vy0, vx0)
+
+
+def heading(uav: UavState, streams) -> float:
+    """The UAV's heading: that of its velocity above HEADING_MIN_SPEED,
+    else that of its last fast tick, else a uniform draw from its agent
+    stream of ``streams`` (the run's RngStreams)."""
+    vx, vy = uav.vel
+    if math.hypot(vx, vy) > HEADING_MIN_SPEED:
+        return math.atan2(vy, vx)
+    if uav.last_heading is not None:
+        return uav.last_heading
+    return uniform(streams.agent(uav.id), -math.pi, math.pi)
 
 
 def arrival_radius(cruise_speed: float, dt: float) -> float:

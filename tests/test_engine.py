@@ -7,6 +7,7 @@ from oracles import closed_form_quench_time, max_info_member, swarm_center
 from swarmfire import engine
 from swarmfire import fire as fi
 from swarmfire import search as se
+from swarmfire import vehicle as ve
 from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
 from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
                               preposition_mitigation, run, summarize,
@@ -192,15 +193,15 @@ def test_member_scan_matches_oracles_every_tick():
             world = World(cfg, idx)
             while not world.done():
                 world.tick()
+                all_readings = [u.reading for u in world.uavs]
                 for swarm in world.swarms:
                     members = swarm.member_ids
                     detector, k_star, temp_max, near, center = \
-                        se.scan_members(members, world.readings, world.uavs,
-                                        world.records)
+                        se.scan_members(members, world.uavs, world.records)
                     assert (k_star, temp_max) == max_info_member(
-                        members, world.readings)
+                        members, all_readings)
                     assert center == swarm_center(members, world.uavs)
-                    readings = [world.readings[uid] for uid in members]
+                    readings = [all_readings[uid] for uid in members]
                     assert detector is next(
                         (r for r in readings if r.detected), None)
                     assert near == [(r, world.records[r.fire_id])
@@ -209,6 +210,74 @@ def test_member_scan_matches_oracles_every_tick():
                     scans += 1
                     near_ticks += bool(near)
     assert scans > 0 and near_ticks > 0
+
+
+def test_returning_member_on_lock_repulsion_and_stage_switch():
+    """A member outside the swarm disk heads back to the swarm centre.  A
+    lock clears its flag; a repulsion clears it and drops its waypoint; an
+    explore/exploit switch leaves it its centre waypoint while the other
+    members' in-flight legs are dropped and redrawn."""
+    base = small_cfg()
+    cfg = dataclasses.replace(base, mitigation=dataclasses.replace(
+        base.mitigation, merge_swarms=1))   # a busy fire repels
+
+    def stray_world(prepositioned):
+        """Swarm 0 far from the fire: members 0 and 1 together, member 2
+        333 m from their mean, outside the 250 m disk, so one tick leaves
+        it headed to the centre.  Swarm 1 mitigates the fire, or waits far
+        from it."""
+        world = World(cfg, 0)
+        for uid, pos in enumerate([(600.0, 600.0), (600.0, 600.0),
+                                   (1100.0, 600.0), (3400.0, 600.0),
+                                   (3400.0, 600.0)]):
+            world.uavs[uid].pos = pos
+        if prepositioned:
+            preposition_mitigation(world, 0, [3, 4])
+        center = swarm_center([0, 1, 2], world.uavs)
+        world.tick()
+        stray = world.uavs[2]
+        assert stray.returning and stray.has_waypoint
+        assert stray.waypoint == center
+        return world
+
+    def place(world, offsets):
+        """Members 0-2 on the fire's x axis, offset m beyond its front."""
+        f = world.fires[0]
+        front = f.center[0] + f.a
+        for uid, off in enumerate(offsets):
+            world.uavs[uid].pos = (front + off, f.center[1])
+
+    # lock: member 0 on the front detects the fire
+    world = stray_world(prepositioned=False)
+    place(world, [0.0])
+    world.tick()
+    assert world.events[-1]["type"] == "lock"
+    assert not world.uavs[2].returning
+
+    # repulsion: member 0 sees the busy fire at 0.5 < P < 0.9; the stray is
+    # back inside the disk, member 1 far from its waypoint
+    world = stray_world(prepositioned=True)
+    old = [world.uavs[1].waypoint, world.uavs[2].waypoint]
+    place(world, [80.0, 130.0, 100.0])
+    world.tick()
+    assert any(e["type"] == "repulsion" for e in world.events)
+    stray, other = world.uavs[2], world.uavs[1]
+    assert not stray.returning
+    assert other.waypoint != old[0] and stray.waypoint != old[1]
+    assert stray.mode is other.mode is ve.UavMode.REPELLED
+
+    # switch to exploit: member 0 is hot (no record, so no repulsion) while
+    # the stray stays outside the disk about the new centre
+    world = stray_world(prepositioned=False)
+    old = world.uavs[1].waypoint
+    place(world, [80.0, 130.0, 580.0])
+    center = swarm_center([0, 1, 2], world.uavs)
+    world.tick()
+    assert world.swarms[0].explore is False
+    stray, other = world.uavs[2], world.uavs[1]
+    assert stray.returning and stray.has_waypoint
+    assert stray.waypoint == center
+    assert other.waypoint != old and other.mode is ve.UavMode.EXPLOIT
 
 
 def test_detected_count_non_decreasing():

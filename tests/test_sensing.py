@@ -34,11 +34,10 @@ def temperature_at(fires: list[FireFront], p: tuple[float, float],
 
 def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     """One UAV's reading, read out through a one-UAV stage call."""
-    readings = [prev]
-    sample([UavState(id=0, swarm_id=0, pos=pos)], fires, readings, [None],
-           0.0, dt, sensing, None,
+    uav = UavState(id=0, swarm_id=0, pos=pos, reading=prev)
+    sample([uav], fires, 0.0, dt, sensing, None,
            cull_distance(sensing) if cutoff is None else cutoff)
-    return readings[0]
+    return uav.reading
 
 
 def make_fire(a=100.0, b=100.0, center=(0.0, 0.0), fid=0):
@@ -195,16 +194,16 @@ def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
     out = []
     for stage in (True, False):
         streams = RngStreams(seed, 0, n)
-        uavs = [UavState(id=i, swarm_id=0, pos=p)
-                for i, p in enumerate(positions)]
+        uavs = [UavState(id=i, swarm_id=0, pos=p, reading=prev)
+                for i, (p, prev) in enumerate(zip(positions, prevs))]
         readings = list(prevs)
-        far = [None] * n
         detections = []
         for k in range(ticks):
             if stage:
                 detections.append(sample(
-                    uavs, fires, readings, far, (k + 1) * dt, dt, sensing,
+                    uavs, fires, (k + 1) * dt, dt, sensing,
                     streams if sensing.noise_std > 0.0 else None, cutoff))
+                readings = [u.reading for u in uavs]
             else:
                 for uav in uavs:
                     readings[uav.id] = oracles.sample(
@@ -378,8 +377,7 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
     n = len(starts)
     uavs = [UavState(id=i, swarm_id=0, pos=p) for i, p in enumerate(starts)]
     streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
-    readings = [[None] * n, [None] * n]
-    far = [None] * n
+    oracle_readings = [None] * n
     now = 0.0
     for fire_acts, moves in ticks:
         for f, act in zip(fires, fire_acts):
@@ -400,15 +398,16 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
                                       move[2])
         now += dt
         active = active_fires(fires)
-        detections = sample(uavs, active, readings[0], far, now, dt, sensing,
-                            streams[0], cutoff)
+        detections = sample(uavs, active, now, dt, sensing, streams[0],
+                            cutoff)
         for uav in uavs:
-            readings[1][uav.id] = oracles.sample(
-                uav.pos, active, readings[1][uav.id], dt, sensing,
+            oracle_readings[uav.id] = oracles.sample(
+                uav.pos, active, oracle_readings[uav.id], dt, sensing,
                 streams[1].agent(uav.id), cutoff)
-        assert [reading_bits(r) for r in readings[0]] == \
-            [reading_bits(r) for r in readings[1]]
-        assert detections == [u.id for u in uavs if readings[1][u.id].detected]
+        assert [reading_bits(u.reading) for u in uavs] == \
+            [reading_bits(r) for r in oracle_readings]
+        assert detections == [u.id for u in uavs
+                              if oracle_readings[u.id].detected]
     assert [streams[0].agent(i).random() for i in range(n)] == \
         [streams[1].agent(i).random() for i in range(n)]
 
@@ -421,14 +420,13 @@ def test_far_uav_skips_and_keeps_settled_reading(noise):
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing)
     uavs = [UavState(id=0, swarm_id=0, pos=(100.0 + cutoff + 50.0, 0.0))]
-    readings, far = [None], [None]
     streams = RngStreams(7, 0, 1)
     kept = []
     for k in range(1, 5):
-        sample(uavs, [fire], readings, far, 0.5 * k, 0.5, sensing, streams,
-               cutoff)
-        kept.append(readings[0])
-    assert far[0][:2] == uavs[0].pos and far[0][3] == 0.5
-    assert far[0][2] == pytest.approx(50.0 - 1.0e-3)
+        sample(uavs, [fire], 0.5 * k, 0.5, sensing, streams, cutoff)
+        kept.append(uavs[0].reading)
+    far = uavs[0].far
+    assert far[:2] == uavs[0].pos and far[3] == 0.5
+    assert far[2] == pytest.approx(50.0 - 1.0e-3)
     assert (kept[1] is kept[2] is kept[3]) is (noise == 0.0)
     assert kept[3].temperature != SENSING.ambient_temp or noise == 0.0

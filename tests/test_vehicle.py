@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from swarmfire.config import KinematicsParams
+from swarmfire.rng import RngStreams, uniform
 from swarmfire.search import clamp_to_area
-from swarmfire.vehicle import UavState, arrival_radius, reached, step
+from swarmfire.vehicle import (UavState, arrival_radius, heading, reached,
+                               step)
 
 KIN = KinematicsParams(cruise_speed=20.0, pole=1.0, tracking_tau=1.0)
 # A pole so fast that the velocity equals its reference after one step
@@ -24,7 +26,7 @@ def fly(uav, target, target_vel=(0.0, 0.0), kin=KIN, dt=1.0):
     uav.waypoint = target
     uav.waypoint_vel = target_vel
     uav.has_waypoint = True
-    step([uav], kin, dt, AREA, {})
+    step([uav], kin, dt, AREA)
     return uav
 
 
@@ -78,9 +80,10 @@ def snapshot(uavs, last_heading):
 def twin_runs(specs, kin, dt, area, ticks=1):
     """Stage and oracle on identical copies; returns both snapshots.  The
     headings start as a previous tick of the oracle would have left them:
-    UAV 0's entry is 1.25 unless it starts above 0.1 m/s."""
+    UAV 0's entry is 1.25 unless it starts above 0.1 m/s.  The stage keeps
+    them on the UavStates, the oracle in a dict by id."""
     out = []
-    for stage in (step, oracle_stage):
+    for staged in (True, False):
         uavs = [UavState(id=i, swarm_id=0, pos=pos, vel=vel,
                          waypoint=wp or (0.0, 0.0), waypoint_vel=wv,
                          has_waypoint=wp is not None)
@@ -89,8 +92,16 @@ def twin_runs(specs, kin, dt, area, ticks=1):
         for u in uavs:
             if math.hypot(*u.vel) > 0.1:
                 last_heading[u.id] = math.atan2(u.vel[1], u.vel[0])
-        for _ in range(ticks):
-            stage(uavs, kin, dt, area, last_heading)
+        if staged:
+            for u in uavs:
+                u.last_heading = last_heading.get(u.id)
+            for _ in range(ticks):
+                step(uavs, kin, dt, area)
+            last_heading = {u.id: u.last_heading for u in uavs
+                            if u.last_heading is not None}
+        else:
+            for _ in range(ticks):
+                oracle_stage(uavs, kin, dt, area, last_heading)
         out.append(snapshot(uavs, last_heading))
     return out
 
@@ -134,16 +145,32 @@ def test_stage_clamps_each_edge_and_heading_threshold():
     assert stage == oracle
     uavs = [UavState(id=i, swarm_id=0, pos=p, vel=v) for i, (p, v, _, _)
             in enumerate(specs[:4])]
-    step(uavs, KIN, 0.5, (AREA_W, AREA_H), {})
+    step(uavs, KIN, 0.5, (AREA_W, AREA_H))
     assert [u.pos for u in uavs] == [(0.0, 400.0), (AREA_W, 400.0),
                                      (500.0, 0.0), (500.0, AREA_H)]
     decay = math.exp(-0.5)
     assert 0.099 < 0.164 * decay < 0.1 < 0.166 * decay < 0.101
-    headings = {}
     slow = UavState(id=5, swarm_id=0, pos=(500.0, 400.0), vel=(0.164, 0.0))
     fast = UavState(id=6, swarm_id=0, pos=(500.0, 400.0), vel=(0.166, 0.0))
-    step([slow, fast], KIN, 0.5, (AREA_W, AREA_H), headings)
-    assert headings == {5: 0.0}
+    step([slow, fast], KIN, 0.5, (AREA_W, AREA_H))
+    assert (slow.last_heading, fast.last_heading) == (0.0, None)
+
+
+def test_heading_velocity_then_last_fast_tick_then_draw():
+    """Above 0.1 m/s the velocity's heading, at or below it the recorded
+    one; only a UAV with neither draws, once, from its own agent stream."""
+    streams, twin = RngStreams(7, 0, 2), RngStreams(7, 0, 2)
+    fast = UavState(id=0, swarm_id=0, pos=(0.0, 0.0), vel=(0.0, 0.11),
+                    last_heading=2.0)
+    slow = UavState(id=1, swarm_id=0, pos=(0.0, 0.0), vel=(0.1, 0.0),
+                    last_heading=-0.5)
+    assert heading(fast, streams) == math.atan2(0.11, 0.0)
+    assert heading(slow, streams) == -0.5
+    slow.last_heading = None
+    assert heading(slow, streams) == uniform(twin.agent(1), -math.pi,
+                                              math.pi)
+    assert [streams.agent(i).random() for i in (0, 1)] == \
+        [twin.agent(i).random() for i in (0, 1)]
 
 
 # -- reference velocity, read out through an instant-lag stage step ------------
