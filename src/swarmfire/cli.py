@@ -134,7 +134,7 @@ def cmd_run(config_path, seed, run_index, trace_path, out_dir) -> None:
 @click.argument("config_path")
 @click.option("--runs", type=POSITIVE, required=True, help="Number of runs.")
 @click.option("--jobs", type=POSITIVE, default=1, show_default=True,
-              help="Worker processes.")
+              help="Worker processes, at most one per usable CPU.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               show_default=True)
@@ -163,7 +163,7 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
               show_default=True, help="Comma-separated strategy list.")
 @click.option("--runs", type=POSITIVE, required=True)
 @click.option("--jobs", type=POSITIVE, default=1, show_default=True,
-              help="Worker processes.")
+              help="Worker processes, at most one per usable CPU.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               show_default=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -173,7 +174,7 @@ class World:
         # names is active for the rest of this tick's search stage.
         detected = self.detected
         for uid in sn.sample(uavs, sn.active_fires(fires), t_now, dt,
-                             cfg.sensing, self.rng, self._cutoff):
+                             cfg.sensing, self.rng, self._cutoff, detected):
             fid = uavs[uid].reading.fire_id
             if fid not in detected:
                 detected[fid] = t_now
@@ -601,13 +602,15 @@ def _run_job(args) -> RunResult:
 def monte_carlo(cfg: ScenarioConfig, n_runs: int,
                 jobs: int = 1) -> list[RunResult]:
     """Independent seeded runs; results ordered by run index regardless of
-    the parallelism degree."""
+    the parallelism degree.  With jobs > 1 they run in a process pool whose
+    size is the least of jobs, n_runs and the CPUs this process may use."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if jobs <= 1:
         return [run(cfg, i) for i in range(n_runs)]
+    workers = min(jobs, n_runs, len(os.sched_getaffinity(0)))
     # map yields results in the order of its inputs
-    with ProcessPoolExecutor(max_workers=min(jobs, n_runs)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, [(cfg, i) for i in range(n_runs)]))
 
 

@@ -11,7 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fire import FireFront, FireState, distance_to_front, nearest_front_point
+from .fire import (FireFront, FireState, boundary_distance, distance_to_front,
+                   nearest_front_point)
+from .vehicle import MITIGATING_MODES
 
 
 @dataclass(slots=True)
@@ -50,9 +52,28 @@ def cull_distance(sensing) -> float:
 # by tick, elapsed time), which stays far below a millimetre.
 ROUNDING_ALLOWANCE = 1.0e-3
 
+# The reading of a UAV whose pass was deferred (see sample).  Its NaN
+# temperature fails the settled-ambient test, so it is never kept.
+DEFERRED = SensorReading(math.nan, math.nan, None, 0.0, None, False)
+
+
+def _deferred_temperature(snapshot, ambient: float, span: float,
+                          inv_t: float) -> float:
+    """The temperature a full pass would have read at a deferred one, by
+    the same arithmetic: ``distance_to_front`` is ``boundary_distance`` on
+    the front's axes and the UAV's offset from its center."""
+    px, py, kept, noise = snapshot
+    temp_g = 0.0
+    for _, cx, cy, a, b in kept:
+        d = boundary_distance(a, b, px - cx, py - cy)[0]
+        g = math.exp(-d * d * inv_t)
+        if g > temp_g:
+            temp_g = g
+    return ambient + span * temp_g + noise
+
 
 def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
-           streams, cutoff: float) -> list[int]:
+           streams, cutoff: float, detected) -> list[int]:
     """The sensing stage of one tick: sample every UAV in list order.
 
     The per-UAV state lives on each UavState.  ``uav.reading`` holds the
@@ -78,6 +99,20 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     stage keeps ``uav.far`` up to date; only a pass that also writes
     ``uav.reading`` sets it.  A skipped noise-free UAV whose previous
     reading is the settled ambient one keeps it.
+
+    A reading is read only by the engine's detection bookkeeping, for a
+    fire not yet in ``detected`` (the world's detected fire ids), and by
+    the search stage, for the members of a searching swarm.  So the pass
+    of a UAV in one of ``vehicle.MITIGATING_MODES`` (its swarm mitigates,
+    and searches again no earlier than the next tick) whose unculled fires
+    are all in ``detected`` is deferred.  It culls, keeps ``uav.far`` and
+    draws its noise as a full pass does, then stores ``uav.deferred =
+    (x, y, kept, noise)``, where ``kept`` holds ``(fire, cx, cy, a, b)``
+    of each unculled fire as of this tick, and sets ``uav.reading`` to
+    DEFERRED.  The UAV's next full pass, on the first tick after its swarm
+    is released or once an undetected fire is within its cull distance,
+    computes the deferred temperature from that snapshot for its rate and
+    drops the snapshot.
     """
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     ambient = sensing.ambient_temp
@@ -87,8 +122,9 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     radius = sensing.sensing_radius
     sigma = sensing.sigma
     threshold = sensing.detect_threshold
-    geometry = [(f, f.center[0], f.center[1], f.a) for f in active]
+    geometry = [(f, f.center[0], f.center[1], f.a, f.b) for f in active]
     growth = max([f.spread for f in active]) if active else 0.0
+    mitigating = MITIGATING_MODES
     distance = distance_to_front
     hypot, exp, inf = math.hypot, math.exp, math.inf
     detections = []
@@ -103,46 +139,60 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
                 if (prev.temp_rate == 0.0 and prev.temperature == ambient
                         and prev.fire_id is None):
                     continue
-            best_fire = None
-            temp_g = 0.0
+            kept = ()
         else:
-            best_fire = best_t = None
-            best_d = inf
-            temp_g = 0.0
-            culled = True
-            for f, cx, cy, a in geometry:
-                if hypot(px - cx, py - cy) - a > cutoff:
-                    continue
-                culled = False
-                d, t = distance(f, pos)
-                g = exp(-d * d * inv_t)
-                if g > temp_g:
-                    temp_g = g
-                if d < best_d:
-                    best_d = d
-                    best_fire = f
-                    best_t = t
-            if culled:
+            kept = [g for g in geometry
+                    if not hypot(px - g[1], py - g[2]) - g[3] > cutoff]
+            if not kept:
                 # rare: most UAVs clear of every fire took the skip above
                 clear = min([hypot(px - cx, py - cy) - a
-                             for _, cx, cy, a in geometry], default=inf)
+                             for _, cx, cy, a, _ in geometry], default=inf)
                 uav.far = (px, py, clear - cutoff - ROUNDING_ALLOWANCE, now)
             elif last is not None:
                 uav.far = None
-        temp = ambient + span * temp_g
-        if noisy:
-            temp += noise_std * streams.agent(uav.id).standard_normal()
+        # noise-free, adding 0.0 changes no bit: no temperature is -0.0
+        noise = (noise_std * streams.agent(uav.id).standard_normal()
+                 if noisy else 0.0)
+        if uav.mode in mitigating:
+            for g in kept:
+                if g[0].id not in detected:
+                    break
+            else:
+                uav.deferred = (px, py, kept, noise)
+                uav.reading = DEFERRED
+                continue
+        best_fire = best_t = None
+        best_d = inf
+        temp_g = 0.0
+        for f, _, _, _, _ in kept:
+            d, t = distance(f, pos)
+            g = exp(-d * d * inv_t)
+            if g > temp_g:
+                temp_g = g
+            if d < best_d:
+                best_d = d
+                best_fire = f
+                best_t = t
+        temp = ambient + span * temp_g + noise
         prev = uav.reading
-        rate = 0.0 if prev is None else (temp - prev.temperature) / dt
+        if prev is None:
+            rate = 0.0
+        elif prev is DEFERRED:
+            rate = (temp - _deferred_temperature(uav.deferred, ambient, span,
+                                                 inv_t)) / dt
+            uav.deferred = None
+        else:
+            rate = (temp - prev.temperature) / dt
 
         if best_fire is None or best_d > radius:
             uav.reading = SensorReading(temp, rate, None, 0.0, None, False)
             continue
         prob = detection_probability(best_d, sigma, radius)
         fx, fy = nearest_front_point(best_fire, pos, best_t)
-        detected = prob >= threshold
+        detected_now = prob >= threshold
         uav.reading = SensorReading(temp, rate, best_fire.id, prob,
-                                    math.atan2(fy - py, fx - px), detected)
-        if detected:
+                                    math.atan2(fy - py, fx - px),
+                                    detected_now)
+        if detected_now:
             detections.append(uav.id)
     return detections

@@ -10,9 +10,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .rng import uniform
-from .sensing import SensorReading
+
+if TYPE_CHECKING:   # sensing imports MITIGATING_MODES from here
+    from .sensing import SensorReading
 
 Vec = tuple[float, float]
 
@@ -27,6 +30,11 @@ class UavMode(enum.Enum):
     ALIGN = "align"           # detector moving to its own alignment point
     MITIGATE = "mitigate"
     REPELLED = "repelled"
+
+
+# The modes of the members of a mitigating swarm.  A tuple: ``in`` tests
+# identity first, where a set would call Enum's hash written in Python.
+MITIGATING_MODES = (UavMode.ALIGN, UavMode.ATTRACTED, UavMode.MITIGATE)
 
 
 @dataclass
@@ -44,6 +52,8 @@ class UavState:
     far: tuple[float, float, float, float] | None = None
     last_heading: float | None = None      # of its last fast tick
     returning: bool = False                # headed back to the swarm center
+    # (x, y, fires, noise) of a deferred sensing pass (see sensing.sample)
+    deferred: tuple | None = None
 
 
 def step(uavs: list[UavState], kin, dt: float, area: Vec) -> None:

@@ -7,6 +7,7 @@ from oracles import closed_form_quench_time, max_info_member, swarm_center
 from swarmfire import engine
 from swarmfire import fire as fi
 from swarmfire import search as se
+from swarmfire import sensing as sn
 from swarmfire import vehicle as ve
 from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
 from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
@@ -280,6 +281,86 @@ def test_returning_member_on_lock_repulsion_and_stage_switch():
     assert other.waypoint != old and other.mode is ve.UavMode.EXPLOIT
 
 
+# -- deferred sensing passes ---------------------------------------------------
+
+def neighbour_fire_world(noise_std=0.0):
+    """Swarm 0 prepositioned on fire 0; fire 1, undetected, 10 m beyond fire
+    0's front on its minor axis, where a sweeping member passes; swarm 1
+    waits far from both."""
+    base = ScenarioConfig(
+        area=(4000.0, 4000.0),
+        fires=(FireSpec((2000.0, 2000.0), 400.0, 300.0),
+               FireSpec((2000.0, 2340.0), 30.0, 30.0)),
+        swarm_sizes=(3, 2))
+    cfg = validate(dataclasses.replace(
+        base, engine=dataclasses.replace(base.engine, dt=1.0, t_max=3600.0),
+        sensing=dataclasses.replace(base.sensing, noise_std=noise_std)))
+    world = World(cfg, 0)
+    for uid in (3, 4):
+        world.uavs[uid].pos = (3600.0, 3600.0)
+    preposition_mitigation(world, 0, [0, 1, 2])
+    return world
+
+
+def tick_readings(world):
+    """Tick the world until done; each tick's UAV readings."""
+    ticks = []
+    while not world.done():
+        world.tick()
+        ticks.append([u.reading for u in world.uavs])
+    return ticks
+
+
+def full_pass_reference(monkeypatch, noise_std=0.0):
+    """The same mission with no mitigating mode, so that no pass defers."""
+    with monkeypatch.context() as m:
+        m.setattr(sn, "MITIGATING_MODES", ())
+        world = neighbour_fire_world(noise_std)
+        return world, tick_readings(world)
+
+
+def test_mitigating_uav_detects_neighbouring_fire(monkeypatch):
+    """A member of a mitigating swarm is the first to detect an undetected
+    neighbouring fire, on the tick and as the UAV an all-full-pass run
+    gives; only after that detection do its swarm's passes defer."""
+    ref, ref_ticks = full_pass_reference(monkeypatch)
+    world = neighbour_fire_world()
+    ticks = tick_readings(world)
+    assert world.events == ref.events
+    first = next(e for e in world.events if e["type"] == "detection")
+    t_ext = next(e["t"] for e in world.events if e["type"] == "extinguish")
+    assert first["fire"] == 1 and first["uav"] in (0, 1, 2)
+    assert first["t"] < t_ext
+    deferred = [k for k, readings in enumerate(ticks)
+                if any(r is sn.DEFERRED for r in readings)]
+    # ticks[k] ends at (k + 1) * dt: deferral starts on the next tick
+    assert deferred and deferred[0] == round(first["t"] / world.cfg.engine.dt)
+    assert not any(r is sn.DEFERRED for rs in ref_ticks for r in rs)
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.0])
+def test_released_members_first_readings_match_full_passes(monkeypatch,
+                                                            noise):
+    """Every reading that is not deferred equals the all-full-pass run's.
+    On the first tick after _extinguish releases swarm 0, its members'
+    readings, temp_rate included, resolve their deferred passes into the
+    same values."""
+    ref, ref_ticks = full_pass_reference(monkeypatch, noise)
+    world = neighbour_fire_world(noise)
+    ticks = tick_readings(world)
+    assert world.events == ref.events
+    for readings, ref_readings in zip(ticks, ref_ticks):
+        for r, ref_r in zip(readings, ref_readings):
+            if r is not sn.DEFERRED:
+                assert repr(r) == repr(ref_r)
+    t_ext = next(e["t"] for e in world.events if e["type"] == "extinguish")
+    k = round(t_ext / world.cfg.engine.dt)   # the tick after the release
+    assert all(ticks[k - 1][uid] is sn.DEFERRED for uid in (0, 1, 2))
+    assert [repr(r) for r in ticks[k][:3]] == \
+        [repr(r) for r in ref_ticks[k][:3]]
+    assert all(r.temp_rate != 0.0 for r in ticks[k][:3])
+
+
 def test_detected_count_non_decreasing():
     world = World(small_cfg(), 2)
     last = 0
@@ -379,6 +460,8 @@ def test_monte_carlo_rejects_zero_runs():
 
 
 def test_monte_carlo_caps_workers_at_runs(monkeypatch):
+    """A pool gets no more workers than runs, --jobs or the CPUs this
+    process may run on (three here), and its results are those of jobs=1."""
     workers = []
 
     class FakePool:
@@ -395,12 +478,17 @@ def test_monte_carlo_caps_workers_at_runs(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     cfg = small_cfg(t_max=60.0)
     results = monte_carlo(cfg, 2, jobs=64)
     assert workers == [2]
     assert [r.run_index for r in results] == [0, 1]
     monte_carlo(cfg, 3, jobs=2)
     assert workers == [2, 2]
+    results = monte_carlo(cfg, 5, jobs=5000)
+    assert workers == [2, 2, 3]
+    assert [(r.events, r.series) for r in results] == \
+        [(r.events, r.series) for r in monte_carlo(cfg, 5)]
 
 
 # -- strategy coverage --------------------------------------------------------

@@ -11,9 +11,9 @@ from swarmfire.config import SensingParams
 from swarmfire.fire import (FireFront, FireState, apply_quench,
                             distance_to_front, grow)
 from swarmfire.rng import RngStreams
-from swarmfire.sensing import (SensorReading, active_fires, cull_distance,
-                               detection_probability, sample)
-from swarmfire.vehicle import UavState
+from swarmfire.sensing import (DEFERRED, SensorReading, active_fires,
+                               cull_distance, detection_probability, sample)
+from swarmfire.vehicle import MITIGATING_MODES, UavMode, UavState
 
 SENSING = SensingParams()
 
@@ -36,7 +36,7 @@ def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     """One UAV's reading, read out through a one-UAV stage call."""
     uav = UavState(id=0, swarm_id=0, pos=pos, reading=prev)
     sample([uav], fires, 0.0, dt, sensing, None,
-           cull_distance(sensing) if cutoff is None else cutoff)
+           cull_distance(sensing) if cutoff is None else cutoff, {})
     return uav.reading
 
 
@@ -202,7 +202,8 @@ def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
             if stage:
                 detections.append(sample(
                     uavs, fires, (k + 1) * dt, dt, sensing,
-                    streams if sensing.noise_std > 0.0 else None, cutoff))
+                    streams if sensing.noise_std > 0.0 else None, cutoff,
+                    {}))
                 readings = [u.reading for u in uavs]
             else:
                 for uav in uavs:
@@ -399,7 +400,7 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
         now += dt
         active = active_fires(fires)
         detections = sample(uavs, active, now, dt, sensing, streams[0],
-                            cutoff)
+                            cutoff, {})
         for uav in uavs:
             oracle_readings[uav.id] = oracles.sample(
                 uav.pos, active, oracle_readings[uav.id], dt, sensing,
@@ -423,10 +424,110 @@ def test_far_uav_skips_and_keeps_settled_reading(noise):
     streams = RngStreams(7, 0, 1)
     kept = []
     for k in range(1, 5):
-        sample(uavs, [fire], 0.5 * k, 0.5, sensing, streams, cutoff)
+        sample(uavs, [fire], 0.5 * k, 0.5, sensing, streams, cutoff, {})
         kept.append(uavs[0].reading)
     far = uavs[0].far
     assert far[:2] == uavs[0].pos and far[3] == 0.5
     assert far[2] == pytest.approx(50.0 - 1.0e-3)
     assert (kept[1] is kept[2] is kept[3]) is (noise == 0.0)
     assert kept[3].temperature != SENSING.ambient_temp or noise == 0.0
+
+
+# -- deferred passes of mitigating UAVs -----------------------------------------
+
+@st.composite
+def deferring_scene(draw):
+    """moving_scene, with UAVs that may also move to a point near a front;
+    on each tick every UAV is in a search or a mitigating mode and a random
+    subset of the fires counts as detected.  A last tick puts every UAV in
+    a search mode, so each deferred temperature is resolved."""
+    fires, starts, ticks, sensing, cutoff = draw(moving_scene())
+    # to where hypot(p - c) - a is between -50 and 400 m
+    near_front = st.tuples(st.just("boundary"),
+                           st.integers(0, len(fires) - 1),
+                           st.floats(-50.0, 400.0).map(lambda x: x - cutoff))
+    modes = st.sampled_from([UavMode.EXPLORE, UavMode.EXPLOIT,
+                             *MITIGATING_MODES])
+    detected = st.sets(st.integers(0, len(fires) - 1))
+    out = [(acts, [draw(st.one_of(st.just(m), near_front)) for m in moves],
+            [draw(modes) for _ in moves], draw(detected))
+           for acts, moves in ticks]
+    out.append((["none"] * len(fires), [STAY] * len(starts),
+                [UavMode.EXPLORE] * len(starts), set()))
+    return fires, starts, out, sensing, cutoff
+
+
+def one_fire_deferrals(noise):
+    """One growing circular fire and one UAV 150 m off its front: a full
+    pass while the fire is undetected, a deferred one, a search tick that
+    resolves it after the fire grew, and the same again."""
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=1.0)
+    mit, search = UavMode.MITIGATE, UavMode.EXPLORE
+    ticks = [(["grow"], [STAY], [mode], det)
+             for mode, det in [(mit, set()), (mit, {0}), (search, {0}),
+                               (mit, {0}), (search, {0})]]
+    return [fire], [(250.0, 0.0)], ticks, sensing, cull_distance(sensing)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deferring_scene(), st.floats(0.1, 2.0))
+@example(one_fire_deferrals(0.0), 1.0)
+@example(one_fire_deferrals(2.0), 0.5)
+def test_deferred_passes_match_oracle_over_ticks(sc, dt):
+    """A UAV in a mitigating mode whose unculled fires are all detected
+    defers, unless it keeps a settled reading, and no other UAV does.  Every full reading equals the oracle's
+    bit for bit, its rate computed from the temperature a deferred pass
+    before it stands for; a deferred UAV reports no detection; and each
+    agent stream's next draw matches at the end."""
+    fires, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
+    n = len(starts)
+    uavs = [UavState(id=i, swarm_id=0, pos=p) for i, p in enumerate(starts)]
+    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
+    oracle_readings = [None] * n
+    now = 0.0
+    for fire_acts, moves, modes, detected in ticks:
+        for f, act in zip(fires, fire_acts):
+            if f.state is FireState.EXTINGUISHED:
+                continue
+            if act == "grow":
+                grow(f, dt)
+            elif act == "quench":
+                f.state = FireState.UNDER_MITIGATION
+                apply_quench(f, 2, 40.0, dt)
+            elif act == "out":
+                f.state = FireState.EXTINGUISHED
+        for uav, move, mode in zip(uavs, moves, modes):
+            uav.mode = mode
+            if move[0] == "step":
+                uav.pos = (uav.pos[0] + move[1], uav.pos[1] + move[2])
+            elif move[0] == "boundary":
+                uav.pos = to_boundary(uav.pos, fires[move[1]], cutoff,
+                                      move[2])
+        now += dt
+        active = active_fires(fires)
+        before = [u.reading for u in uavs]
+        detections = sample(uavs, active, now, dt, sensing, streams[0],
+                            cutoff, dict.fromkeys(detected, 0.0))
+        deferred = []
+        for uav in uavs:
+            px, py = uav.pos
+            oracle_readings[uav.id] = oracles.sample(
+                uav.pos, active, oracle_readings[uav.id], dt, sensing,
+                streams[1].agent(uav.id), cutoff)
+            defers = uav.mode in MITIGATING_MODES and all(
+                f.id in detected for f in active
+                if not math.hypot(px - f.center[0], py - f.center[1])
+                - f.a > cutoff)
+            if uav.reading is DEFERRED:
+                assert defers
+                deferred.append(uav.id)
+            else:
+                # a far noise-free UAV keeps its settled reading instead
+                assert not defers or uav.reading is before[uav.id]
+                assert reading_bits(uav.reading) == \
+                    reading_bits(oracle_readings[uav.id])
+        assert detections == [u.id for u in uavs if u.id not in deferred
+                              and oracle_readings[u.id].detected]
+    assert [streams[0].agent(i).random() for i in range(n)] == \
+        [streams[1].agent(i).random() for i in range(n)]
