@@ -157,24 +157,30 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
                    f"median={st['median']:.4g}")
 
 
+def _strategy_names(ctx, param, value: str) -> list[str]:
+    """The names of a comma-separated --strategies; none, or an unknown
+    one, exits with code 2."""
+    names = [s.strip() for s in value.split(",") if s.strip()]
+    bad = [s for s in names if s not in STRATEGIES]
+    if bad or not names:
+        what = f"unknown strategies {bad}" if bad else "no strategy named"
+        raise click.BadParameter(f"{what}; valid names: {list(STRATEGIES)}")
+    return names
+
+
 @main.command("compare")
 @click.argument("config_path")
-@click.option("--strategies", default="MSCIDC,UNIFORM,NORMAL,LEVY",
-              show_default=True, help="Comma-separated strategy list.")
+@click.option("--strategies", "names", default="MSCIDC,UNIFORM,NORMAL,LEVY",
+              show_default=True, callback=_strategy_names,
+              help="Comma-separated strategy list.")
 @click.option("--runs", type=POSITIVE, required=True)
 @click.option("--jobs", type=POSITIVE, default=1, show_default=True,
               help="Worker processes, at most one per usable CPU.")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               show_default=True)
-def cmd_compare(config_path, strategies, runs, jobs, seed, out_dir) -> None:
+def cmd_compare(config_path, names, runs, jobs, seed, out_dir) -> None:
     """Paired-seed comparison across strategies (same run -> same world)."""
-    names = [s.strip() for s in strategies.split(",") if s.strip()]
-    bad = [s for s in names if s not in STRATEGIES]
-    if bad:
-        click.echo(f"error: unknown strategies {bad}; "
-                   f"valid names: {list(STRATEGIES)}", err=True)
-        sys.exit(2)
     cfg = _load(config_path, seed)
     all_results: list[RunResult] = []
     aggregates: dict[str, dict] = {}

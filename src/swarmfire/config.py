@@ -17,6 +17,9 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Union, get_args, get_origin
 
+from .fire import fireline_intensity, spread_rate
+from .mitigation import quench_area_rate
+
 STRATEGIES = ("MSCIDC", "UNIFORM", "NORMAL", "LEVY", "OMS")
 
 
@@ -224,6 +227,17 @@ def _check(tp, value, meta, path: str) -> None:
                      f"{path} must be {wording} {meta[key]}")
 
 
+def _require_finite(value, msg: str) -> None:
+    """``value()``, a quantity the engine derives from several fields, must
+    be finite.  Float ``**`` raises where it overflows and ``/`` where it
+    divides by zero, as the engine would mid-run."""
+    try:
+        ok = math.isfinite(value())
+    except (OverflowError, ZeroDivisionError):
+        ok = False
+    _require(ok, msg)
+
+
 def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     """Check every invariant; raises ConfigError naming the offending field.
 
@@ -241,6 +255,24 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
              "(repel_threshold must be below detect_threshold)")
     _require(s.fire_temp > s.ambient_temp,
              "sensing.fire_temp must exceed ambient_temp")
+    _require_finite(lambda: s.fire_temp - s.ambient_temp,
+                    "sensing.fire_temp - sensing.ambient_temp must be finite")
+    for name in ("sigma", "temp_sigma"):
+        sd = getattr(s, name)
+        _require_finite(lambda: 1.0 / (2.0 * sd * sd),
+                        f"sensing.{name}: 1 / (2 * {name}**2) must be finite")
+    fuel, q = cfg.fuel, cfg.quench
+    _require_finite(lambda: spread_rate(
+                        fireline_intensity(fuel.flame_length, fuel.alpha,
+                                           fuel.beta),
+                        fuel.heat_of_combustion, fuel.fuel_mass),
+                    "fuel: the spread rate fuel.alpha * fuel.flame_length "
+                    "** fuel.beta / (fuel.heat_of_combustion * "
+                    "fuel.fuel_mass) must be finite")
+    _require_finite(lambda: quench_area_rate(q.water_rate, q.c, q.nu,
+                                             fuel.flame_length),
+                    "quench: the area rate quench.water_rate / (quench.c * "
+                    "fuel.flame_length ** quench.nu) must be finite")
     _require(cfg.search.levy_step / cfg.search.brown_step >= 5.0,
              "search: levy_step must be at least 5x brown_step")
     _require(cfg.mitigation.mitigation_speed <= cfg.kinematics.cruise_speed,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import enum
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +29,17 @@ class SwarmMode(enum.Enum):
     MITIGATE = "mitigate"
 
 
+# The members as module globals, read instead of SwarmMode.X (see the note
+# on fire.BURNING).  The UAV modes are ve.EXPLORE and so on.
+SEARCH = SwarmMode.SEARCH
+MITIGATE = SwarmMode.MITIGATE
+
+
 @dataclass
 class SwarmState:
     id: int
     member_ids: list[int]
-    mode: SwarmMode = SwarmMode.SEARCH
+    mode: SwarmMode = SEARCH
     repel_until: float = -math.inf
     repel_heading: float | None = None
     explore: bool | None = None   # last search stage, to detect switches
@@ -166,7 +171,7 @@ class World:
 
         # (1) fire growth for fires not yet under mitigation
         for f in fires:
-            if f.state is fi.FireState.BURNING:
+            if f.state is fi.BURNING:
                 fi.grow(f, dt)
 
         # (2) sensing and (3) detection bookkeeping, fixed uav order.  No
@@ -184,7 +189,7 @@ class World:
         # (4) search / coordination of every searching swarm, by id
         if cfg.engine.strategy == "MSCIDC":
             for swarm in self.swarms:
-                if swarm.mode is SwarmMode.SEARCH:
+                if swarm.mode is SEARCH:
                     self._mscidc_search(swarm, t_now)
         else:
             self._baseline_search(t_now)
@@ -204,11 +209,11 @@ class World:
             n_active = self.records[fid].joined_count()
             if n_active >= 1:
                 fi.apply_quench(f, n_active, self.area_rate, dt)
-                if f.state is fi.FireState.EXTINGUISHED:
+                if f.state is fi.EXTINGUISHED:
                     self._extinguish(fid, t_now)
 
         # (8) bookkeeping
-        spent = fi.FireState.EXTINGUISHED
+        spent = fi.EXTINGUISHED
         total_area = sum(fi.area(f) for f in fires if f.state is not spent)
         if total_area > self.peak_total_area:
             self.peak_total_area = total_area
@@ -241,7 +246,7 @@ class World:
                 if mi.repulsion_decision(
                         r.probability, sensing.repel_threshold,
                         sensing.detect_threshold,
-                        f.state is fi.FireState.UNDER_MITIGATION,
+                        f.state is fi.UNDER_MITIGATION,
                         self._merge_allowed(f, rec)):
                     swarm.repel_until = t_now + cfg.mitigation.repel_cooldown
                     swarm.repel_heading = mi.repulsion_heading(
@@ -302,9 +307,8 @@ class World:
         mvx, mvy = self._swarm_mean_vel(swarm)
         p_info = uavs[k_star].pos
         step_scale = search.levy_step if explore else search.brown_step
-        mode = (ve.UavMode.REPELLED if repelled
-                else ve.UavMode.EXPLORE if explore
-                else ve.UavMode.EXPLOIT)
+        mode = (ve.REPELLED if repelled
+                else ve.EXPLORE if explore else ve.EXPLOIT)
         for uav in due:
             rng = self.rng.agent(uav.id)
             psi = se.sample_heading(phi_center, phi0, rng)
@@ -332,7 +336,7 @@ class World:
         hypot = math.hypot
         waypoint = se.baseline_waypoint
         for swarm in self.swarms:
-            if swarm.mode is not SwarmMode.SEARCH:
+            if swarm.mode is not SEARCH:
                 continue
             uid = swarm.member_ids[0]
             uav = uavs[uid]
@@ -352,7 +356,7 @@ class World:
                 cfg.sensing.temp_threshold)
             uav.waypoint_vel = (0.0, 0.0)
             uav.has_waypoint = True
-            uav.mode = ve.UavMode.EXPLORE
+            uav.mode = ve.EXPLORE
 
     # -- mitigation coordination ------------------------------------------
 
@@ -387,8 +391,8 @@ class World:
                     pending[tr.uav_id] = tr.theta_ref
             detector = not mscidc
             kind = "merge" if mscidc else "join-request"
-        swarm.mode = SwarmMode.MITIGATE
-        uav_mode = ve.UavMode.ALIGN if detector else ve.UavMode.ATTRACTED
+        swarm.mode = MITIGATE
+        uav_mode = ve.ALIGN if detector else ve.ATTRACTED
         for uid in swarm.member_ids:
             self.uavs[uid].returning = False
             self.uavs[uid].mode = uav_mode
@@ -420,9 +424,9 @@ class World:
                 if ve.reached(uav.pos, uav.waypoint, self._arrival):
                     track.joined = True
                     track.theta = track.theta_ref
-                    uav.mode = ve.UavMode.MITIGATE
-                    if f.state is fi.FireState.BURNING:
-                        f.state = fi.FireState.UNDER_MITIGATION
+                    uav.mode = ve.MITIGATE
+                    if f.state is fi.BURNING:
+                        f.state = fi.UNDER_MITIGATION
                     self._event("join", t_now, uav=uav.id, fire=fid)
                 continue
             omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
@@ -458,11 +462,11 @@ class World:
                 for track in rec.tracks:
                     if track.uav_id in pending:
                         track.joined = True
-                        uavs[track.uav_id].mode = ve.UavMode.MITIGATE
+                        uavs[track.uav_id].mode = ve.MITIGATE
                         self._event("join", t_now, uav=track.uav_id, fire=fid)
                 pending.clear()
-                if f.state is fi.FireState.BURNING:
-                    f.state = fi.FireState.UNDER_MITIGATION
+                if f.state is fi.BURNING:
+                    f.state = fi.UNDER_MITIGATION
 
     def _extinguish(self, fid: int, t_now: float) -> None:
         rec = self.records.pop(fid)
@@ -470,12 +474,12 @@ class World:
         self._event("extinguish", t_now, fire=fid)
         for sid in rec.swarm_ids:
             swarm = self.swarms[sid]
-            swarm.mode = SwarmMode.SEARCH
+            swarm.mode = SEARCH
             swarm.repel_until = -math.inf
             swarm.repel_heading = None
             for uid in swarm.member_ids:
                 uav = self.uavs[uid]
-                uav.mode = ve.UavMode.EXPLORE
+                uav.mode = ve.EXPLORE
                 uav.has_waypoint = False
                 uav.waypoint_vel = (0.0, 0.0)
 
@@ -486,7 +490,7 @@ class World:
         ext = len(self.extinguished)
         f_f = f_d - ext
         f_r = len(self.fires) - ext
-        s_q = sum(1 for s in self.swarms if s.mode is SwarmMode.MITIGATE)
+        s_q = sum(1 for s in self.swarms if s.mode is MITIGATE)
         s_s = len(self.swarms) - s_q
         return f_d, f_f, f_r, s_s, s_q
 
@@ -523,14 +527,14 @@ def preposition_mitigation(world: World, fid: int,
     for track in rec.tracks:
         uav = world.uavs[track.uav_id]
         uav.pos = fi.point_on_front(f, track.theta_ref)
-        uav.mode = ve.UavMode.MITIGATE
+        uav.mode = ve.MITIGATE
         track.joined = True
         swarm = world.swarms[uav.swarm_id]
-        swarm.mode = SwarmMode.MITIGATE
+        swarm.mode = MITIGATE
         if swarm.id not in rec.swarm_ids:
             rec.swarm_ids.append(swarm.id)
     world.records[fid] = rec
-    f.state = fi.FireState.UNDER_MITIGATION
+    f.state = fi.UNDER_MITIGATION
     world.detected.setdefault(fid, 0.0)
     world.detected_area.setdefault(fid, fi.area(f))
 
@@ -602,15 +606,20 @@ def _run_job(args) -> RunResult:
 def monte_carlo(cfg: ScenarioConfig, n_runs: int,
                 jobs: int = 1) -> list[RunResult]:
     """Independent seeded runs; results ordered by run index regardless of
-    the parallelism degree.  With jobs > 1 they run in a process pool whose
-    size is the least of jobs, n_runs and the CPUs this process may use."""
+    the parallelism degree.  They run in a process pool whose size is the
+    least of jobs, n_runs and the CPUs this process may use, or in this
+    process when that is 1."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if jobs > 1:
+        jobs = min(jobs, n_runs, len(os.sched_getaffinity(0)))
     if jobs <= 1:
         return [run(cfg, i) for i in range(n_runs)]
-    workers = min(jobs, n_runs, len(os.sched_getaffinity(0)))
+    # imported here, so that a serial batch and the CLI's start-up never
+    # load the pool machinery and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     # map yields results in the order of its inputs
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_job, [(cfg, i) for i in range(n_runs)]))
 
 

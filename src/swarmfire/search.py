@@ -62,7 +62,12 @@ def scan_members(members: list[int], uavs, records):
 def search_cone_halfwidth(temp_max: float, cone_gain: float,
                           cone_rate: float) -> float:
     """Logistic half-width of the heading cone (rad)."""
-    return cone_gain / (1.0 + math.exp(-cone_rate * temp_max))
+    try:
+        return cone_gain / (1.0 + math.exp(-cone_rate * temp_max))
+    except OverflowError:
+        # a reading far below 0 K (large noise or a cold ambient_temp):
+        # the logistic's limit
+        return 0.0
 
 
 def sample_heading(phi_center: float, phi0: float,

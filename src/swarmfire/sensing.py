@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fire import (FireFront, FireState, boundary_distance, distance_to_front,
-                   nearest_front_point)
+from .fire import (EXTINGUISHED, FireFront, boundary_distance,
+                   distance_to_front, nearest_front_point)
 from .vehicle import MITIGATING_MODES
 
 
@@ -28,8 +28,7 @@ class SensorReading:
 
 def active_fires(fires: list[FireFront]) -> list[FireFront]:
     """The fires that burn: growing or under mitigation."""
-    return [f for f in fires
-            if f.state in (FireState.BURNING, FireState.UNDER_MITIGATION)]
+    return [f for f in fires if f.state is not EXTINGUISHED]
 
 
 def detection_probability(d: float, sigma: float, sensing_radius: float) -> float:

@@ -32,9 +32,18 @@ class UavMode(enum.Enum):
     REPELLED = "repelled"
 
 
+# The members as module globals, read instead of UavMode.X (see the note
+# on fire.BURNING).
+EXPLORE = UavMode.EXPLORE
+EXPLOIT = UavMode.EXPLOIT
+ATTRACTED = UavMode.ATTRACTED
+ALIGN = UavMode.ALIGN
+MITIGATE = UavMode.MITIGATE
+REPELLED = UavMode.REPELLED
+
 # The modes of the members of a mitigating swarm.  A tuple: ``in`` tests
 # identity first, where a set would call Enum's hash written in Python.
-MITIGATING_MODES = (UavMode.ALIGN, UavMode.ATTRACTED, UavMode.MITIGATE)
+MITIGATING_MODES = (ALIGN, ATTRACTED, MITIGATE)
 
 
 @dataclass
@@ -43,7 +52,7 @@ class UavState:
     swarm_id: int
     pos: Vec
     vel: Vec = (0.0, 0.0)
-    mode: UavMode = UavMode.EXPLORE
+    mode: UavMode = EXPLORE
     waypoint: Vec = (0.0, 0.0)
     waypoint_vel: Vec = (0.0, 0.0)
     has_waypoint: bool = False

@@ -136,6 +136,25 @@ def test_compare_unknown_strategy(small_config_path):
     assert "MSCIDC" in res.output   # valid names listed
 
 
+def test_compare_no_strategy_exit_2(small_config_path):
+    res = invoke("compare", small_config_path, "--runs", "1",
+                 "--strategies", ",")
+    assert res.exit_code == 2
+    assert "--strategies" in res.output
+
+
+def test_run_far_below_zero_kelvin_completes(tmp_path, small_config_path):
+    """A reading thousands of kelvin below zero narrows the search cone to
+    nothing instead of overflowing its logistic."""
+    doc = json.loads(Path(small_config_path).read_text())
+    doc["sensing"].update(ambient_temp=-30000.0, fire_temp=300.0)
+    doc["engine"]["t_max"] = 600.0
+    p = tmp_path / "cold.json"
+    p.write_text(json.dumps(doc))
+    res = invoke("run", str(p))
+    assert res.exit_code == 0, res.output
+
+
 def test_seed_env_override(tmp_path, small_config_path):
     out = tmp_path / "env"
     res = invoke("run", small_config_path, "--out", str(out),

@@ -150,6 +150,15 @@ MALFORMED = [
     ('{"swarm_radius": 1%s}' % ("0" * 400), "swarm_radius"),
     ('{"fires": [{"center": [100], "a": 50, "b": 50}]}', "fires[0].center"),
     ('{"fires": [{"a": 50, "b": 50}]}', "fires[0]: missing keys"),
+    # valid one by one, but what the engine derives from them overflows
+    # or divides by zero
+    ('{"quench": {"nu": 1000}}', "quench.nu"),
+    ('{"fuel": {"beta": 1000}}', "fuel.beta"),
+    ('{"fuel": {"flame_length": 1e300}}', "fuel.flame_length"),
+    ('{"sensing": {"temp_sigma": 1e-300}}', "sensing.temp_sigma"),
+    ('{"sensing": {"sigma": 1e-300}}', "sensing.sigma"),
+    ('{"sensing": {"fire_temp": 1e308, "ambient_temp": -1e308}}',
+     "sensing.fire_temp - sensing.ambient_temp"),
     # an option that no longer exists is an unknown key
     ('{"mitigation": {"use_printed_angular_law": 1}}',
      "mitigation: unknown keys ['use_printed_angular_law']"),

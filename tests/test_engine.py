@@ -1,5 +1,11 @@
+import ast
+import concurrent.futures
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +19,9 @@ from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
 from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
                               preposition_mitigation, run, summarize,
                               weighted_objective)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def small_cfg(**engine_kw):
@@ -477,7 +486,7 @@ def test_monte_carlo_caps_workers_at_runs(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     cfg = small_cfg(t_max=60.0)
     results = monte_carlo(cfg, 2, jobs=64)
@@ -487,8 +496,49 @@ def test_monte_carlo_caps_workers_at_runs(monkeypatch):
     assert workers == [2, 2]
     results = monte_carlo(cfg, 5, jobs=5000)
     assert workers == [2, 2, 3]
-    assert [(r.events, r.series) for r in results] == \
-        [(r.events, r.series) for r in monte_carlo(cfg, 5)]
+    serial = [(r.events, r.series) for r in monte_carlo(cfg, 5)]
+    assert [(r.events, r.series) for r in results] == serial
+    # one usable CPU: the runs stay in this process, and no pool is built
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
+    results = monte_carlo(cfg, 5, jobs=4)
+    assert workers == [2, 2, 3]
+    assert [(r.events, r.series) for r in results] == serial
+
+
+def test_import_loads_no_process_pool():
+    """Importing the package or its CLI loads neither multiprocessing nor
+    the process pool; monte_carlo imports them when it builds a pool."""
+    code = ("import sys, swarmfire, swarmfire.cli; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_no_function_reads_enum_members_off_their_class():
+    """Functions read the module-level bindings (fi.BURNING, SEARCH,
+    ve.EXPLORE ...), not FireState.BURNING: on CPython 3.11 the class
+    attribute read costs several times a global's, on every tick."""
+    enums = {"FireState", "SwarmMode", "UavMode"}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    found = set()
+    for path in sorted(SRC.glob("swarmfire/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, functions):
+                continue
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Attribute):
+                    continue
+                # FireState.X as well as fi.FireState.X
+                owner = getattr(node.value, "id", None) or getattr(
+                    node.value, "attr", None)
+                if owner in enums:
+                    found.add(f"{path.name}:{node.lineno} "
+                              f"{owner}.{node.attr}")
+    assert not found, sorted(found)
 
 
 # -- strategy coverage --------------------------------------------------------

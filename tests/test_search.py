@@ -62,6 +62,8 @@ def test_cone_halfwidth_logistic():
     assert search_cone_halfwidth(1e6, k_phi, 0.05) == pytest.approx(k_phi)
     assert search_cone_halfwidth(300.0, k_phi, 0.05) == pytest.approx(
         k_phi / (1.0 + math.exp(-15.0)))
+    # exp(0.05 * 1e5) overflows; the logistic's limit is 0
+    assert search_cone_halfwidth(-1e5, k_phi, 0.05) == 0.0
 
 
 def test_heading_degenerate_cone():
