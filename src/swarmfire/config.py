@@ -262,10 +262,13 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         _require_finite(lambda: 1.0 / (2.0 * sd * sd),
                         f"sensing.{name}: 1 / (2 * {name}**2) must be finite")
     fuel, q = cfg.fuel, cfg.quench
-    _require_finite(lambda: spread_rate(
-                        fireline_intensity(fuel.flame_length, fuel.alpha,
-                                           fuel.beta),
-                        fuel.heat_of_combustion, fuel.fuel_mass),
+
+    def spread() -> float:
+        return spread_rate(fireline_intensity(fuel.flame_length, fuel.alpha,
+                                              fuel.beta),
+                           fuel.heat_of_combustion, fuel.fuel_mass)
+
+    _require_finite(spread,
                     "fuel: the spread rate fuel.alpha * fuel.flame_length "
                     "** fuel.beta / (fuel.heat_of_combustion * "
                     "fuel.fuel_mass) must be finite")
@@ -280,6 +283,12 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
              "kinematics.cruise_speed")
     _require(cfg.engine.t_max / cfg.engine.dt <= 1e6,
              "engine.t_max: at most 1e6 ticks of engine.dt")
+    grown = spread() * cfg.engine.t_max
+    _require_finite(lambda: sum(math.pi * (f.a + grown) * (f.b + grown)
+                                for f in cfg.fires),
+                    "fuel, engine.t_max: the total area of the fires after "
+                    "engine.t_max of growth at the spread rate must be "
+                    "finite")
     _require(cfg.n_uavs <= 1000, "swarm_sizes: at most 1000 UAVs in total")
     return cfg
 

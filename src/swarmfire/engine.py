@@ -99,7 +99,8 @@ class World:
         self.trace: list[dict] = []
         self.total_area0 = sum(fi.area(f) for f in self.fires)
         self.peak_total_area = self.total_area0
-        self._cutoff = sn.cull_distance(cfg.sensing)
+        self._cutoff = sn.cull_distance(
+            cfg.sensing, cfg.engine.strategy in se.THERMAL_STRATEGIES)
         self._arrival = ve.arrival_radius(cfg.kinematics.cruise_speed,
                                           cfg.engine.dt)
         diag = math.hypot(*cfg.area)
@@ -231,6 +232,10 @@ class World:
         uavs = self.uavs
         detector, k_star, temp_max, near, center = se.scan_members(
             members, uavs, self.records)
+        if k_star is None:
+            # no rate beats -inf: every member's is NaN or -inf (noise
+            # that overflowed), so the lowest id steers
+            k_star = members[0]
 
         # Detection by any member locks the swarm onto the fire (or merges).
         if detector is not None and self._lock_or_merge(

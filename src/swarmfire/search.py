@@ -137,6 +137,13 @@ def next_waypoint(p_info: tuple[float, float], heading: float,
     return clamp_to_area(raw, area)
 
 
+# The strategies whose search reads a reading's temperature and rate:
+# MSCIDC steers by them (scan_members) and OMS switches on them below.
+# UNIFORM, NORMAL and LEVY read only the detection, so their worlds cull
+# fires at the sensing radius (sensing.cull_distance).
+THERMAL_STRATEGIES = ("MSCIDC", "OMS")
+
+
 def baseline_waypoint(strategy: str, pos: tuple[float, float],
                       vel: tuple[float, float], temperature: float,
                       temp_rate: float, rng: np.random.Generator,

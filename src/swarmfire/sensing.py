@@ -18,6 +18,12 @@ from .vehicle import MITIGATING_MODES
 
 @dataclass(slots=True)
 class SensorReading:
+    """One UAV's reading of one tick.  Its temperature covers only the fires
+    within the world's cull distance (cull_distance).  For the strategies
+    whose search reads only detections (all but search.THERMAL_STRATEGIES)
+    that is the sensing radius, so their temperatures and rates are not the
+    field's; a full pass finds the same detection fields under either
+    cull."""
     temperature: float            # K
     temp_rate: float              # K/s, backward difference of own samples
     fire_id: int | None           # nearest active fire within sensing radius
@@ -38,9 +44,17 @@ def detection_probability(d: float, sigma: float, sensing_radius: float) -> floa
     return math.exp(-d * d / (2.0 * sigma * sigma))
 
 
-def cull_distance(sensing) -> float:
-    """Distance beyond which a fire contributes neither detection nor more
-    than 0.01 K of temperature; used to skip exact boundary distances."""
+def cull_distance(sensing, thermal: bool) -> float:
+    """Distance from a front beyond which ``sample`` culls a fire, skipping
+    its exact boundary distance.
+
+    Detection needs the sensing radius.  With ``thermal`` (the strategy's
+    search reads temperatures, see ``search.THERMAL_STRATEGIES``) it is
+    also the temperature reach, beyond which a fire adds at most 0.01 K.
+    Otherwise it is the sensing radius alone, and a reading's temperature
+    is not the field's: it covers only the fires within the radius."""
+    if not thermal:
+        return sensing.sensing_radius
     span = sensing.fire_temp - sensing.ambient_temp
     reach = sensing.temp_sigma * math.sqrt(2.0 * math.log(span / 0.01))
     return max(sensing.sensing_radius, reach)
@@ -81,8 +95,16 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     radius.  ``active`` is ``active_fires`` of the world; ``sensing`` is a
     SensingParams; ``streams`` is the run's RngStreams, drawn from only
     when noise_std > 0.  Fires whose center is farther than cutoff +
-    semi-major axis are culled (their temperature contribution is below
-    0.01 K and detection is impossible there).  Culling on ``a`` assumes
+    semi-major axis are culled: their boundary distance exceeds cutoff.
+    ``cutoff`` is ``cull_distance`` of the world's strategy.  It is at
+    least the sensing radius, so a full pass finds the same fire,
+    probability and detection under any cutoff.  For a strategy in
+    ``search.THERMAL_STRATEGIES`` it is also the temperature reach, and a
+    culled fire adds below 0.01 K.  For the detection-only strategies it is
+    the sensing radius, so their temperature covers only the fires within
+    it; their search never reads it.  (Under the radius a mitigating UAV
+    may defer where the reach would have kept an undetected fire; nothing
+    reads that reading, see below.)  Culling on ``a`` assumes
     a >= b, which every fire of a run keeps: ``config.validate`` rejects
     b > a, growth adds the same to both axes and quenching keeps a - b.
     Returns the ids of the UAVs whose reading detects a fire, in list

@@ -44,12 +44,15 @@ def trend_cfg(**kw):
 
 
 # MSCIDC swarm sizes by swarm count (criterion 5; 7 swarms is the default
-# and criterion 6's MSCIDC batch), and the baselines criterion 6 compares.
+# and criterion 6's MSCIDC batch), the baselines criterion 6 gates on and
+# the one it prints beside them without gating.
 SWARM_SIZES = {3: (5, 5, 5), 5: (3, 3, 3, 3, 3), 7: (3, 2, 2, 2, 2, 2, 2)}
 BASELINES = ("UNIFORM", "NORMAL", "LEVY")
+SHOWN_BASELINES = ("OMS",)
 # Every Monte-Carlo batch of the suite, by (strategy, swarm sizes).
 MC_BATCHES = ([("MSCIDC", sz) for sz in SWARM_SIZES.values()]
-              + [(strategy, None) for strategy in BASELINES])
+              + [(strategy, None)
+                 for strategy in BASELINES + SHOWN_BASELINES])
 
 _mc_cache: dict = {}
 
@@ -176,12 +179,19 @@ def test_criterion_6_strategy_comparison():
     fer_m = float(np.mean([r.fer for r in res_m]))
     ok = True
     parts = [f"MSCIDC {mis_m/60:.1f}min/{fer_m:.3f}"]
-    for strat in BASELINES:
+    best_mis = best_fer = math.inf
+    for strat in BASELINES + SHOWN_BASELINES:
         res = mc_batch(strategy=strat)
         mis = float(np.mean([r.mission_time for r in res]))
         f = float(np.mean([r.fer for r in res]))
-        ok = ok and mis_m < mis and fer_m < f
-        parts.append(f"{strat} {mis/60:.1f}min/{f:.3f}")
+        gated = strat in BASELINES
+        ok = ok and (not gated or (mis_m < mis and fer_m < f))
+        best_mis = min(best_mis, mis)
+        best_fer = min(best_fer, f)
+        parts.append(f"{strat} {mis/60:.1f}min/{f:.3f}"
+                     + ("" if gated else " (not gated)"))
+    parts.append(f"MSCIDC/best baseline {mis_m/best_mis:.2f}x mission, "
+                 f"{fer_m/best_fer:.2f}x FER")
     report(6, "beats uniform/normal/levy baselines", ok, "  ".join(parts))
 
 

@@ -155,6 +155,19 @@ def test_run_far_below_zero_kelvin_completes(tmp_path, small_config_path):
     assert res.exit_code == 0, res.output
 
 
+def test_run_overflowing_noise_completes(tmp_path, small_config_path):
+    """Noise that overflows to +-inf leaves every member's temperature
+    rate NaN or -inf, so no member has the highest; the lowest id steers
+    the swarm instead of the search stage crashing."""
+    doc = json.loads(Path(small_config_path).read_text())
+    doc["sensing"]["noise_std"] = 1e308
+    doc["engine"]["t_max"] = 60.0
+    p = tmp_path / "loud.json"
+    p.write_text(json.dumps(doc))
+    res = invoke("run", str(p))
+    assert res.exit_code == 0, res.output
+
+
 def test_seed_env_override(tmp_path, small_config_path):
     out = tmp_path / "env"
     res = invoke("run", small_config_path, "--out", str(out),

@@ -159,6 +159,10 @@ MALFORMED = [
     ('{"sensing": {"sigma": 1e-300}}', "sensing.sigma"),
     ('{"sensing": {"fire_temp": 1e308, "ambient_temp": -1e308}}',
      "sensing.fire_temp - sensing.ambient_temp"),
+    # a finite spread rate whose fires' area overflows within engine.t_max
+    ('{"fuel": {"alpha": 1e300},'
+     ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',
+     "fuel, engine.t_max"),
     # an option that no longer exists is an unknown key
     ('{"mitigation": {"use_printed_angular_law": 1}}',
      "mitigation: unknown keys ['use_printed_angular_law']"),

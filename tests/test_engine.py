@@ -556,6 +556,40 @@ def test_baseline_strategies_run_and_hold_invariants(strategy):
             check_invariants(world)
 
 
+@pytest.mark.parametrize("strategy, noise_std", [
+    ("UNIFORM", 0.0), ("NORMAL", 0.0), ("LEVY", 0.0), ("NORMAL", 2.0)])
+def test_detection_only_cull_changes_only_temperatures(strategy, noise_std):
+    """A detection-only strategy culls at the sensing radius.  Stepped
+    beside a twin that culls at the thermal cull distance, every tick has
+    the same events, the same vehicle states and the same detection fields
+    of every reading; only temperatures differ, on some tick."""
+    cfg = load_config("pine-table1")
+    cfg = dataclasses.replace(
+        cfg, engine=dataclasses.replace(cfg.engine, strategy=strategy,
+                                        dt=1.0, t_max=3600.0),
+        sensing=dataclasses.replace(cfg.sensing, noise_std=noise_std))
+    world, twin = World(cfg, 0), World(cfg, 0)
+    assert world._cutoff == cfg.sensing.sensing_radius
+    twin._cutoff = sn.cull_distance(cfg.sensing, thermal=True)
+    temperatures_differ = False
+    while not world.done():
+        world.tick()
+        twin.tick()
+        assert world.events == twin.events
+        for u, v in zip(world.uavs, twin.uavs):
+            assert (u.pos, u.vel, u.waypoint, u.mode) == (
+                v.pos, v.vel, v.waypoint, v.mode)
+            r, s = u.reading, v.reading
+            assert (r.fire_id, r.probability, r.detected) == (
+                s.fire_id, s.probability, s.detected)
+            if (r is not sn.DEFERRED and s is not sn.DEFERRED
+                    and r.temperature != s.temperature):
+                temperatures_differ = True
+    assert twin.done()
+    assert temperatures_differ
+    assert any(e["type"] == "join" for e in world.events)
+
+
 def test_mscidc_swarm_structure():
     world = World(small_cfg(), 0)
     assert len(world.swarms) == 2

@@ -35,8 +35,9 @@ def temperature_at(fires: list[FireFront], p: tuple[float, float],
 def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     """One UAV's reading, read out through a one-UAV stage call."""
     uav = UavState(id=0, swarm_id=0, pos=pos, reading=prev)
-    sample([uav], fires, 0.0, dt, sensing, None,
-           cull_distance(sensing) if cutoff is None else cutoff, {})
+    if cutoff is None:
+        cutoff = cull_distance(sensing, thermal=True)
+    sample([uav], fires, 0.0, dt, sensing, None, cutoff, {})
     return uav.reading
 
 
@@ -90,12 +91,14 @@ def test_detection_probability_monotone():
 
 
 def test_cull_distance_covers_both_mechanisms():
-    cut = cull_distance(SENSING)
+    cut = cull_distance(SENSING, thermal=True)
     assert cut >= SENSING.sensing_radius
     # temperature excess at the cull distance is below 0.01 K
     excess = (SENSING.fire_temp - SENSING.ambient_temp) * math.exp(
         -cut * cut / (2 * SENSING.temp_sigma ** 2))
     assert excess <= 0.0100001
+    # detection alone needs only the sensing radius
+    assert cull_distance(SENSING, thermal=False) == SENSING.sensing_radius
 
 
 def test_sample_first_reading_zero_rate():
@@ -255,7 +258,7 @@ def scene(draw):
         for _ in positions]
     noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
     sensing = dataclasses.replace(SENSING, noise_std=noise)
-    cutoff = draw(st.one_of(st.just(cull_distance(sensing)),
+    cutoff = draw(st.one_of(st.just(cull_distance(sensing, thermal=True)),
                             st.floats(0.0, 2000.0)))
     return fires, positions, prevs, sensing, cutoff
 
@@ -281,7 +284,7 @@ def test_stage_best_fire_not_last(noise):
                  (1500.0, 0.0), (300.0, 0.0), (5000.0, 5000.0)]
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     stage, oracle = twin_stage(fires, positions, [None] * 6, 0.5, sensing,
-                               cull_distance(sensing), ticks=2)
+                               cull_distance(sensing, thermal=True), ticks=2)
     assert stage == oracle
     ids = [r[1] for r in stage[0]]
     assert ids == [1, 1, 1, 1, 0, None]
@@ -324,7 +327,7 @@ def moving_scene(draw):
         fires.append(FireFront(fid, center, a, b, spread=spread))
     noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
     sensing = dataclasses.replace(SENSING, noise_std=noise)
-    cutoff = draw(st.one_of(st.just(cull_distance(sensing)),
+    cutoff = draw(st.one_of(st.just(cull_distance(sensing, thermal=True)),
                             st.floats(0.0, 2000.0)))
     n_uavs = draw(st.integers(1, 5))
     starts = [to_boundary((draw(st.floats(-1.0, 1.0)),
@@ -349,7 +352,7 @@ def one_fire_scene(noise, spread, offset, acts, moves):
     """One circular fire at the origin and one UAV starting ``offset`` m
     beyond its cull boundary on the x axis."""
     sensing = dataclasses.replace(SENSING, noise_std=noise)
-    cutoff = cull_distance(sensing)
+    cutoff = cull_distance(sensing, thermal=True)
     fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=spread)
     return ([fire], [(100.0 + cutoff + offset, 0.0)],
             [([act], [move]) for act, move in zip(acts, moves)], sensing,
@@ -419,7 +422,7 @@ def test_far_uav_skips_and_keeps_settled_reading(noise):
     skips; noise-free, its settled ambient reading is kept as it is."""
     fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=1.0)
     sensing = dataclasses.replace(SENSING, noise_std=noise)
-    cutoff = cull_distance(sensing)
+    cutoff = cull_distance(sensing, thermal=True)
     uavs = [UavState(id=0, swarm_id=0, pos=(100.0 + cutoff + 50.0, 0.0))]
     streams = RngStreams(7, 0, 1)
     kept = []
@@ -467,7 +470,8 @@ def one_fire_deferrals(noise):
     ticks = [(["grow"], [STAY], [mode], det)
              for mode, det in [(mit, set()), (mit, {0}), (search, {0}),
                                (mit, {0}), (search, {0})]]
-    return [fire], [(250.0, 0.0)], ticks, sensing, cull_distance(sensing)
+    return ([fire], [(250.0, 0.0)], ticks, sensing,
+            cull_distance(sensing, thermal=True))
 
 
 @settings(max_examples=100, deadline=None)
