@@ -283,12 +283,16 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
              "kinematics.cruise_speed")
     _require(cfg.engine.t_max / cfg.engine.dt <= 1e6,
              "engine.t_max: at most 1e6 ticks of engine.dt")
-    grown = spread() * cfg.engine.t_max
-    _require_finite(lambda: sum(math.pi * (f.a + grown) * (f.b + grown)
-                                for f in cfg.fires),
-                    "fuel, engine.t_max: the total area of the fires after "
-                    "engine.t_max of growth at the spread rate must be "
-                    "finite")
+    t_max, o = cfg.engine.t_max, cfg.objective
+    grown = spread() * t_max
+    area = sum(math.pi * (f.a + grown) * (f.b + grown) for f in cfg.fires)
+    _require(math.isfinite(area),
+             "fuel, engine.t_max: the total area of the fires after "
+             "engine.t_max of growth at the spread rate must be finite")
+    _require(math.isfinite(o.w1 * area + o.w2 * area
+                           + o.w3 * len(cfg.fires) * t_max),
+             "objective.w1, objective.w2, objective.w3: w1 and w2 times that "
+             "area plus w3 times len(fires) * engine.t_max must be finite")
     _require(cfg.n_uavs <= 1000, "swarm_sizes: at most 1000 UAVs in total")
     return cfg
 

@@ -71,14 +71,17 @@ DEFERRED = SensorReading(math.nan, math.nan, None, 0.0, None, False)
 
 
 def _deferred_temperature(snapshot, ambient: float, span: float,
-                          inv_t: float) -> float:
+                          inv_t: float, cutoff: float) -> float:
     """The temperature a full pass would have read at a deferred one, by
-    the same arithmetic: ``distance_to_front`` is ``boundary_distance`` on
-    the front's axes and the UAV's offset from its center."""
-    px, py, kept, noise = snapshot
+    the same arithmetic: the same cull of the tick's geometry, then
+    ``boundary_distance`` on each kept front's axes, as distance_to_front."""
+    px, py, geometry, noise = snapshot
     temp_g = 0.0
-    for _, cx, cy, a, b in kept:
-        d = boundary_distance(a, b, px - cx, py - cy)[0]
+    for _, cx, cy, a, b in geometry:
+        dx, dy = px - cx, py - cy
+        if math.hypot(dx, dy) - a > cutoff:
+            continue
+        d = boundary_distance(a, b, dx, dy)[0]
         g = math.exp(-d * d * inv_t)
         if g > temp_g:
             temp_g = g
@@ -96,15 +99,12 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     SensingParams; ``streams`` is the run's RngStreams, drawn from only
     when noise_std > 0.  Fires whose center is farther than cutoff +
     semi-major axis are culled: their boundary distance exceeds cutoff.
-    ``cutoff`` is ``cull_distance`` of the world's strategy.  It is at
-    least the sensing radius, so a full pass finds the same fire,
-    probability and detection under any cutoff.  For a strategy in
-    ``search.THERMAL_STRATEGIES`` it is also the temperature reach, and a
-    culled fire adds below 0.01 K.  For the detection-only strategies it is
-    the sensing radius, so their temperature covers only the fires within
-    it; their search never reads it.  (Under the radius a mitigating UAV
-    may defer where the reach would have kept an undetected fire; nothing
-    reads that reading, see below.)  Culling on ``a`` assumes
+    ``cutoff`` is ``cull_distance`` of the world's strategy: at least the
+    sensing radius, so a full pass finds the same fire, probability and
+    detection under any cutoff, and for the detection-only strategies no
+    more, so their temperatures cover only the fires within it (under it a
+    mitigating UAV may defer where the reach would have kept an undetected
+    fire; nothing reads that reading, see below).  Culling on ``a`` assumes
     a >= b, which every fire of a run keeps: ``config.validate`` rejects
     b > a, growth adds the same to both axes and quenching keeps a - b.
     Returns the ids of the UAVs whose reading detects a fire, in list
@@ -117,23 +117,27 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     leave ``active``, so while the UAV has moved less than
     margin - max(spread) * (now - t0) every fire is still culled and the
     per-fire loop is skipped.  ``now`` is the time of this tick.  The
-    stage keeps ``uav.far`` up to date; only a pass that also writes
-    ``uav.reading`` sets it.  A skipped noise-free UAV whose previous
+    stage keeps ``uav.far`` valid; only a full pass (neither skipped nor
+    deferred) sets it.  A skipped noise-free UAV whose previous
     reading is the settled ambient one keeps it.
 
     A reading is read only by the engine's detection bookkeeping, for a
     fire not yet in ``detected`` (the world's detected fire ids), and by
     the search stage, for the members of a searching swarm.  So the pass
     of a UAV in one of ``vehicle.MITIGATING_MODES`` (its swarm mitigates,
-    and searches again no earlier than the next tick) whose unculled fires
-    are all in ``detected`` is deferred.  It culls, keeps ``uav.far`` and
-    draws its noise as a full pass does, then stores ``uav.deferred =
-    (x, y, kept, noise)``, where ``kept`` holds ``(fire, cx, cy, a, b)``
-    of each unculled fire as of this tick, and sets ``uav.reading`` to
-    DEFERRED.  The UAV's next full pass, on the first tick after its swarm
-    is released or once an undetected fire is within its cull distance,
-    computes the deferred temperature from that snapshot for its rate and
-    drops the snapshot.
+    and searches again no earlier than the next tick) with no fire outside
+    ``detected`` within the cull distance is deferred.  That is decided
+    before the cull, by testing only the undetected fires, so once every
+    active fire is detected the pass makes no per-fire test.  It builds no
+    kept list, leaves ``uav.far`` as it was (a stale clearance stays valid:
+    the skip test adds the distance moved and the growth since t0) and
+    draws its noise, then stores ``uav.deferred = (x, y, geometry,
+    noise)``, where ``geometry`` is the tick's shared list of ``(fire, cx,
+    cy, a, b)`` of every active fire, and sets ``uav.reading`` to DEFERRED.
+    The UAV's next full pass, on the first tick after its swarm is released
+    or once an undetected fire is within its cull distance, culls
+    ``geometry`` as the deferred pass would have, computes the deferred
+    temperature from the kept fires for its rate and drops the snapshot.
     """
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     ambient = sensing.ambient_temp
@@ -144,6 +148,7 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     sigma = sensing.sigma
     threshold = sensing.detect_threshold
     geometry = [(f, f.center[0], f.center[1], f.a, f.b) for f in active]
+    undetected = [g for g in geometry if g[0].id not in detected]
     growth = max([f.spread for f in active]) if active else 0.0
     mitigating = MITIGATING_MODES
     distance = distance_to_front
@@ -152,14 +157,26 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     for uav in uavs:
         px, py = pos = uav.pos
         last = uav.far
-        if last is not None and (hypot(px - last[0], py - last[1])
-                                 + growth * (now - last[3]) < last[2]):
+        far = last is not None and (hypot(px - last[0], py - last[1])
+                                    + growth * (now - last[3]) < last[2])
+        if far and not noisy:
             # every fire is still culled
-            if not noisy:
-                prev = uav.reading
-                if (prev.temp_rate == 0.0 and prev.temperature == ambient
-                        and prev.fire_id is None):
-                    continue
+            prev = uav.reading
+            if (prev.temp_rate == 0.0 and prev.temperature == ambient
+                    and prev.fire_id is None):
+                continue
+        # noise-free, adding 0.0 changes no bit: no temperature is -0.0
+        noise = (noise_std * streams.agent(uav.id).standard_normal()
+                 if noisy else 0.0)
+        if uav.mode in mitigating:
+            for _, cx, cy, a, _ in undetected:
+                if not hypot(px - cx, py - cy) - a > cutoff:
+                    break
+            else:
+                uav.deferred = (px, py, geometry, noise)
+                uav.reading = DEFERRED
+                continue
+        if far:
             kept = ()
         else:
             kept = [g for g in geometry
@@ -171,17 +188,6 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
                 uav.far = (px, py, clear - cutoff - ROUNDING_ALLOWANCE, now)
             elif last is not None:
                 uav.far = None
-        # noise-free, adding 0.0 changes no bit: no temperature is -0.0
-        noise = (noise_std * streams.agent(uav.id).standard_normal()
-                 if noisy else 0.0)
-        if uav.mode in mitigating:
-            for g in kept:
-                if g[0].id not in detected:
-                    break
-            else:
-                uav.deferred = (px, py, kept, noise)
-                uav.reading = DEFERRED
-                continue
         best_fire = best_t = None
         best_d = inf
         temp_g = 0.0
@@ -200,7 +206,7 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
             rate = 0.0
         elif prev is DEFERRED:
             rate = (temp - _deferred_temperature(uav.deferred, ambient, span,
-                                                 inv_t)) / dt
+                                                 inv_t, cutoff)) / dt
             uav.deferred = None
         else:
             rate = (temp - prev.temperature) / dt

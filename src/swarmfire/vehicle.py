@@ -61,7 +61,7 @@ class UavState:
     far: tuple[float, float, float, float] | None = None
     last_heading: float | None = None      # of its last fast tick
     returning: bool = False                # headed back to the swarm center
-    # (x, y, fires, noise) of a deferred sensing pass (see sensing.sample)
+    # (x, y, tick geometry, noise) of a deferred pass (see sensing.sample)
     deferred: tuple | None = None
 
 

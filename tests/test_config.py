@@ -163,6 +163,13 @@ MALFORMED = [
     ('{"fuel": {"alpha": 1e300},'
      ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',
      "fuel, engine.t_max"),
+    # finite fire areas whose objective overflows
+    ('{"objective": {"w1": 1e300, "w3": 1e308}, "engine": {"t_max": 1800},'
+     ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',
+     "objective.w1, objective.w2, objective.w3"),
+    ('{"objective": {"w2": 1e304},'
+     ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',
+     "objective.w1, objective.w2, objective.w3"),
     # an option that no longer exists is an unknown key
     ('{"mitigation": {"use_printed_angular_law": 1}}',
      "mitigation: unknown keys ['use_printed_angular_law']"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from swarmfire import sensing as sensing_module
 from swarmfire.config import SensingParams
 from swarmfire.fire import (FireFront, FireState, apply_quench,
                             distance_to_front, grow)
@@ -460,30 +461,35 @@ def deferring_scene(draw):
     return fires, starts, out, sensing, cutoff
 
 
-def one_fire_deferrals(noise):
-    """One growing circular fire and one UAV 150 m off its front: a full
-    pass while the fire is undetected, a deferred one, a search tick that
-    resolves it after the fire grew, and the same again."""
+def one_fire_deferrals(noise, beyond_cull=None):
+    """One growing circular fire and one UAV 150 m off its front, or
+    ``beyond_cull`` m beyond its cull distance: a pass while the fire is
+    undetected, a deferred one, a search tick that resolves it after the
+    fire grew, and the same again."""
     sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = cull_distance(sensing, thermal=True)
     fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=1.0)
     mit, search = UavMode.MITIGATE, UavMode.EXPLORE
     ticks = [(["grow"], [STAY], [mode], det)
              for mode, det in [(mit, set()), (mit, {0}), (search, {0}),
                                (mit, {0}), (search, {0})]]
-    return ([fire], [(250.0, 0.0)], ticks, sensing,
-            cull_distance(sensing, thermal=True))
+    x = 250.0 if beyond_cull is None else 100.0 + cutoff + beyond_cull
+    return [fire], [(x, 0.0)], ticks, sensing, cutoff
 
 
 @settings(max_examples=100, deadline=None)
 @given(deferring_scene(), st.floats(0.1, 2.0))
 @example(one_fire_deferrals(0.0), 1.0)
 @example(one_fire_deferrals(2.0), 0.5)
+# resolves a deferral whose fire was culled: the resolution culls too
+@example(one_fire_deferrals(0.0, beyond_cull=50.0), 1.0)
 def test_deferred_passes_match_oracle_over_ticks(sc, dt):
     """A UAV in a mitigating mode whose unculled fires are all detected
-    defers, unless it keeps a settled reading, and no other UAV does.  Every full reading equals the oracle's
-    bit for bit, its rate computed from the temperature a deferred pass
-    before it stands for; a deferred UAV reports no detection; and each
-    agent stream's next draw matches at the end."""
+    defers, unless it keeps a settled reading, and no other UAV does.
+    Every full reading equals the oracle's bit for bit, its rate computed
+    from the temperature a deferred pass before it stands for; a deferred
+    UAV reports no detection; and each agent stream's next draw matches at
+    the end."""
     fires, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
     n = len(starts)
     uavs = [UavState(id=i, swarm_id=0, pos=p) for i, p in enumerate(starts)]
@@ -535,3 +541,55 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
                               and oracle_readings[u.id].detected]
     assert [streams[0].agent(i).random() for i in range(n)] == \
         [streams[1].agent(i).random() for i in range(n)]
+
+
+class CountingMath:
+    """The math module, counting the calls of ``hypot``."""
+
+    def __init__(self):
+        self.hypot_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def hypot(self, *args):
+        self.hypot_calls += 1
+        return math.hypot(*args)
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.5])
+def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
+    """Mitigating UAVs near the fronts of five fires.  With every fire
+    detected each defers without a per-fire distance test: those with no
+    far-field clearance make no hypot call at all, those with a stale one
+    only the skip test's, and every ``uav.far`` is left as it was.  Each
+    still draws its noise.  With one fire undetected, the UAVs within the
+    cull distance of it take full passes and the others still defer."""
+    fires = [FireFront(i, (1500.0 * i, 0.0), 100.0, 80.0) for i in range(5)]
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = cull_distance(sensing, thermal=True)
+    stale = (9000.0, 9000.0, 10.0, 0.0)   # fails the skip test
+    uavs = [UavState(id=i, swarm_id=0, pos=(1500.0 * (i % 5) + 150.0, 0.0),
+                     mode=MITIGATING_MODES[i % 3], far=far)
+            for i, far in enumerate([None] * 5 + [stale] * 5)]
+    counting = CountingMath()
+    monkeypatch.setattr(sensing_module, "math", counting)
+    streams = RngStreams(7, 0, len(uavs))
+    every = dict.fromkeys(range(5), 0.0)
+    assert sample(uavs, fires, 1.0, 0.5, sensing, streams, cutoff,
+                  every) == []
+    assert counting.hypot_calls == 5
+    assert all(u.reading is DEFERRED for u in uavs)
+    assert [u.far for u in uavs] == [None] * 5 + [stale] * 5
+    twins = RngStreams(7, 0, len(uavs))
+    if noise:
+        for i in range(len(uavs)):
+            twins.agent(i).standard_normal()
+    assert [streams.agent(i).random() for i in range(len(uavs))] == \
+        [twins.agent(i).random() for i in range(len(uavs))]
+
+    del every[2]
+    sample(uavs, fires, 1.5, 0.5, sensing, streams, cutoff, every)
+    near = [abs(u.pos[0] - 3000.0) - 100.0 <= cutoff for u in uavs]
+    assert [u.reading is not DEFERRED for u in uavs] == near
+    assert any(near) and not all(near)
