@@ -162,6 +162,21 @@ class ScenarioConfig:
     def n_swarms(self) -> int:
         return len(self.swarm_sizes)
 
+    @property
+    def spread(self) -> float:
+        """Rate (m/s) at which each semi-axis of a burning fire grows."""
+        fuel = self.fuel
+        return spread_rate(fireline_intensity(fuel.flame_length, fuel.alpha,
+                                              fuel.beta),
+                           fuel.heat_of_combustion, fuel.fuel_mass)
+
+    @property
+    def area_rate(self) -> float:
+        """Area (m^2/s) one mitigating UAV quenches."""
+        q = self.quench
+        return quench_area_rate(q.water_rate, q.c, q.nu,
+                                self.fuel.flame_length)
+
 
 # Table-style built-in scenario: five pine-forest fires, 15 UAVs in 7 swarms.
 _PINE_FIRES = (
@@ -244,6 +259,8 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     Per-field types and bounds come from the declarations above; only the
     rules that tie two fields together are written here."""
     _check(ScenarioConfig, cfg, {}, "")
+    _require(math.isfinite(math.hypot(*cfg.area)),
+             "area: the diagonal hypot(width, height) must be finite")
     for i, f in enumerate(cfg.fires):
         _require(f.a >= f.b, f"fires[{i}]: requires a >= b")
         for j, (v, extent) in enumerate(zip(f.center, cfg.area)):
@@ -261,19 +278,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
         sd = getattr(s, name)
         _require_finite(lambda: 1.0 / (2.0 * sd * sd),
                         f"sensing.{name}: 1 / (2 * {name}**2) must be finite")
-    fuel, q = cfg.fuel, cfg.quench
-
-    def spread() -> float:
-        return spread_rate(fireline_intensity(fuel.flame_length, fuel.alpha,
-                                              fuel.beta),
-                           fuel.heat_of_combustion, fuel.fuel_mass)
-
-    _require_finite(spread,
+    _require_finite(lambda: cfg.spread,
                     "fuel: the spread rate fuel.alpha * fuel.flame_length "
                     "** fuel.beta / (fuel.heat_of_combustion * "
                     "fuel.fuel_mass) must be finite")
-    _require_finite(lambda: quench_area_rate(q.water_rate, q.c, q.nu,
-                                             fuel.flame_length),
+    _require_finite(lambda: cfg.area_rate,
                     "quench: the area rate quench.water_rate / (quench.c * "
                     "fuel.flame_length ** quench.nu) must be finite")
     _require(cfg.search.levy_step / cfg.search.brown_step >= 5.0,
@@ -284,7 +293,7 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     _require(cfg.engine.t_max / cfg.engine.dt <= 1e6,
              "engine.t_max: at most 1e6 ticks of engine.dt")
     t_max, o = cfg.engine.t_max, cfg.objective
-    grown = spread() * t_max
+    grown = cfg.spread * t_max
     area = sum(math.pi * (f.a + grown) * (f.b + grown) for f in cfg.fires)
     _require(math.isfinite(area),
              "fuel, engine.t_max: the total area of the fires after "

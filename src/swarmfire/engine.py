@@ -8,7 +8,6 @@ bit-identically regardless of how many runs execute in parallel.
 
 from __future__ import annotations
 
-import enum
 import math
 import os
 from dataclasses import dataclass
@@ -24,24 +23,13 @@ from .config import ScenarioConfig
 from .rng import RngStreams, uniform
 
 
-class SwarmMode(enum.Enum):
-    SEARCH = "search"
-    MITIGATE = "mitigate"
-
-
-# The members as module globals, read instead of SwarmMode.X (see the note
-# on fire.BURNING).  The UAV modes are ve.EXPLORE and so on.
-SEARCH = SwarmMode.SEARCH
-MITIGATE = SwarmMode.MITIGATE
-
-
 @dataclass
 class SwarmState:
     id: int
     member_ids: list[int]
-    mode: SwarmMode = SEARCH
+    mitigating: bool = False      # exactly while some record lists the swarm
     repel_until: float = -math.inf
-    repel_heading: float | None = None
+    repel_heading: float = 0.0    # set with repel_until, read only before it
     explore: bool | None = None   # last search stage, to detect switches
 
 
@@ -76,13 +64,8 @@ class World:
         self.time = 0.0
         self.tick_index = 0
 
-        intensity = fi.fireline_intensity(cfg.fuel.flame_length,
-                                          cfg.fuel.alpha, cfg.fuel.beta)
-        spread = fi.spread_rate(intensity, cfg.fuel.heat_of_combustion,
-                                cfg.fuel.fuel_mass)
-        self.area_rate = mi.quench_area_rate(cfg.quench.water_rate,
-                                             cfg.quench.c, cfg.quench.nu,
-                                             cfg.fuel.flame_length)
+        self.area_rate = cfg.area_rate
+        spread = cfg.spread
         self.fires = [fi.FireFront(i, s.center, s.a, s.b, spread=spread)
                       for i, s in enumerate(cfg.fires)]
         self.rng = RngStreams(cfg.engine.base_seed, run_index, cfg.n_uavs)
@@ -190,7 +173,7 @@ class World:
         # (4) search / coordination of every searching swarm, by id
         if cfg.engine.strategy == "MSCIDC":
             for swarm in self.swarms:
-                if swarm.mode is SEARCH:
+                if not swarm.mitigating:
                     self._mscidc_search(swarm, t_now)
         else:
             self._baseline_search(t_now)
@@ -260,7 +243,6 @@ class World:
                                 fire=r.fire_id)
                     for mid in members:
                         uavs[mid].has_waypoint = False
-                        uavs[mid].returning = False
                     break
 
         # Stage selection and waypoint generation.
@@ -272,8 +254,7 @@ class World:
             # immediately instead of after the current (possibly long) leg
             swarm.explore = explore
             for mid in members:
-                if not uavs[mid].returning:
-                    uavs[mid].has_waypoint = False
+                uavs[mid].has_waypoint = False
 
         cx, cy = center
         swarm_radius = cfg.swarm_radius
@@ -302,7 +283,7 @@ class World:
         if not due:
             return
 
-        if repelled and swarm.repel_heading is not None:
+        if repelled:
             phi_center = swarm.repel_heading
         else:
             phi_center = ve.heading(uavs[k_star], self.rng)
@@ -341,7 +322,7 @@ class World:
         hypot = math.hypot
         waypoint = se.baseline_waypoint
         for swarm in self.swarms:
-            if swarm.mode is not SEARCH:
+            if swarm.mitigating:
                 continue
             uid = swarm.member_ids[0]
             uav = uavs[uid]
@@ -377,7 +358,7 @@ class World:
         f = self.fires[fid]
         rec = self.records.get(fid)
         if rec is None:
-            rec = mi.FireMitigationRecord(fire_id=fid, swarm_ids=[swarm.id])
+            rec = mi.FireMitigationRecord(swarm_ids=[swarm.id])
             rec.tracks = mi.assign_sectors(
                 f, [(uid, self.uavs[uid].pos) for uid in swarm.member_ids])
             self.records[fid] = rec
@@ -396,10 +377,9 @@ class World:
                     pending[tr.uav_id] = tr.theta_ref
             detector = not mscidc
             kind = "merge" if mscidc else "join-request"
-        swarm.mode = MITIGATE
+        swarm.mitigating = True
         uav_mode = ve.ALIGN if detector else ve.ATTRACTED
         for uid in swarm.member_ids:
-            self.uavs[uid].returning = False
             self.uavs[uid].mode = uav_mode
         self._event(kind, t_now, swarm=swarm.id, fire=fid)
         return True
@@ -427,12 +407,7 @@ class World:
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
                 if ve.reached(uav.pos, uav.waypoint, self._arrival):
-                    track.joined = True
-                    track.theta = track.theta_ref
-                    uav.mode = ve.MITIGATE
-                    if f.state is fi.BURNING:
-                        f.state = fi.UNDER_MITIGATION
-                    self._event("join", t_now, uav=uav.id, fire=fid)
+                    self._join(track, f, t_now)
                 continue
             omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
                                                 track.theta)
@@ -466,12 +441,19 @@ class World:
                                                keep=keep)
                 for track in rec.tracks:
                     if track.uav_id in pending:
-                        track.joined = True
-                        uavs[track.uav_id].mode = ve.MITIGATE
-                        self._event("join", t_now, uav=track.uav_id, fire=fid)
+                        self._join(track, f, t_now)
                 pending.clear()
-                if f.state is fi.BURNING:
-                    f.state = fi.UNDER_MITIGATION
+
+    def _join(self, track: mi.SectorTrack, f: fi.FireFront,
+              t_now: float) -> None:
+        """A UAV reaches its alignment point and starts sweeping its sector
+        from the reference angle; its fire stops growing."""
+        track.joined = True
+        track.theta = track.theta_ref
+        self.uavs[track.uav_id].mode = ve.MITIGATE
+        if f.state is fi.BURNING:
+            f.state = fi.UNDER_MITIGATION
+        self._event("join", t_now, uav=track.uav_id, fire=f.id)
 
     def _extinguish(self, fid: int, t_now: float) -> None:
         rec = self.records.pop(fid)
@@ -479,9 +461,8 @@ class World:
         self._event("extinguish", t_now, fire=fid)
         for sid in rec.swarm_ids:
             swarm = self.swarms[sid]
-            swarm.mode = SEARCH
+            swarm.mitigating = False
             swarm.repel_until = -math.inf
-            swarm.repel_heading = None
             for uid in swarm.member_ids:
                 uav = self.uavs[uid]
                 uav.mode = ve.EXPLORE
@@ -495,7 +476,7 @@ class World:
         ext = len(self.extinguished)
         f_f = f_d - ext
         f_r = len(self.fires) - ext
-        s_q = sum(1 for s in self.swarms if s.mode is MITIGATE)
+        s_q = sum(1 for s in self.swarms if s.mitigating)
         s_s = len(self.swarms) - s_q
         return f_d, f_f, f_r, s_s, s_q
 
@@ -527,7 +508,7 @@ def preposition_mitigation(world: World, fid: int,
     fire and mark them joined at t=0 (simultaneous-join oracle setups)."""
     f = world.fires[fid]
     members = [(uid, world.uavs[uid].pos) for uid in uav_ids]
-    rec = mi.FireMitigationRecord(fire_id=fid, swarm_ids=[])
+    rec = mi.FireMitigationRecord(swarm_ids=[])
     rec.tracks = mi.assign_sectors(f, members)
     for track in rec.tracks:
         uav = world.uavs[track.uav_id]
@@ -535,7 +516,7 @@ def preposition_mitigation(world: World, fid: int,
         uav.mode = ve.MITIGATE
         track.joined = True
         swarm = world.swarms[uav.swarm_id]
-        swarm.mode = MITIGATE
+        swarm.mitigating = True
         if swarm.id not in rec.swarm_ids:
             rec.swarm_ids.append(swarm.id)
     world.records[fid] = rec

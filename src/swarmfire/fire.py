@@ -29,7 +29,7 @@ class FireState(enum.Enum):
 # The members as module globals, which every function reads instead of
 # FireState.X: on CPython 3.11 reading a member off its class takes more
 # than ten times as long as reading a global, and the tick reads them for
-# every fire.  The same holds for UavMode in vehicle and SwarmMode in engine.
+# every fire.  The same holds for UavMode in vehicle.
 BURNING = FireState.BURNING
 UNDER_MITIGATION = FireState.UNDER_MITIGATION
 EXTINGUISHED = FireState.EXTINGUISHED

@@ -36,8 +36,8 @@ class SectorTrack:
 
 @dataclass
 class FireMitigationRecord:
-    """Coordinator state for one fire under mitigation."""
-    fire_id: int
+    """Coordinator state for one fire under mitigation, keyed by its fire
+    id in World.records."""
     swarm_ids: list[int] = field(default_factory=list)
     tracks: list[SectorTrack] = field(default_factory=list)
     # UAVs of merging swarms travelling to the front, by uav id, with the

@@ -159,6 +159,10 @@ MALFORMED = [
     ('{"sensing": {"sigma": 1e-300}}', "sensing.sigma"),
     ('{"sensing": {"fire_temp": 1e308, "ambient_temp": -1e308}}',
      "sensing.fire_temp - sensing.ambient_temp"),
+    # finite sides whose diagonal, and so the search's step cap, overflows
+    ('{"area": [1.6e308, 1.6e308], "swarm_sizes": [2], "engine": '
+     '{"t_max": 300}, "fires": [{"center": [500, 500], "a": 50, "b": 40}]}',
+     "area: the diagonal"),
     # a finite spread rate whose fires' area overflows within engine.t_max
     ('{"fuel": {"alpha": 1e300},'
      ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',

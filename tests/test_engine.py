@@ -16,7 +16,7 @@ from swarmfire import search as se
 from swarmfire import sensing as sn
 from swarmfire import vehicle as ve
 from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
-from swarmfire.engine import (RunResult, SwarmMode, World, monte_carlo,
+from swarmfire.engine import (RunResult, World, monte_carlo,
                               preposition_mitigation, run, summarize,
                               weighted_objective)
 
@@ -156,7 +156,7 @@ def check_coordination(world: World) -> bool:
     owner = {}
     for fid, rec in world.records.items():
         for sid in rec.swarm_ids:
-            assert world.swarms[sid].mode is not SwarmMode.SEARCH
+            assert world.swarms[sid].mitigating
         if any(t.joined for t in rec.tracks):
             assert world.fires[fid].state is fi.FireState.UNDER_MITIGATION
         uids = [t.uav_id for t in rec.tracks] + list(rec.pending_merge)
@@ -170,8 +170,7 @@ def check_coordination(world: World) -> bool:
             assert prev.hi == t.lo
         assert abs(rec.tracks[-1].hi - 2 * math.pi) <= math.ulp(2 * math.pi)
     for uav in world.uavs:
-        mitigating = world.swarms[uav.swarm_id].mode is SwarmMode.MITIGATE
-        assert (uav.id in owner) == mitigating
+        assert (uav.id in owner) == world.swarms[uav.swarm_id].mitigating
     return any(rec.pending_merge for rec in world.records.values())
 
 
@@ -224,7 +223,8 @@ def test_member_scan_matches_oracles_every_tick():
 
 def test_returning_member_on_lock_repulsion_and_stage_switch():
     """A member outside the swarm disk heads back to the swarm centre.  A
-    lock clears its flag; a repulsion clears it and drops its waypoint; an
+    lock turns every member, the stray too, to aligning on the fire; after a
+    repulsion the stray, back inside the disk, draws a new leg; an
     explore/exploit switch leaves it its centre waypoint while the other
     members' in-flight legs are dropped and redrawn."""
     base = small_cfg()
@@ -262,7 +262,7 @@ def test_returning_member_on_lock_repulsion_and_stage_switch():
     place(world, [0.0])
     world.tick()
     assert world.events[-1]["type"] == "lock"
-    assert not world.uavs[2].returning
+    assert all(world.uavs[uid].mode is ve.UavMode.ALIGN for uid in (0, 1, 2))
 
     # repulsion: member 0 sees the busy fire at 0.5 < P < 0.9; the stray is
     # back inside the disk, member 1 far from its waypoint
@@ -518,10 +518,10 @@ def test_import_loads_no_process_pool():
 
 
 def test_no_function_reads_enum_members_off_their_class():
-    """Functions read the module-level bindings (fi.BURNING, SEARCH,
-    ve.EXPLORE ...), not FireState.BURNING: on CPython 3.11 the class
-    attribute read costs several times a global's, on every tick."""
-    enums = {"FireState", "SwarmMode", "UavMode"}
+    """Functions read the module-level bindings (fi.BURNING, ve.EXPLORE
+    ...), not FireState.BURNING: on CPython 3.11 the class attribute read
+    costs several times a global's, on every tick."""
+    enums = {"FireState", "UavMode"}
     functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
     found = set()
     for path in sorted(SRC.glob("swarmfire/*.py")):
@@ -610,7 +610,7 @@ def test_swarm_releases_after_extinction():
     world = World(cfg, 0)
     while not world.done():
         world.tick()
-    assert all(s.mode is SwarmMode.SEARCH for s in world.swarms)
+    assert not any(s.mitigating for s in world.swarms)
     assert world.records == {}
 
 

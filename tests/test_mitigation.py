@@ -203,7 +203,7 @@ def test_repulsion_heading():
 
 
 def test_record_counts():
-    rec = FireMitigationRecord(fire_id=0, swarm_ids=[1, 2])
+    rec = FireMitigationRecord(swarm_ids=[1, 2])
     rec.tracks = [SectorTrack(uav_id=i, lo=0, hi=1, theta=0, theta_ref=0,
                               joined=(i < 2))
                   for i in range(4)]
