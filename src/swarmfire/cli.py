@@ -158,13 +158,16 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
 
 
 def _strategy_names(ctx, param, value: str) -> list[str]:
-    """The names of a comma-separated --strategies; none, or an unknown
-    one, exits with code 2."""
+    """The names of a comma-separated --strategies; none, an unknown one or
+    a repeated one exits with code 2."""
     names = [s.strip() for s in value.split(",") if s.strip()]
     bad = [s for s in names if s not in STRATEGIES]
     if bad or not names:
         what = f"unknown strategies {bad}" if bad else "no strategy named"
         raise click.BadParameter(f"{what}; valid names: {list(STRATEGIES)}")
+    repeated = sorted({s for s in names if names.count(s) > 1})
+    if repeated:
+        raise click.BadParameter(f"repeated strategies {repeated}")
     return names
 
 

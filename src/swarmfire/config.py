@@ -2,9 +2,10 @@
 
 All physical constants live here with documented defaults.  Each field is
 declared once, with its type, its default and its bounds; the bounds sit in
-the field metadata under their JSON-Schema keywords.  Parsing (`from_dict`),
-validation (`validate`) and `schemas/config.schema.json` are all derived
-from these declarations.  A config is a single JSON document; unknown keys
+the field metadata under their JSON-Schema keywords.  One pass (`from_dict`)
+parses and checks a document against these declarations, and `validate`
+runs a code-built config through it; `schemas/config.schema.json` is
+derived from them too.  A config is a single JSON document; unknown keys
 are rejected so that typos surface as errors instead of silently falling
 back to defaults.  Configs are immutable after validation and safe to share
 between parallel runs.
@@ -211,35 +212,54 @@ _BOUNDS = {   # JSON-Schema keyword -> (test the value must pass, wording)
 }
 
 
-def _check(tp, value, meta, path: str) -> None:
-    """Type, finiteness and metadata bounds of one declared field, and of
-    every field below it.  A bool is not an int; an int passes as a float."""
+def _build(tp, data, path: str, meta):
+    """Shape JSON data into the declared type and check it against the
+    declaration, whose bounds are ``meta``.  Objects become dataclasses
+    (unknown or missing keys rejected) and lists tuples of the declared
+    length.  Integers become floats where a float is declared, and
+    integral floats integers where an integer is declared; each scalar
+    must then have its declared type (a bool is not an int), be finite
+    and pass its bounds."""
     if is_dataclass(tp):
-        _require(isinstance(value, tp),
-                 f"{path or 'top level'}: expected {tp.__name__}")
-        for f in fields(tp):
-            _check(f.type, getattr(value, f.name), f.metadata,
-                   _child(path, f.name))
-        return
+        where = path or "top level"
+        _require(isinstance(data, dict), f"{where}: expected an object")
+        spec = {f.name: f for f in fields(tp)}
+        unknown = set(data) - set(spec)
+        _require(not unknown,
+                 f"{where}: unknown keys {sorted(unknown, key=str)}")
+        missing = [name for name, f in spec.items() if name not in data
+                   and f.default is MISSING and f.default_factory is MISSING]
+        _require(not missing, f"{where}: missing keys {missing}")
+        return tp(**{name: _build(spec[name].type, value, _child(path, name),
+                                  spec[name].metadata)
+                     for name, value in data.items()})
     if get_origin(tp) is tuple:
         args = get_args(tp)
-        _require(isinstance(value, tuple), f"{path}: expected a list")
-        _require(args[-1] is Ellipsis or len(value) == len(args),
+        _require(isinstance(data, (list, tuple)), f"{path}: expected a list")
+        _require(args[-1] is Ellipsis or len(data) == len(args),
                  f"{path}: expected {len(args)} items")
-        _require(len(value) >= meta.get("minItems", 0),
+        _require(len(data) >= meta.get("minItems", 0),
                  f"{path}: expected at least {meta.get('minItems')} items")
-        for i, item in enumerate(value):
-            _check(args[0], item, meta.get("items", {}), f"{path}[{i}]")
-        return
-    _require(not isinstance(value, bool)
-             and isinstance(value, (int, float) if tp is float else tp),
+        return tuple(_build(args[0], item, f"{path}[{i}]",
+                            meta.get("items", {}))
+                     for i, item in enumerate(data))
+    if tp is float and type(data) is int:
+        try:
+            data = float(data)
+        except OverflowError:
+            raise ConfigError(f"{path}: must be finite") from None
+    elif (tp is int and type(data) is float and math.isfinite(data)
+            and data.is_integer()):
+        data = int(data)   # JSON Schema's "integer" admits 2.0
+    _require(not isinstance(data, bool) and isinstance(data, tp),
              f"{path}: expected {_TYPE_NAMES[tp]}")
-    _require(not isinstance(value, float) or math.isfinite(value),
+    _require(not isinstance(data, float) or math.isfinite(data),
              f"{path}: must be finite")
     for key, (holds, wording) in _BOUNDS.items():
         if key in meta:
-            _require(holds(value, meta[key]),
+            _require(holds(data, meta[key]),
                      f"{path} must be {wording} {meta[key]}")
+    return data
 
 
 def _require_finite(value, msg: str) -> None:
@@ -253,12 +273,14 @@ def _require_finite(value, msg: str) -> None:
     _require(ok, msg)
 
 
-def validate(cfg: ScenarioConfig) -> ScenarioConfig:
-    """Check every invariant; raises ConfigError naming the offending field.
+def from_dict(data: dict) -> ScenarioConfig:
+    """Build a ScenarioConfig from a plain dict and check every invariant;
+    raises ConfigError naming the offending field.
 
-    Per-field types and bounds come from the declarations above; only the
-    rules that tie two fields together are written here."""
-    _check(ScenarioConfig, cfg, {}, "")
+    Per-field types and bounds come from the declarations above, through
+    ``_build``; only the rules that tie two fields together are written
+    here."""
+    cfg = _build(ScenarioConfig, data, "", {})
     _require(math.isfinite(math.hypot(*cfg.area)),
              "area: the diagonal hypot(width, height) must be finite")
     for i, f in enumerate(cfg.fires):
@@ -306,42 +328,11 @@ def validate(cfg: ScenarioConfig) -> ScenarioConfig:
     return cfg
 
 
-def _build(tp, data, path: str):
-    """Shape JSON data into the declared type: objects become dataclasses
-    (unknown or missing keys rejected), lists become tuples, integers
-    become floats where a float is declared and integral floats become
-    integers where an integer is declared.  Everything else passes through
-    unchanged for validate to judge."""
-    if is_dataclass(tp):
-        where = path or "top level"
-        _require(isinstance(data, dict), f"{where}: expected an object")
-        spec = {f.name: f for f in fields(tp)}
-        unknown = set(data) - set(spec)
-        _require(not unknown,
-                 f"{where}: unknown keys {sorted(unknown, key=str)}")
-        missing = [name for name, f in spec.items() if name not in data
-                   and f.default is MISSING and f.default_factory is MISSING]
-        _require(not missing, f"{where}: missing keys {missing}")
-        return tp(**{name: _build(spec[name].type, value, _child(path, name))
-                     for name, value in data.items()})
-    if get_origin(tp) is tuple:
-        _require(isinstance(data, (list, tuple)), f"{path}: expected a list")
-        return tuple(_build(get_args(tp)[0], item, f"{path}[{i}]")
-                     for i, item in enumerate(data))
-    if tp is float and type(data) is int:
-        try:
-            return float(data)
-        except OverflowError:
-            raise ConfigError(f"{path}: must be finite") from None
-    if (tp is int and type(data) is float and math.isfinite(data)
-            and data.is_integer()):
-        return int(data)   # JSON Schema's "integer" admits 2.0
-    return data
-
-
-def from_dict(data: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig from a plain dict."""
-    return validate(_build(ScenarioConfig, data, ""))
+def validate(cfg: ScenarioConfig) -> ScenarioConfig:
+    """Judge a code-built config exactly as its JSON document: return the
+    copy that document loads to (integers in float fields become floats,
+    integral floats in integer fields integers), or raise ConfigError."""
+    return from_dict(to_dict(cfg))
 
 
 def to_dict(cfg: ScenarioConfig) -> dict:

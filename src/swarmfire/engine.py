@@ -543,16 +543,12 @@ def run(cfg: ScenarioConfig, run_index: int,
         world.tick()
 
     t_max = cfg.engine.t_max
-    all_detected = len(world.detected) == n_f and n_f > 0
-    complete = len(world.extinguished) == n_f and n_f > 0
-    if n_f == 0:
-        detection_time = mission_time = 0.0
-        all_detected = complete = True
-    else:
-        detection_time = (max(world.detected.values())
-                          if all_detected else t_max)
-        mission_time = (max(world.extinguished.values())
-                        if complete else t_max)
+    all_detected = len(world.detected) == n_f
+    complete = len(world.extinguished) == n_f
+    detection_time = (max(world.detected.values(), default=0.0)
+                      if all_detected else t_max)
+    mission_time = (max(world.extinguished.values(), default=0.0)
+                    if complete else t_max)
 
     quench_times = {}
     for fid, t_ext in sorted(world.extinguished.items()):

@@ -37,10 +37,9 @@ def active_fires(fires: list[FireFront]) -> list[FireFront]:
     return [f for f in fires if f.state is not EXTINGUISHED]
 
 
-def detection_probability(d: float, sigma: float, sensing_radius: float) -> float:
-    """Gaussian detection probability, hard zero beyond the sensing radius."""
-    if d > sensing_radius:
-        return 0.0
+def detection_probability(d: float, sigma: float) -> float:
+    """Gaussian detection probability at distance d from a front.  The hard
+    zero beyond the sensing radius is ``sample``'s: it reads no fire there."""
     return math.exp(-d * d / (2.0 * sigma * sigma))
 
 
@@ -214,7 +213,7 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
         if best_fire is None or best_d > radius:
             uav.reading = SensorReading(temp, rate, None, 0.0, None, False)
             continue
-        prob = detection_probability(best_d, sigma, radius)
+        prob = detection_probability(best_d, sigma)
         fx, fy = nearest_front_point(best_fire, pos, best_t)
         detected_now = prob >= threshold
         uav.reading = SensorReading(temp, rate, best_fire.id, prob,

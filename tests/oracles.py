@@ -102,7 +102,7 @@ def sample(pos, active, prev, dt, sensing, rng=None, cutoff=math.inf):
 
     if best_fire is None or best_d > sensing.sensing_radius:
         return SensorReading(temp, rate, None, 0.0, None, False)
-    prob = detection_probability(best_d, sensing.sigma, sensing.sensing_radius)
+    prob = detection_probability(best_d, sensing.sigma)
     fx, fy = nearest_front_point(best_fire, pos)
     return SensorReading(temp, rate, best_fire.id, prob,
                          math.atan2(fy - py, fx - px),

@@ -143,6 +143,15 @@ def test_compare_no_strategy_exit_2(small_config_path):
     assert "--strategies" in res.output
 
 
+def test_compare_repeated_strategy_exit_2(tmp_path, small_config_path):
+    res = invoke("compare", small_config_path, "--runs", "1",
+                 "--strategies", "MSCIDC, UNIFORM,MSCIDC",
+                 "--out", str(tmp_path))
+    assert res.exit_code == 2
+    assert "repeated strategies ['MSCIDC']" in res.output
+    assert not (tmp_path / "compare.csv").exists()
+
+
 def test_run_far_below_zero_kelvin_completes(tmp_path, small_config_path):
     """A reading thousands of kelvin below zero narrows the search cone to
     nothing instead of overflowing its logistic."""

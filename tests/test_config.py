@@ -207,6 +207,22 @@ def test_integral_floats_become_integers():
     assert [type(n) for n in cfg.swarm_sizes] == [int, int]
 
 
+def test_validate_rejects_an_int_too_large_for_a_float_field():
+    """A code-built config is judged as its JSON document, which names the
+    field; the engine would raise OverflowError mid-run."""
+    cfg = PRESETS["pine-table1"]
+    with pytest.raises(ConfigError, match="swarm_radius: must be finite"):
+        validate(dataclasses.replace(cfg, swarm_radius=10**400))
+    assert validate(dataclasses.replace(cfg, swarm_radius=250)) == cfg
+
+
+def test_validate_returns_the_coerced_copy():
+    """JSON accepts trace_stride 2.0 as 2, and so does validate."""
+    cfg = validate(_with(PRESETS["pine-table1"], "engine", trace_stride=2.0))
+    assert cfg.engine.trace_stride == 2
+    assert type(cfg.engine.trace_stride) is int
+
+
 # -- one-leaf mutations of the preset document -------------------------------
 
 PRESET_DOC = to_dict(PRESETS["pine-table1"])
@@ -250,6 +266,7 @@ def test_one_leaf_mutation_gives_config_or_config_error(path, action,
     except ConfigError:
         return
     assert from_dict(to_dict(cfg)) == cfg
+    assert validate(cfg) == cfg
 
 
 # -- the JSON schema, generated from the field declarations ------------------

@@ -77,16 +77,25 @@ def test_temperature_ignores_extinguished():
 
 
 def test_detection_probability_values():
-    assert detection_probability(0.0, 100.0, 300.0) == 1.0
-    assert detection_probability(100.0, 100.0, 300.0) == pytest.approx(
+    assert detection_probability(0.0, 100.0) == 1.0
+    assert detection_probability(100.0, 100.0) == pytest.approx(
         math.exp(-0.5))
-    assert detection_probability(400.0, 100.0, 300.0) == 0.0
+
+
+def test_no_detection_beyond_sensing_radius():
+    """The hard zero beyond the sensing radius: a front 400 m away is in
+    the temperature's reach but names no fire."""
+    r = sample_one((500.0, 0.0), [make_fire()])
+    assert r.temperature > SENSING.ambient_temp
+    assert r.fire_id is None
+    assert r.probability == 0.0
+    assert r.detected is False
 
 
 def test_detection_probability_monotone():
     last = 1.1
     for d in range(0, 301, 10):
-        p = detection_probability(float(d), 100.0, 300.0)
+        p = detection_probability(float(d), 100.0)
         assert p <= last
         last = p
 
