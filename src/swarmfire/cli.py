@@ -173,9 +173,10 @@ def _strategy_names(ctx, param, value: str) -> list[str]:
 
 @main.command("compare")
 @click.argument("config_path")
-@click.option("--strategies", "names", default="MSCIDC,UNIFORM,NORMAL,LEVY",
+@click.option("--strategies", "names", default=",".join(STRATEGIES),
               show_default=True, callback=_strategy_names,
-              help="Comma-separated strategy list.")
+              help="Comma-separated strategy list; every strategy by "
+                   "default.")
 @click.option("--runs", type=POSITIVE, required=True)
 @click.option("--jobs", type=POSITIVE, default=1, show_default=True,
               help="Worker processes, at most one per usable CPU.")

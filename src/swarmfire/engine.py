@@ -358,39 +358,33 @@ class World:
         f = self.fires[fid]
         rec = self.records.get(fid)
         if rec is None:
-            rec = mi.FireMitigationRecord(swarm_ids=[swarm.id])
-            rec.tracks = mi.assign_sectors(
-                f, [(uid, self.uavs[uid].pos) for uid in swarm.member_ids])
-            self.records[fid] = rec
-            detector, kind = True, "lock"
+            rec = self.records[fid] = mi.FireMitigationRecord()
+            merging, kind = False, "lock"
+        elif mscidc and not self._merge_allowed(f, rec):
+            return False
         else:
-            if mscidc and not self._merge_allowed(f, rec):
-                return False
-            rec.swarm_ids.append(swarm.id)
-            pending = rec.pending_merge
-            pending.update(dict.fromkeys(swarm.member_ids, 0.0))
-            # Provisional alignment angles from the prospective full
-            # partition; the actual repartition happens in _mitigation_step
-            # once every arrival reaches the front.
-            for tr in mi.assign_sectors(f, self._record_members(rec)):
-                if tr.uav_id in pending:
-                    pending[tr.uav_id] = tr.theta_ref
-            detector = not mscidc
-            kind = "merge" if mscidc else "join-request"
+            merging, kind = True, "merge" if mscidc else "join-request"
+        rec.swarm_ids.append(swarm.id)
+        # One partition over every UAV on the fire.  A lock keeps it; a merge
+        # takes provisional sectors from it for its arrivals and for earlier
+        # merging ones, and _mitigation_step repartitions once all of them
+        # have reached the front.
+        uavs = self.uavs
+        settled = [t for t in rec.tracks if not t.merging]
+        kept = {t.uav_id for t in settled}
+        fresh = [t for t in mi.assign_sectors(
+            f, [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks]
+            + [(uid, uavs[uid].pos) for uid in swarm.member_ids])
+            if t.uav_id not in kept]
+        for track in fresh:
+            track.merging = merging
+        rec.tracks = settled + fresh
         swarm.mitigating = True
-        uav_mode = ve.ALIGN if detector else ve.ATTRACTED
+        uav_mode = ve.ATTRACTED if kind == "merge" else ve.ALIGN
         for uid in swarm.member_ids:
-            self.uavs[uid].mode = uav_mode
+            uavs[uid].mode = uav_mode
         self._event(kind, t_now, swarm=swarm.id, fire=fid)
         return True
-
-    def _record_members(self, rec: mi.FireMitigationRecord
-                        ) -> list[tuple[int, tuple[float, float]]]:
-        """(uav id, position) of every UAV a record owns: sector tracks,
-        then pending merge arrivals."""
-        uavs = self.uavs
-        return ([(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks]
-                + [(uid, uavs[uid].pos) for uid in rec.pending_merge])
 
     def _mitigation_step(self, fid: int, t_now: float) -> None:
         f = self.fires[fid]
@@ -399,14 +393,21 @@ class World:
         dt = self.cfg.engine.dt
         uavs = self.uavs
 
-        # Approach and join for assigned members.
+        # An unjoined UAV flies to its sector's reference point and joins on
+        # arrival; merging ones wait for the repartition below.
+        merging = []
+        all_arrived = True
         for track in rec.tracks:
             uav = uavs[track.uav_id]
             if not track.joined:
                 uav.waypoint = fi.point_on_front(f, track.theta_ref)
                 uav.waypoint_vel = (0.0, 0.0)
                 uav.has_waypoint = True
-                if ve.reached(uav.pos, uav.waypoint, self._arrival):
+                arrived = ve.reached(uav.pos, uav.waypoint, self._arrival)
+                if track.merging:
+                    merging.append(track.uav_id)
+                    all_arrived = all_arrived and arrived
+                elif arrived:
                     self._join(track, f, t_now)
                 continue
             omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
@@ -423,26 +424,15 @@ class World:
                                 f.b * math.cos(theta) * sweep)
             uav.has_waypoint = True
 
-        # Pending merge arrivals; repartition once everyone is at the front.
-        pending = rec.pending_merge
-        if pending:
-            all_arrived = True
-            for uid, theta in pending.items():
-                uav = uavs[uid]
-                uav.waypoint = fi.point_on_front(f, theta)
-                uav.waypoint_vel = (0.0, 0.0)
-                uav.has_waypoint = True
-                if not ve.reached(uav.pos, uav.waypoint, self._arrival):
-                    all_arrived = False
-            if all_arrived:
-                # every track restarts at its new sector's midpoint
-                keep = {t.uav_id: t for t in rec.tracks}
-                rec.tracks = mi.assign_sectors(f, self._record_members(rec),
-                                               keep=keep)
-                for track in rec.tracks:
-                    if track.uav_id in pending:
-                        self._join(track, f, t_now)
-                pending.clear()
+        if merging and all_arrived:
+            # every track restarts at its new sector's midpoint; keep drops
+            # the merging flag
+            rec.tracks = mi.assign_sectors(
+                f, [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks],
+                keep={t.uav_id: t for t in rec.tracks})
+            for track in rec.tracks:
+                if track.uav_id in merging:
+                    self._join(track, f, t_now)
 
     def _join(self, track: mi.SectorTrack, f: fi.FireFront,
               t_now: float) -> None:

@@ -24,7 +24,10 @@ def quench_area_rate(water_rate: float, c: float, nu: float,
 
 @dataclass
 class SectorTrack:
-    """Sweep state of one UAV inside its sector (parametric angles)."""
+    """One UAV a fire's record owns: its sector of the front and its sweep
+    state inside it (parametric angles).  A merging track's sector is
+    provisional: its UAV flies to theta_ref on the front and joins only at
+    the repartition that follows once every merging UAV has arrived."""
     uav_id: int
     lo: float
     hi: float
@@ -32,18 +35,16 @@ class SectorTrack:
     theta_ref: float
     direction: int = 1            # mu in {-1, +1}
     joined: bool = False
+    merging: bool = False
 
 
 @dataclass
 class FireMitigationRecord:
     """Coordinator state for one fire under mitigation, keyed by its fire
-    id in World.records."""
+    id in World.records: the swarms on the fire and one track per UAV they
+    own, merging tracks after the others."""
     swarm_ids: list[int] = field(default_factory=list)
     tracks: list[SectorTrack] = field(default_factory=list)
-    # UAVs of merging swarms travelling to the front, by uav id, with the
-    # provisional alignment angle each flies to; the sectors are
-    # repartitioned over everyone once all of them have arrived.
-    pending_merge: dict[int, float] = field(default_factory=dict)
 
     @property
     def n_swarms(self) -> int:

@@ -160,25 +160,20 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
     """
     if strategy == "UNIFORM":
         return (uniform(rng, 0.0, area[0]), uniform(rng, 0.0, area[1]))
-    if strategy == "NORMAL":
-        heading = uniform(rng, -math.pi, math.pi)
-        step = search_params.brown_step * sample_brown_length(rng)
-    elif strategy == "LEVY":
-        heading = uniform(rng, -math.pi, math.pi)
-        step = search_params.levy_step * sample_levy_length(
-            rng, search_params.levy_tail_exponent, l_max)
-    elif strategy == "OMS":
+    if strategy == "OMS":
+        levy = temperature < temp_threshold
         if temp_rate > 0.0 and (vel[0] != 0.0 or vel[1] != 0.0):
             phi = math.atan2(vel[1], vel[0])
             heading = sample_heading(phi, 0.25 * math.pi, rng)
         else:
             heading = uniform(rng, -math.pi, math.pi)
-        if temperature < temp_threshold:
-            step = search_params.levy_step * sample_levy_length(
-                rng, search_params.levy_tail_exponent, l_max)
-        else:
-            step = search_params.brown_step * sample_brown_length(rng)
+    elif strategy in ("NORMAL", "LEVY"):
+        levy = strategy == "LEVY"
+        heading = uniform(rng, -math.pi, math.pi)
     else:
         raise ValueError(f"unknown baseline strategy: {strategy}")
+    scale = search_params.levy_step if levy else search_params.brown_step
+    step = scale * sample_step_length(
+        levy, rng, search_params.levy_tail_exponent, l_max)
     return clamp_to_area((pos[0] + step * math.cos(heading),
                           pos[1] + step * math.sin(heading)), area)

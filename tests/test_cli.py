@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from swarmfire.cli import CSV_COLUMNS, main
-from swarmfire.config import load_config, write_config
+from swarmfire.config import STRATEGIES, load_config, write_config
 from test_config import MALFORMED
 
 import dataclasses
@@ -126,6 +126,16 @@ def test_compare_structure(tmp_path, small_config_path):
     assert "MSCIDC-LEVY" in data["mean_differences"]
     lines = (out / "compare.csv").read_text().splitlines()
     assert len(lines) == 1 + 4   # header + 2 strategies x 2 runs
+
+
+def test_compare_defaults_to_every_strategy(tmp_path, small_config_path):
+    res = invoke("compare", small_config_path, "--runs", "1",
+                 "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    data = json.loads((tmp_path / "compare.json").read_text())
+    assert sorted(data["aggregates"]) == sorted(STRATEGIES)
+    assert [line.split()[0] for line in res.output.splitlines()] == \
+        list(STRATEGIES)
 
 
 def test_compare_unknown_strategy(small_config_path):

@@ -65,12 +65,18 @@ def world_digest(world) -> str:
     return _sha((world.events, final))
 
 
-def preposition_world():
-    """Swarm s prepositioned on fire s mod 5, ticked until done."""
+def preposition_setup():
+    """Swarm s prepositioned on fire s mod 5 at t=0."""
     world = World(_cfg("MSCIDC", 0.5), 0)
     for swarm in world.swarms:
         preposition_mitigation(world, swarm.id % len(world.fires),
                                swarm.member_ids)
+    return world
+
+
+def preposition_world():
+    """preposition_setup ticked until done."""
+    world = preposition_setup()
     while not world.done():
         world.tick()
     return world

@@ -224,9 +224,11 @@ def test_oms_heading_bias_when_rising():
 
 
 def test_unknown_strategy_raises():
+    g = rng()
     with pytest.raises(ValueError):
         baseline_waypoint("WALK", (0.0, 0.0), (0.0, 0.0), 300.0, 0.0,
-                          rng(), AREA, PARAMS, L_MAX, 330.0)
+                          g, AREA, PARAMS, L_MAX, 330.0)
+    assert g.random() == rng().random()   # raised before any draw
 
 
 def test_all_baseline_waypoints_inside_area():
