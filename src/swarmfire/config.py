@@ -309,6 +309,10 @@ def from_dict(data: dict) -> ScenarioConfig:
                     "fuel.flame_length ** quench.nu) must be finite")
     _require(cfg.search.levy_step / cfg.search.brown_step >= 5.0,
              "search: levy_step must be at least 5x brown_step")
+    _require_finite(lambda: (math.hypot(*cfg.area) / cfg.search.levy_step)
+                    ** -cfg.search.levy_tail_exponent,
+                    "search.levy_step, search.levy_tail_exponent: (diagonal "
+                    "/ levy_step) ** -levy_tail_exponent must be finite")
     _require(cfg.mitigation.mitigation_speed <= cfg.kinematics.cruise_speed,
              "mitigation.mitigation_speed must not exceed "
              "kinematics.cruise_speed")

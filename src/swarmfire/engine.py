@@ -1,8 +1,10 @@
 """Discrete-time mission engine: sensing, search, mitigation coordination,
 vehicle motion, fire dynamics and metrics.
 
-Each tick runs a fixed synchronous pipeline in deterministic order (swarms
-by id, members by id), so identical (config, run_index) pairs replay
+Each tick runs ``World.stages`` in order: growth, sensing and detection,
+the strategy's search, mitigation, vehicle, quench, bookkeeping.  They are
+plain functions, as bound methods would make every World refer to itself.
+Swarms and members go by id, so identical (config, run_index) pairs replay
 bit-identically regardless of how many runs execute in parallel.
 """
 
@@ -88,6 +90,10 @@ class World:
                                           cfg.engine.dt)
         diag = math.hypot(*cfg.area)
         self._l_max = diag / cfg.search.levy_step
+        search = (World._mscidc_search if cfg.engine.strategy == "MSCIDC"
+                  else World._baseline_search)
+        self.stages = (World._grow, World._sense, search, World._mitigate,
+                       World._move, World._quench, World._bookkeep)
         self._log_state(self.total_area0)
 
     # -- initialisation ----------------------------------------------------
@@ -147,69 +153,71 @@ class World:
     # -- tick pipeline -----------------------------------------------------
 
     def tick(self) -> None:
-        cfg = self.cfg
-        dt = cfg.engine.dt
-        t_now = self.time + dt
-        fires = self.fires
-        uavs = self.uavs
+        t_now = self.time + self.cfg.engine.dt
+        for stage in self.stages:
+            stage(self, t_now)
 
-        # (1) fire growth for fires not yet under mitigation
-        for f in fires:
+    def _grow(self, t_now: float) -> None:
+        dt = self.cfg.engine.dt
+        for f in self.fires:
             if f.state is fi.BURNING:
                 fi.grow(f, dt)
 
-        # (2) sensing and (3) detection bookkeeping, fixed uav order.  No
-        # fire changes state while the UAVs sample, so every fire a reading
-        # names is active for the rest of this tick's search stage.
+    def _sense(self, t_now: float) -> None:
+        """Sensing and detection bookkeeping, fixed uav order.  No fire
+        changes state while the UAVs sample, so every fire a reading names
+        is active for the rest of this tick's search stage."""
         detected = self.detected
-        for uid in sn.sample(uavs, sn.active_fires(fires), t_now, dt,
-                             cfg.sensing, self.rng, self._cutoff, detected):
-            fid = uavs[uid].reading.fire_id
+        for uid in sn.sample(self.uavs, sn.active_fires(self.fires), t_now,
+                             self.cfg.engine.dt, self.cfg.sensing, self.rng,
+                             self._cutoff, detected):
+            fid = self.uavs[uid].reading.fire_id
             if fid not in detected:
                 detected[fid] = t_now
-                self.detected_area[fid] = fi.area(fires[fid])
+                self.detected_area[fid] = fi.area(self.fires[fid])
                 self._event("detection", t_now, fire=fid, uav=uid)
 
-        # (4) search / coordination of every searching swarm, by id
-        if cfg.engine.strategy == "MSCIDC":
-            for swarm in self.swarms:
-                if not swarm.mitigating:
-                    self._mscidc_search(swarm, t_now)
-        else:
-            self._baseline_search(t_now)
-
-        # (5) mitigation control and approach waypoints
+    def _mitigate(self, t_now: float) -> None:
         for fid in sorted(self.records):
             self._mitigation_step(fid, t_now)
 
-        # (6) vehicle stage, fixed uav order
-        ve.step(uavs, cfg.kinematics, dt, cfg.area)
+    def _move(self, t_now: float) -> None:
+        cfg = self.cfg
+        ve.step(self.uavs, cfg.kinematics, cfg.engine.dt, cfg.area)
 
-        # (7) quenching.  A record with a joined track belongs to a fire
-        # under mitigation: every join moves its fire out of BURNING, and an
-        # extinguished fire's record is gone.
+    def _quench(self, t_now: float) -> None:
+        """A record with a joined track belongs to a fire under mitigation:
+        every join moves its fire out of BURNING, and an extinguished
+        fire's record is gone."""
+        dt = self.cfg.engine.dt
         for fid in sorted(self.records):
-            f = fires[fid]
+            f = self.fires[fid]
             n_active = self.records[fid].joined_count()
             if n_active >= 1:
                 fi.apply_quench(f, n_active, self.area_rate, dt)
                 if f.state is fi.EXTINGUISHED:
                     self._extinguish(fid, t_now)
 
-        # (8) bookkeeping
+    def _bookkeep(self, t_now: float) -> None:
         spent = fi.EXTINGUISHED
-        total_area = sum(fi.area(f) for f in fires if f.state is not spent)
+        total_area = sum(fi.area(f) for f in self.fires
+                         if f.state is not spent)
         if total_area > self.peak_total_area:
             self.peak_total_area = total_area
         self.time = t_now
         self.tick_index += 1
-        if (self.tick_index % cfg.engine.trace_stride == 0
+        if (self.tick_index % self.cfg.engine.trace_stride == 0
                 or self.done()):
             self._log_state(total_area)
 
     # -- search phase ------------------------------------------------------
 
-    def _mscidc_search(self, swarm: SwarmState, t_now: float) -> None:
+    def _mscidc_search(self, t_now: float) -> None:
+        for swarm in self.swarms:
+            if not swarm.mitigating:
+                self._swarm_search(swarm, t_now)
+
+    def _swarm_search(self, swarm: SwarmState, t_now: float) -> None:
         cfg = self.cfg
         members = swarm.member_ids
         uavs = self.uavs

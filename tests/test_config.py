@@ -163,6 +163,11 @@ MALFORMED = [
     ('{"area": [1.6e308, 1.6e308], "swarm_sizes": [2], "engine": '
      '{"t_max": 300}, "fires": [{"center": [500, 500], "a": 50, "b": 40}]}',
      "area: the diagonal"),
+    # a step cap whose power in the levy sampler overflows
+    ('{"search": {"levy_step": 1e300}}',
+     "search.levy_step, search.levy_tail_exponent"),
+    ('{"search": {"levy_step": 1e5, "levy_tail_exponent": 500}}',
+     "search.levy_step, search.levy_tail_exponent"),
     # a finite spread rate whose fires' area overflows within engine.t_max
     ('{"fuel": {"alpha": 1e300},'
      ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',

@@ -1,10 +1,13 @@
 import ast
 import concurrent.futures
 import dataclasses
+import gc
+import inspect
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -16,7 +19,8 @@ from swarmfire import fire as fi
 from swarmfire import search as se
 from swarmfire import sensing as sn
 from swarmfire import vehicle as ve
-from swarmfire.config import FireSpec, ScenarioConfig, load_config, validate
+from swarmfire.config import (STRATEGIES, FireSpec, ScenarioConfig,
+                              load_config, validate)
 from swarmfire.engine import (RunResult, World, monte_carlo,
                               preposition_mitigation, run, summarize,
                               weighted_objective)
@@ -432,6 +436,65 @@ def test_tick_noop_after_all_extinguished():
     assert (world.fires[0].a, world.fires[0].b) == geo
     assert world.fires[0].state is fi.FireState.EXTINGUISHED
     assert world.counters() == counters
+
+
+# -- the stage table ----------------------------------------------------------
+
+def test_stages_are_the_tick_in_order():
+    """World.stages is the tick: seven plain functions in the pipeline's
+    order, and only the search entry depends on the strategy."""
+    fixed = (World._grow, World._sense, World._mitigate, World._move,
+             World._quench, World._bookkeep)
+    for strategy in STRATEGIES:
+        stages = World(small_cfg(strategy=strategy), 0).stages
+        assert len(stages) == 7
+        assert all(inspect.isfunction(stage) for stage in stages)
+        assert stages[:2] + stages[3:] == fixed
+        assert stages[2] is (World._mscidc_search if strategy == "MSCIDC"
+                             else World._baseline_search)
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_wrapped_stage_leaves_the_mission_unchanged(index):
+    """A pass-through wrapper in place of one stage, as a stage timer
+    would be, runs once per tick and changes no event or series row."""
+    cfg = load_config("pine-table1")
+    cfg = dataclasses.replace(
+        cfg, engine=dataclasses.replace(cfg.engine, t_max=1800.0))
+    world, twin = World(cfg, 0), World(cfg, 0)
+    stage, calls = world.stages[index], []
+
+    def wrapped(w, t_now):
+        calls.append(t_now)
+        stage(w, t_now)
+
+    world.stages = (world.stages[:index] + (wrapped,)
+                    + world.stages[index + 1:])
+    while not world.done():
+        world.tick()
+        twin.tick()
+    assert twin.done()
+    assert len(calls) == world.tick_index
+    assert {"detection", "lock", "join"} <= {e["type"] for e in world.events}
+    assert world.events == twin.events
+    assert world.series == twin.series
+
+
+def test_finished_world_is_freed_without_the_cycle_collector():
+    """A World does not refer to itself (World.stages holds plain
+    functions, not bound methods), so dropping it frees it at once."""
+    world = World(small_cfg(), 0)
+    while not world.done():
+        world.tick()
+    ref = weakref.ref(world)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del world
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- metrics ------------------------------------------------------------------
