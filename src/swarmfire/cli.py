@@ -19,8 +19,8 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .config import (ConfigError, PRESETS, STRATEGIES, ScenarioConfig,
-                     load_config, to_dict, validate)
+from .config import (ConfigError, STRATEGIES, ScenarioConfig, load_config,
+                     to_dict, validate)
 from .engine import RunResult, monte_carlo, run, summarize
 
 # out-of-range values are rejected with exit code 2, naming the flag

@@ -160,10 +160,6 @@ class ScenarioConfig:
         return sum(self.swarm_sizes)
 
     @property
-    def n_swarms(self) -> int:
-        return len(self.swarm_sizes)
-
-    @property
     def spread(self) -> float:
         """Rate (m/s) at which each semi-axis of a burning fire grows."""
         fuel = self.fuel
@@ -318,16 +314,19 @@ def from_dict(data: dict) -> ScenarioConfig:
              "kinematics.cruise_speed")
     _require(cfg.engine.t_max / cfg.engine.dt <= 1e6,
              "engine.t_max: at most 1e6 ticks of engine.dt")
-    t_max, o = cfg.engine.t_max, cfg.objective
-    grown = cfg.spread * t_max
+    # the last tick may end up to one dt after t_max
+    horizon, o = cfg.engine.t_max + cfg.engine.dt, cfg.objective
+    grown = cfg.spread * horizon
     area = sum(math.pi * (f.a + grown) * (f.b + grown) for f in cfg.fires)
     _require(math.isfinite(area),
-             "fuel, engine.t_max: the total area of the fires after "
-             "engine.t_max of growth at the spread rate must be finite")
+             "fuel, engine.t_max, engine.dt: the total area of the fires "
+             "after engine.t_max + engine.dt of growth at the spread rate "
+             "must be finite")
     _require(math.isfinite(o.w1 * area + o.w2 * area
-                           + o.w3 * len(cfg.fires) * t_max),
+                           + o.w3 * len(cfg.fires) * horizon),
              "objective.w1, objective.w2, objective.w3: w1 and w2 times that "
-             "area plus w3 times len(fires) * engine.t_max must be finite")
+             "area plus w3 times len(fires) * (engine.t_max + engine.dt) "
+             "must be finite")
     _require(cfg.n_uavs <= 1000, "swarm_sizes: at most 1000 UAVs in total")
     return cfg
 

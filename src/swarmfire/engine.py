@@ -73,7 +73,8 @@ class World:
         self.rng = RngStreams(cfg.engine.base_seed, run_index, cfg.n_uavs)
         self.uavs: list[ve.UavState] = []
         self.swarms: list[SwarmState] = []
-        self._spawn()
+        mscidc = cfg.engine.strategy == "MSCIDC"
+        self._spawn(mscidc)
 
         self.records: dict[int, mi.FireMitigationRecord] = {}
         self.detected: dict[int, float] = {}
@@ -90,20 +91,20 @@ class World:
                                           cfg.engine.dt)
         diag = math.hypot(*cfg.area)
         self._l_max = diag / cfg.search.levy_step
-        search = (World._mscidc_search if cfg.engine.strategy == "MSCIDC"
-                  else World._baseline_search)
+        search = World._mscidc_search if mscidc else World._baseline_search
         self.stages = (World._grow, World._sense, search, World._mitigate,
                        World._move, World._quench, World._bookkeep)
         self._log_state(self.total_area0)
 
     # -- initialisation ----------------------------------------------------
 
-    def _spawn(self) -> None:
+    def _spawn(self, swarms: bool) -> None:
+        """Lay out cfg.swarm_sizes as swarms, or every UAV alone."""
         cfg = self.cfg
         w, h = cfg.area
         rng = self.rng.world
         uid = 0
-        if cfg.engine.strategy == "MSCIDC":
+        if swarms:
             for sid, size in enumerate(cfg.swarm_sizes):
                 cx = uniform(rng, 0.0, w)
                 cy = uniform(rng, 0.0, h)
@@ -230,7 +231,7 @@ class World:
 
         # Detection by any member locks the swarm onto the fire (or merges).
         if detector is not None and self._lock_or_merge(
-                swarm, detector.fire_id, t_now):
+                swarm, detector.fire_id, t_now, "merge"):
             return
 
         # Repulsion off a busy fire seen at intermediate probability; the
@@ -336,7 +337,7 @@ class World:
             uav = uavs[uid]
             r = uav.reading
             if r.detected:
-                self._lock_or_merge(swarm, r.fire_id, t_now)
+                self._lock_or_merge(swarm, r.fire_id, t_now, "join-request")
                 continue
             if uav.has_waypoint:
                 # not ve.reached: NaN distances count as not arrived
@@ -354,24 +355,23 @@ class World:
 
     # -- mitigation coordination ------------------------------------------
 
-    def _lock_or_merge(self, swarm: SwarmState, fid: int,
-                       t_now: float) -> bool:
-        """Returns True if the swarm transitioned into mitigation.  An MSCIDC
-        swarm merges into a locked fire under the merging_decision cap; a
-        lone baseline UAV joins uncapped and aligns like a detector.  The
-        alignment waypoints are set by _mitigation_step later in the tick.
-        Only searching swarms call this, and a searching swarm is in no
-        record's swarm_ids."""
-        mscidc = self.cfg.engine.strategy == "MSCIDC"
+    def _lock_or_merge(self, swarm: SwarmState, fid: int, t_now: float,
+                       join: str) -> bool:
+        """Returns True if the swarm transitioned into mitigation.  On a
+        locked fire it ``join``s: an MSCIDC swarm's "merge" is capped by
+        merging_decision, and a lone baseline UAV's "join-request" is
+        uncapped and aligns like a detector.  The alignment waypoints are
+        set by _mitigation_step later in the tick.  Only searching swarms
+        call this, and a searching swarm is in no record's swarm_ids."""
         f = self.fires[fid]
         rec = self.records.get(fid)
         if rec is None:
             rec = self.records[fid] = mi.FireMitigationRecord()
             merging, kind = False, "lock"
-        elif mscidc and not self._merge_allowed(f, rec):
+        elif join == "merge" and not self._merge_allowed(f, rec):
             return False
         else:
-            merging, kind = True, "merge" if mscidc else "join-request"
+            merging, kind = True, join
         rec.swarm_ids.append(swarm.id)
         # One partition over every UAV on the fire.  A lock keeps it; a merge
         # takes provisional sectors from it for its arrivals and for earlier
@@ -568,7 +568,7 @@ def run(cfg: ScenarioConfig, run_index: int,
 
     return RunResult(
         run_index=run_index, strategy=cfg.engine.strategy,
-        n_swarms=cfg.n_swarms, detection_time=detection_time,
+        n_swarms=len(world.swarms), detection_time=detection_time,
         mission_time=mission_time, fer=fer, objective=objective,
         complete=complete, all_detected=all_detected,
         quench_times=quench_times, quench_violations=violations,

@@ -49,12 +49,13 @@ def cull_distance(sensing, thermal: bool) -> float:
 
     Detection needs the sensing radius.  With ``thermal`` (the strategy's
     search reads temperatures, see ``search.THERMAL_STRATEGIES``) it is
-    also the temperature reach, beyond which a fire adds at most 0.01 K.
-    Otherwise it is the sensing radius alone, and a reading's temperature
-    is not the field's: it covers only the fires within the radius."""
-    if not thermal:
-        return sensing.sensing_radius
+    also the temperature reach, beyond which a fire adds at most 0.01 K;
+    a fire at most 0.01 K above ambient has no reach.  Otherwise it is the
+    sensing radius alone, and a reading's temperature is not the field's:
+    it covers only the fires within the radius."""
     span = sensing.fire_temp - sensing.ambient_temp
+    if not thermal or span <= 0.01:
+        return sensing.sensing_radius
     reach = sensing.temp_sigma * math.sqrt(2.0 * math.log(span / 0.01))
     return max(sensing.sensing_radius, reach)
 

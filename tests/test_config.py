@@ -31,7 +31,7 @@ def test_preset_exists_and_validates():
     cfg = load_config("pine-table1")
     validate(cfg)
     assert cfg.n_uavs == 15
-    assert cfg.n_swarms == 7
+    assert len(cfg.swarm_sizes) == 7
     assert len(cfg.fires) == 5
     assert cfg.area == (10000.0, 10000.0)
 
@@ -172,6 +172,10 @@ MALFORMED = [
     ('{"fuel": {"alpha": 1e300},'
      ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',
      "fuel, engine.t_max"),
+    # the last tick, up to one dt past engine.t_max, overflows the area
+    ('{"engine": {"dt": 1e308},'
+     ' "fires": [{"center": [2000, 6000], "a": 300, "b": 250}]}',
+     "engine.dt"),
     # finite fire areas whose objective overflows
     ('{"objective": {"w1": 1e300, "w3": 1e308}, "engine": {"t_max": 1800},'
      ' "fires": [{"center": [100, 100], "a": 50, "b": 50}]}',

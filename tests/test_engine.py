@@ -20,7 +20,7 @@ from swarmfire import search as se
 from swarmfire import sensing as sn
 from swarmfire import vehicle as ve
 from swarmfire.config import (STRATEGIES, FireSpec, ScenarioConfig,
-                              load_config, validate)
+                              from_dict, load_config, validate)
 from swarmfire.engine import (RunResult, World, monte_carlo,
                               preposition_mitigation, run, summarize,
                               weighted_objective)
@@ -454,6 +454,36 @@ def test_stages_are_the_tick_in_order():
                              else World._baseline_search)
 
 
+def test_only_world_init_compares_the_strategy():
+    """engine.py tells MSCIDC from the baselines once, in World.__init__,
+    which picks the swarm layout and the search entry; the join rule
+    comes with the search entry."""
+    tree = ast.parse((SRC / "swarmfire" / "engine.py").read_text())
+    found = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        for node in ast.walk(fn):
+            # cfg.engine.strategy == ... as well as strategy in ...
+            if isinstance(node, ast.Compare) and any(
+                    getattr(side, "attr", getattr(side, "id", None))
+                    == "strategy" for side in (node.left, *node.comparators)):
+                found.add(f"{fn.name}:{node.lineno}")
+    # World is the only class in engine.py that defines __init__
+    assert {where.split(":")[0] for where in found} == {"__init__"}, \
+        sorted(found)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_run_reports_the_swarms_it_flew(strategy):
+    """MSCIDC flies pine-table1's 7 swarms; a baseline flies each of its
+    15 UAVs as a swarm of one."""
+    cfg = load_config("pine-table1")
+    cfg = dataclasses.replace(cfg, engine=dataclasses.replace(
+        cfg.engine, strategy=strategy, t_max=60.0))
+    assert run(cfg, 0).n_swarms == (7 if strategy == "MSCIDC" else 15)
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_wrapped_stage_leaves_the_mission_unchanged(index):
     """A pass-through wrapper in place of one stage, as a stage timer
@@ -676,6 +706,20 @@ def test_detection_only_cull_changes_only_temperatures(strategy, noise_std):
     assert twin.done()
     assert temperatures_differ
     assert any(e["type"] == "join" for e in world.events)
+
+
+@pytest.mark.parametrize("strategy", ["MSCIDC", "OMS"])
+def test_thermal_search_over_a_barely_warm_fire(strategy):
+    """A fire 0.001 K above ambient passes the config checks, and a
+    thermal strategy's World builds and ticks over it."""
+    cfg = from_dict({"fires": [{"center": [2000, 6000], "a": 300, "b": 250}],
+                     "sensing": {"fire_temp": 300.001},
+                     "engine": {"strategy": strategy}})
+    world = World(cfg, 0)
+    assert world._cutoff == cfg.sensing.sensing_radius
+    for _ in range(20):
+        world.tick()
+        check_invariants(world)
 
 
 def test_mscidc_swarm_structure():

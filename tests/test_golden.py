@@ -32,7 +32,8 @@ T_MAX = 1800.0
 NOISY_STRATEGIES = ("MSCIDC", "NORMAL")
 NOISE_STD = 2.0
 # Every coordination path the engine has; the grid must exercise each one.
-REQUIRED_EVENTS = ("lock", "merge", "repulsion", "join", "extinguish")
+REQUIRED_EVENTS = ("lock", "merge", "join-request", "repulsion", "join",
+                   "extinguish")
 
 
 def _sha(obj) -> str:

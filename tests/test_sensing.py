@@ -111,6 +111,14 @@ def test_cull_distance_covers_both_mechanisms():
     assert cull_distance(SENSING, thermal=False) == SENSING.sensing_radius
 
 
+@pytest.mark.parametrize("span", [0.01, 1e-3, 1e-12])
+def test_cull_distance_of_a_barely_warm_fire_is_the_radius(span):
+    """A fire at most 0.01 K above ambient adds no more than that
+    anywhere, so a thermal search culls it at the sensing radius."""
+    warm = dataclasses.replace(SENSING, fire_temp=SENSING.ambient_temp + span)
+    assert cull_distance(warm, thermal=True) == SENSING.sensing_radius
+
+
 def test_sample_first_reading_zero_rate():
     f = make_fire()
     r = sample_one((500.0, 0.0), [f])
