@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -97,7 +98,7 @@ def _print_metrics(r: RunResult) -> None:
                f"{'complete' if r.complete else 'INCOMPLETE'}")
     click.echo(f"  detection time : {r.detection_time / 60.0:8.2f} min")
     click.echo(f"  mission time   : {r.mission_time / 60.0:8.2f} min")
-    click.echo(f"  FER            : {r.fer:8.3f}")
+    click.echo(f"  FER            : {_fmt(r.fer):>8s}")
     click.echo(f"  objective      : {r.objective:10.4g}")
 
 
@@ -214,6 +215,18 @@ def cmd_compare(config_path, names, runs, jobs, seed, out_dir) -> None:
         click.echo(f"{name:8s} detection={st['detection_time']['mean']:.4g}s "
                    f"mission={st['mission_time']['mean']:.4g}s "
                    f"fer={st['fer']['mean']:.4g}")
+    rivals = [n for n in names if n != "MSCIDC"]
+    if "MSCIDC" in names and rivals:
+        paired = {(r.strategy, r.run_index): r for r in all_results}
+        parts = []
+        for key, label in (("mission_time", "mission time"), ("fer", "FER")):
+            mean = {n: aggregates[n][key]["mean"] for n in names}
+            best = min(rivals, key=mean.get)
+            cut = 1.0 - mean["MSCIDC"] / mean[best] if mean[best] else math.nan
+            wins = sum(getattr(paired["MSCIDC", i], key)
+                       < getattr(paired[best, i], key) for i in range(runs))
+            parts.append(f"{label} {cut:+.0%} vs {best}, wins {wins}/{runs}")
+        click.echo("MSCIDC against the best baseline: " + "; ".join(parts))
 
 
 if __name__ == "__main__":

@@ -4,6 +4,10 @@ vehicle motion, fire dynamics and metrics.
 Each tick runs ``World.stages`` in order: growth, sensing and detection,
 the strategy's search, mitigation, vehicle, quench, bookkeeping.  They are
 plain functions, as bound methods would make every World refer to itself.
+They look ``fire.grow`` and ``apply_quench``, ``sensing.sample``,
+``search.next_waypoint`` and ``baseline_waypoint``, ``vehicle.step`` and
+``mitigation.assign_sectors`` and ``angular_control`` up on their modules
+each time they run, never at import: ``perfbench``'s tracer swaps them.
 Swarms and members go by id, so identical (config, run_index) pairs replay
 bit-identically regardless of how many runs execute in parallel.
 """
@@ -178,10 +182,6 @@ class World:
                 self.detected_area[fid] = fi.area(self.fires[fid])
                 self._event("detection", t_now, fire=fid, uav=uid)
 
-    def _mitigate(self, t_now: float) -> None:
-        for fid in sorted(self.records):
-            self._mitigation_step(fid, t_now)
-
     def _move(self, t_now: float) -> None:
         cfg = self.cfg
         ve.step(self.uavs, cfg.kinematics, cfg.engine.dt, cfg.area)
@@ -190,19 +190,22 @@ class World:
         """A record with a joined track belongs to a fire under mitigation:
         every join moves its fire out of BURNING, and an extinguished
         fire's record is gone."""
-        dt = self.cfg.engine.dt
-        for fid in sorted(self.records):
-            f = self.fires[fid]
-            n_active = self.records[fid].joined_count()
+        records, fires, dt = self.records, self.fires, self.cfg.engine.dt
+        quench, rate, spent = fi.apply_quench, self.area_rate, fi.EXTINGUISHED
+        for fid in sorted(records):
+            n_active = records[fid].joined_count()
             if n_active >= 1:
-                fi.apply_quench(f, n_active, self.area_rate, dt)
-                if f.state is fi.EXTINGUISHED:
+                f = fires[fid]
+                quench(f, n_active, rate, dt)
+                if f.state is spent:
                     self._extinguish(fid, t_now)
 
     def _bookkeep(self, t_now: float) -> None:
         spent = fi.EXTINGUISHED
-        total_area = sum(fi.area(f) for f in self.fires
-                         if f.state is not spent)
+        total_area = 0   # sum()'s start: no fire burning logs int 0
+        for f in self.fires:
+            if f.state is not spent:
+                total_area += math.pi * f.a * f.b   # fi.area
         if total_area > self.peak_total_area:
             self.peak_total_area = total_area
         self.time = t_now
@@ -361,7 +364,7 @@ class World:
         locked fire it ``join``s: an MSCIDC swarm's "merge" is capped by
         merging_decision, and a lone baseline UAV's "join-request" is
         uncapped and aligns like a detector.  The alignment waypoints are
-        set by _mitigation_step later in the tick.  Only searching swarms
+        set by _mitigate later in the tick.  Only searching swarms
         call this, and a searching swarm is in no record's swarm_ids."""
         f = self.fires[fid]
         rec = self.records.get(fid)
@@ -375,7 +378,7 @@ class World:
         rec.swarm_ids.append(swarm.id)
         # One partition over every UAV on the fire.  A lock keeps it; a merge
         # takes provisional sectors from it for its arrivals and for earlier
-        # merging ones, and _mitigation_step repartitions once all of them
+        # merging ones, and _mitigate repartitions once all of them
         # have reached the front.
         uavs = self.uavs
         settled = [t for t in rec.tracks if not t.merging]
@@ -394,53 +397,55 @@ class World:
         self._event(kind, t_now, swarm=swarm.id, fire=fid)
         return True
 
-    def _mitigation_step(self, fid: int, t_now: float) -> None:
-        f = self.fires[fid]
-        rec = self.records[fid]
-        m = self.cfg.mitigation
-        dt = self.cfg.engine.dt
-        uavs = self.uavs
+    def _mitigate(self, t_now: float) -> None:
+        m, dt, uavs = self.cfg.mitigation, self.cfg.engine.dt, self.uavs
+        speed, gain, margin = m.mitigation_speed, m.track_gain, m.turn_margin
+        sin, cos, omega_at = math.sin, math.cos, mi.nominal_angular_velocity
+        control = mi.angular_control
+        for fid in sorted(self.records):
+            f = self.fires[fid]
+            rec = self.records[fid]
+            # a join changes only the fire's state, so its geometry holds
+            a, b, (cx, cy) = f.a, f.b, f.center
 
-        # An unjoined UAV flies to its sector's reference point and joins on
-        # arrival; merging ones wait for the repartition below.
-        merging = []
-        all_arrived = True
-        for track in rec.tracks:
-            uav = uavs[track.uav_id]
-            if not track.joined:
-                uav.waypoint = fi.point_on_front(f, track.theta_ref)
-                uav.waypoint_vel = (0.0, 0.0)
-                uav.has_waypoint = True
-                arrived = ve.reached(uav.pos, uav.waypoint, self._arrival)
-                if track.merging:
-                    merging.append(track.uav_id)
-                    all_arrived = all_arrived and arrived
-                elif arrived:
-                    self._join(track, f, t_now)
-                continue
-            omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
-                                                track.theta)
-            theta, theta_ref, direction = mi.angular_control(
-                track.theta, track.theta_ref, track.direction,
-                track.lo, track.hi, omega, m.track_gain, m.turn_margin, dt)
-            track.theta = theta
-            track.theta_ref = theta_ref
-            track.direction = direction
-            uav.waypoint = fi.point_on_front(f, theta)
-            sweep = direction * omega
-            uav.waypoint_vel = (-f.a * math.sin(theta) * sweep,
-                                f.b * math.cos(theta) * sweep)
-            uav.has_waypoint = True
-
-        if merging and all_arrived:
-            # every track restarts at its new sector's midpoint; keep drops
-            # the merging flag
-            rec.tracks = mi.assign_sectors(
-                f, [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks],
-                keep={t.uav_id: t for t in rec.tracks})
+            # An unjoined UAV flies to its sector's reference point and joins
+            # on arrival; merging ones wait for the repartition below.
+            merging = []
+            all_arrived = True
             for track in rec.tracks:
-                if track.uav_id in merging:
-                    self._join(track, f, t_now)
+                uav = uavs[track.uav_id]
+                if not track.joined:
+                    uav.waypoint = fi.point_on_front(f, track.theta_ref)
+                    uav.waypoint_vel = (0.0, 0.0)
+                    uav.has_waypoint = True
+                    arrived = ve.reached(uav.pos, uav.waypoint, self._arrival)
+                    if track.merging:
+                        merging.append(track.uav_id)
+                        all_arrived = all_arrived and arrived
+                    elif arrived:
+                        self._join(track, f, t_now)
+                    continue
+                omega = omega_at(a, b, speed, track.theta)
+                theta, track.theta_ref, direction = control(
+                    track.theta, track.theta_ref, track.direction,
+                    track.lo, track.hi, omega, gain, margin, dt)
+                track.theta = theta
+                track.direction = direction
+                s, c = sin(theta), cos(theta)   # point and feed-forward
+                sweep = direction * omega
+                uav.waypoint = (cx + a * c, cy + b * s)
+                uav.waypoint_vel = (-a * s * sweep, b * c * sweep)
+                uav.has_waypoint = True
+
+            if merging and all_arrived:
+                # every track restarts at its new sector's midpoint; keep
+                # drops the merging flag
+                rec.tracks = mi.assign_sectors(
+                    f, [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks],
+                    keep={t.uav_id: t for t in rec.tracks})
+                for track in rec.tracks:
+                    if track.uav_id in merging:
+                        self._join(track, f, t_now)
 
     def _join(self, track: mi.SectorTrack, f: fi.FireFront,
               t_now: float) -> None:

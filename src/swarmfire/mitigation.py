@@ -51,7 +51,11 @@ class FireMitigationRecord:
         return len(self.swarm_ids)
 
     def joined_count(self) -> int:
-        return sum(1 for t in self.tracks if t.joined)
+        n = 0
+        for t in self.tracks:
+            if t.joined:
+                n += 1
+        return n
 
 
 def assign_sectors(fire: FireFront,
@@ -123,8 +127,10 @@ def angular_control(theta: float, theta_ref: float, direction: int,
         new_ref = lo
         direction = 1
 
-    new_err = (theta - theta_ref) * math.exp(track_gain * dt)
-    return (new_ref + new_err, new_ref, direction)
+    err = theta - theta_ref
+    if err:   # a zero error stays zero: no decay factor to compute
+        err *= math.exp(track_gain * dt)
+    return (new_ref + err, new_ref, direction)
 
 
 def merging_decision(fire_area: float, fires_remaining: int,

@@ -6,12 +6,21 @@ sector geometry here derives the same equal-area partition another way, and
 the closed-form quench time is the no-growth, simultaneous-join limit of
 the quench model.  The per-UAV sensor sample and the per-swarm member
 scans are the compositions the engine's one-call stages replaced.
+``mitigate``, ``quench`` and ``bookkeep`` are ``World._mitigate``,
+``World._quench`` and ``World._bookkeep`` as first written: one step per
+record, a sin/cos for the waypoint and another for the feed-forward, and
+generator sums.  Each is called as ``stage(world, t_now)``, like an entry
+of ``World.stages``; ``mitigate`` sweeps with ``angular_control`` as first
+written, which decays every tracking error, a zero one included.
 """
 
 import math
 
 from scipy import integrate
 
+from swarmfire import fire as fi
+from swarmfire import mitigation as mi
+from swarmfire import vehicle as ve
 from swarmfire.fire import distance_to_front, nearest_front_point
 from swarmfire.sensing import SensorReading, detection_probability
 
@@ -137,3 +146,105 @@ def swarm_center(members, uavs):
         ys += py
     n = len(members)
     return (xs / n, ys / n)
+
+
+def angular_control(theta, theta_ref, direction, lo, hi, omega, track_gain,
+                    turn_margin, dt):
+    """One step of the sector sweep: theta' = mu*omega + K_m*(theta -
+    theta_ref), the reference ping-ponging between the sector bounds."""
+    if direction == -1 and theta_ref - lo < turn_margin:
+        direction = 1
+    elif direction == 1 and hi - theta_ref < turn_margin:
+        direction = -1
+
+    new_ref = theta_ref + direction * omega * dt
+    if new_ref >= hi:
+        new_ref = hi
+        direction = -1
+    elif new_ref <= lo:
+        new_ref = lo
+        direction = 1
+
+    new_err = (theta - theta_ref) * math.exp(track_gain * dt)
+    return (new_ref + new_err, new_ref, direction)
+
+
+def mitigate(world, t_now):
+    """Mitigation stage: each record's step in fire id order."""
+    for fid in sorted(world.records):
+        _mitigation_step(world, fid, t_now)
+
+
+def _mitigation_step(world, fid, t_now):
+    f = world.fires[fid]
+    rec = world.records[fid]
+    m = world.cfg.mitigation
+    dt = world.cfg.engine.dt
+    uavs = world.uavs
+
+    # An unjoined UAV flies to its sector's reference point and joins on
+    # arrival; merging ones wait for the repartition below.
+    merging = []
+    all_arrived = True
+    for track in rec.tracks:
+        uav = uavs[track.uav_id]
+        if not track.joined:
+            uav.waypoint = fi.point_on_front(f, track.theta_ref)
+            uav.waypoint_vel = (0.0, 0.0)
+            uav.has_waypoint = True
+            arrived = ve.reached(uav.pos, uav.waypoint, world._arrival)
+            if track.merging:
+                merging.append(track.uav_id)
+                all_arrived = all_arrived and arrived
+            elif arrived:
+                world._join(track, f, t_now)
+            continue
+        omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
+                                            track.theta)
+        theta, theta_ref, direction = angular_control(
+            track.theta, track.theta_ref, track.direction,
+            track.lo, track.hi, omega, m.track_gain, m.turn_margin, dt)
+        track.theta = theta
+        track.theta_ref = theta_ref
+        track.direction = direction
+        uav.waypoint = fi.point_on_front(f, theta)
+        sweep = direction * omega
+        uav.waypoint_vel = (-f.a * math.sin(theta) * sweep,
+                            f.b * math.cos(theta) * sweep)
+        uav.has_waypoint = True
+
+    if merging and all_arrived:
+        # every track restarts at its new sector's midpoint; keep drops
+        # the merging flag
+        rec.tracks = mi.assign_sectors(
+            f, [(t.uav_id, uavs[t.uav_id].pos) for t in rec.tracks],
+            keep={t.uav_id: t for t in rec.tracks})
+        for track in rec.tracks:
+            if track.uav_id in merging:
+                world._join(track, f, t_now)
+
+
+def quench(world, t_now):
+    """Quench stage: every record with a joined track quenches its fire."""
+    dt = world.cfg.engine.dt
+    for fid in sorted(world.records):
+        f = world.fires[fid]
+        n_active = sum(1 for t in world.records[fid].tracks if t.joined)
+        if n_active >= 1:
+            fi.apply_quench(f, n_active, world.area_rate, dt)
+            if f.state is fi.EXTINGUISHED:
+                world._extinguish(fid, t_now)
+
+
+def bookkeep(world, t_now):
+    """Bookkeeping stage: peak burning area, clock and the series row."""
+    spent = fi.EXTINGUISHED
+    total_area = sum(fi.area(f) for f in world.fires
+                     if f.state is not spent)
+    if total_area > world.peak_total_area:
+        world.peak_total_area = total_area
+    world.time = t_now
+    world.tick_index += 1
+    if (world.tick_index % world.cfg.engine.trace_stride == 0
+            or world.done()):
+        world._log_state(total_area)

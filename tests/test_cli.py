@@ -1,11 +1,13 @@
 import json
+import statistics
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from swarmfire.cli import CSV_COLUMNS, main
-from swarmfire.config import STRATEGIES, load_config, write_config
+from swarmfire.config import STRATEGIES, load_config, to_dict, write_config
+from swarmfire.engine import run
 from test_config import MALFORMED
 
 import dataclasses
@@ -134,8 +136,50 @@ def test_compare_defaults_to_every_strategy(tmp_path, small_config_path):
     assert res.exit_code == 0, res.output
     data = json.loads((tmp_path / "compare.json").read_text())
     assert sorted(data["aggregates"]) == sorted(STRATEGIES)
-    assert [line.split()[0] for line in res.output.splitlines()] == \
-        list(STRATEGIES)
+    lines = res.output.splitlines()
+    assert [line.split()[0] for line in lines[:-1]] == list(STRATEGIES)
+    assert lines[-1].startswith("MSCIDC against the best baseline: ")
+
+
+def test_compare_prints_mscidc_against_the_best_baseline(tmp_path,
+                                                         small_config_path):
+    """For mission time and FER: MSCIDC's relative cut in the mean of the
+    baseline with the lowest mean, and the runs of equal index (the same
+    world) in which MSCIDC's value is lower, recomputed from single runs."""
+    doc = json.loads(Path(small_config_path).read_text())
+    doc["engine"]["t_max"] = 900.0
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(doc))
+    names, n = ["MSCIDC", "NORMAL", "OMS"], 3
+    res = invoke("compare", str(p), "--runs", str(n), "--strategies",
+                 ",".join(names), "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+
+    cfg = load_config(str(p))
+    values = {}
+    for name in names:
+        scfg = dataclasses.replace(
+            cfg, engine=dataclasses.replace(cfg.engine, strategy=name))
+        values[name] = [run(scfg, i) for i in range(n)]
+    parts = []
+    for key, label in (("mission_time", "mission time"), ("fer", "FER")):
+        means = {name: statistics.fmean(getattr(r, key) for r in rs)
+                 for name, rs in values.items()}
+        best = sorted(names[1:], key=lambda name: (means[name],
+                                                   names.index(name)))[0]
+        cut = round(100 * (means[best] - means["MSCIDC"]) / means[best])
+        wins = sum(getattr(ours, key) < getattr(theirs, key)
+                   for ours, theirs in zip(values["MSCIDC"], values[best]))
+        parts.append(f"{label} {cut:+d}% vs {best}, wins {wins}/{n}")
+    assert res.output.splitlines()[-1] == (
+        "MSCIDC against the best baseline: " + "; ".join(parts))
+
+    # without MSCIDC, or without a baseline, there is nothing to compare
+    for only in ("NORMAL,OMS", "MSCIDC"):
+        res = invoke("compare", str(p), "--runs", "1", "--strategies", only,
+                     "--out", str(tmp_path))
+        assert res.exit_code == 0, res.output
+        assert "best baseline" not in res.output
 
 
 def test_compare_unknown_strategy(small_config_path):
@@ -244,3 +288,21 @@ def test_csv_floats_six_significant_digits(tmp_path, small_config_path):
     fer = row[CSV_COLUMNS.index("fer")]
     digits = fer.replace(".", "").replace("-", "").lstrip("0")
     assert len(digits) <= 6
+
+
+def test_run_prints_fer_with_the_csv_digits(tmp_path):
+    """A FER near 1e301 (a fire 1e-300 m thick that grows) prints with the
+    CSV's 6 significant digits, not as some 300 digits of fixed point."""
+    doc = to_dict(load_config("pine-table1"))
+    doc["fires"] = [{"center": [5000, 5000], "a": 100, "b": 1e-300}]
+    doc["engine"]["t_max"] = 600
+    p = tmp_path / "thin.json"
+    p.write_text(json.dumps(doc))
+    res = invoke("run", str(p), "--out", str(tmp_path))
+    assert res.exit_code == 0, res.output
+    printed = [line.split(":")[1].strip() for line in res.output.splitlines()
+               if line.strip().startswith("FER")]
+    row = (tmp_path / "summary.csv").read_text().splitlines()[1].split(",")
+    fer = row[CSV_COLUMNS.index("fer")]
+    assert float(fer) > 1e300
+    assert printed == [fer]

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from oracles import closed_form_quench_time, max_info_member, swarm_center
 from test_golden import preposition_setup
 from swarmfire import engine
 from swarmfire import fire as fi
+from swarmfire import mitigation as mi
 from swarmfire import search as se
 from swarmfire import sensing as sn
 from swarmfire import vehicle as ve
@@ -508,6 +510,93 @@ def test_wrapped_stage_leaves_the_mission_unchanged(index):
     assert {"detection", "lock", "join"} <= {e["type"] for e in world.events}
     assert world.events == twin.events
     assert world.series == twin.series
+
+
+def stage_writes(world) -> dict:
+    """Every field the mitigation, quench and bookkeeping stages write.  A
+    series row is never rewritten, so the row this tick may have logged
+    stands for the whole series; both it and the events go by repr, as in
+    the golden digests, where a logged int 0 is not the float 0.0."""
+    return {
+        "uavs": [(u.pos, u.vel, u.waypoint, u.waypoint_vel, u.mode)
+                 for u in world.uavs],
+        "fires": [(f.a, f.b, f.state, f.quenched_area_total)
+                  for f in world.fires],
+        "tracks": {fid: [(t.uav_id, t.theta, t.theta_ref, t.direction,
+                          t.joined, t.merging) for t in rec.tracks]
+                   for fid, rec in world.records.items()},
+        "peak_total_area": world.peak_total_area,
+        "series": (len(world.series), repr(world.series[-1])),
+        "events": repr(world.events),
+    }
+
+
+@pytest.mark.parametrize("setup", ["preposition", "merge"])
+def test_stages_match_their_oracles_every_tick(setup):
+    """The mitigation, quench and bookkeeping stages write, on every tick,
+    exactly what their first written forms in tests/oracles.py write: on
+    the golden preposition World, and on a pine-table1 MSCIDC mission in
+    which a swarm merges onto a locked fire and the repartition joins it."""
+    if setup == "preposition":
+        world, twin = preposition_setup(), preposition_setup()
+    else:
+        cfg = load_config("pine-table1")
+        world, twin = World(cfg, 5), World(cfg, 5)
+    oracle = {World._mitigate: oracles.mitigate,
+              World._quench: oracles.quench,
+              World._bookkeep: oracles.bookkeep}
+    twin.stages = tuple(oracle.get(stage, stage) for stage in twin.stages)
+    assert set(oracle.values()) <= set(twin.stages)
+    while not world.done():
+        world.tick()
+        twin.tick()
+        got, want = stage_writes(world), stage_writes(twin)
+        for field, value in want.items():
+            assert got[field] == value, f"tick {world.tick_index}: {field}"
+    assert twin.done()
+    kinds = {e["type"] for e in world.events}
+    assert "extinguish" in kinds
+    assert setup != "merge" or {"merge", "join"} <= kinds
+
+
+# Every entry point perfbench/tracing.py wraps in a module a stage reaches,
+# on the module where the caller looks the name up.
+TRACED = ((mi, "angular_control"), (mi, "assign_sectors"),
+          (fi, "apply_quench"), (fi, "grow"), (sn, "sample"),
+          (sn, "distance_to_front"), (ve, "step"), (se, "next_waypoint"))
+
+
+@pytest.mark.parametrize("strategy, entries", [
+    ("MSCIDC", TRACED), ("NORMAL", ((se, "baseline_waypoint"),))])
+def test_entry_points_are_looked_up_where_the_tracer_wraps_them(
+        monkeypatch, strategy, entries):
+    """A counting pass-through set on each entry point's module before the
+    World is built, as the benchmark's tracer installs its wrappers, sees
+    calls, and the mission is the unwrapped one.  A stage that bound an
+    entry point at import would bypass it and leave its count at 0."""
+    cfg = small_cfg(strategy=strategy,
+                    t_max=3600.0 if strategy == "MSCIDC" else 60.0)
+    twin = World(cfg, 0)
+    while not twin.done():
+        twin.tick()
+    counts = {}
+    for module, name in entries:
+        key = f"{module.__name__}.{name}"
+        counts[key] = 0
+
+        def counted(*args, _key=key, _fn=getattr(module, name), **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    world = World(cfg, 0)
+    while not world.done():
+        world.tick()
+    assert all(counts.values()), counts
+    assert world.events == twin.events
+    if strategy == "MSCIDC":
+        # locks, sweeps and quenches its fire out
+        assert {"lock", "join", "extinguish"} <= {
+            e["type"] for e in world.events}
 
 
 def test_finished_world_is_freed_without_the_cycle_collector():

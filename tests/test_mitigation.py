@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from oracles import (closed_form_quench_time, inverse_sweep_angle,
                      quad_sector_area)
 from swarmfire.fire import FireFront, area, point_on_front
@@ -179,6 +180,25 @@ def test_angular_control_reference_stays_in_bounds():
                                          margin, 0.1)
         assert lo - margin <= ref <= hi + margin
         assert mu in (-1, 1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=st.floats(-10.0, 10.0), y=st.floats(-10.0, 10.0),
+       pick=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       direction=st.sampled_from([-1, 1]), lo=st.floats(-10.0, 0.0),
+       width=st.floats(0.0, 10.0), omega=st.floats(0.0, 10.0),
+       track_gain=st.floats(-100.0, -1e-9), turn_margin=st.floats(1e-9, 1.0),
+       dt=st.floats(1e-6, 10.0))
+def test_angular_control_matches_the_oracle_law(x, y, pick, direction, lo,
+                                                width, omega, track_gain,
+                                                turn_margin, dt):
+    """Bit for bit, signed zeros included, the law as first written, which
+    multiplies a zero error by the decay factor too.  theta and theta_ref
+    are each +0, -0, x or y, so equal angles and zero errors are common."""
+    theta, theta_ref = ((0.0, -0.0, x, y)[i] for i in pick)
+    args = (theta, theta_ref, direction, lo, lo + width, omega, track_gain,
+            turn_margin, dt)
+    assert repr(angular_control(*args)) == repr(oracles.angular_control(*args))
 
 
 def test_merging_decision_clauses():
