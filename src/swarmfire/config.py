@@ -348,6 +348,16 @@ def to_dict(cfg: ScenarioConfig) -> dict:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json's object_pairs_hook: ConfigError names a repeated key."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
 def load_config(path: Union[str, Path]) -> ScenarioConfig:
     """Load a config from a JSON file or resolve a built-in preset name."""
     name = str(path)
@@ -357,7 +367,7 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     if not p.is_file():
         raise ConfigError(f"config not found: {p}")
     try:
-        data = json.loads(p.read_text())
+        data = json.loads(p.read_text(), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:   # bad JSON or bad UTF-8
         raise ConfigError(f"{p}: JSON parse failure: {exc}") from exc
     return from_dict(data)

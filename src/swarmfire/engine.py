@@ -36,7 +36,7 @@ class SwarmState:
     mitigating: bool = False      # exactly while some record lists the swarm
     repel_until: float = -math.inf
     repel_heading: float = 0.0    # set with repel_until, read only before it
-    explore: bool | None = None   # last search stage, to detect switches
+    explore: bool | None = None   # last search stage; None forces a switch
 
 
 @dataclass
@@ -225,7 +225,7 @@ class World:
         cfg = self.cfg
         members = swarm.member_ids
         uavs = self.uavs
-        detector, k_star, temp_max, near, center = se.scan_members(
+        detector, k_star, temp_max, near, (cx, cy) = se.scan_members(
             members, uavs, self.records)
         if k_star is None:
             # no rate beats -inf: every member's is NaN or -inf (noise
@@ -253,8 +253,7 @@ class World:
                         ve.heading(uavs[k_star], self.rng))
                     self._event("repulsion", t_now, swarm=swarm.id,
                                 fire=r.fire_id)
-                    for mid in members:
-                        uavs[mid].has_waypoint = False
+                    swarm.explore = None   # the switch below drops every leg
                     break
 
         # Stage selection and waypoint generation.
@@ -266,9 +265,8 @@ class World:
             # immediately instead of after the current (possibly long) leg
             swarm.explore = explore
             for mid in members:
-                uavs[mid].has_waypoint = False
+                uavs[mid].waypoint = None
 
-        cx, cy = center
         swarm_radius = cfg.swarm_radius
         arrival = self._arrival
         hypot = math.hypot
@@ -278,17 +276,14 @@ class World:
             px, py = uav.pos
             if hypot(px - cx, py - cy) > swarm_radius:
                 # local attraction: pull strays back to the swarm center
-                uav.waypoint = center
-                uav.waypoint_vel = (0.0, 0.0)
-                uav.has_waypoint = True
+                uav.waypoint = (cx, cy, 0.0, 0.0)
                 uav.returning = True
                 continue
-            if uav.returning:
+            if uav.returning:   # back in the disk: draws a leg below
                 uav.returning = False
-                uav.has_waypoint = False
-            elif uav.has_waypoint:
+            elif uav.waypoint is not None:
                 # not ve.reached: NaN distances count as not arrived
-                wx, wy = uav.waypoint
+                wx, wy, _, _ = uav.waypoint
                 if not hypot(wx - px, wy - py) < arrival:
                     continue
             due.append(uav)
@@ -316,11 +311,9 @@ class World:
             travel = min(step_scale * length / cfg.kinematics.cruise_speed,
                          120.0)
             center_pred = (cx + mvx * travel, cy + mvy * travel)
-            uav.waypoint = se.next_waypoint(p_info, psi, step_scale, length,
-                                            cfg.area, center_pred,
-                                            swarm_radius)
-            uav.waypoint_vel = (0.0, 0.0)
-            uav.has_waypoint = True
+            x, y = se.next_waypoint(p_info, psi, step_scale, length,
+                                    cfg.area, center_pred, swarm_radius)
+            uav.waypoint = (x, y, 0.0, 0.0)
             uav.mode = mode
 
     def _baseline_search(self, t_now: float) -> None:
@@ -342,18 +335,17 @@ class World:
             if r.detected:
                 self._lock_or_merge(swarm, r.fire_id, t_now, "join-request")
                 continue
-            if uav.has_waypoint:
+            if uav.waypoint is not None:
                 # not ve.reached: NaN distances count as not arrived
                 px, py = uav.pos
-                wx, wy = uav.waypoint
+                wx, wy, _, _ = uav.waypoint
                 if not hypot(wx - px, wy - py) < arrival:
                     continue
-            uav.waypoint = waypoint(
+            x, y = waypoint(
                 strategy, uav.pos, uav.vel, r.temperature, r.temp_rate,
                 self.rng.agent(uid), cfg.area, cfg.search, self._l_max,
                 cfg.sensing.temp_threshold)
-            uav.waypoint_vel = (0.0, 0.0)
-            uav.has_waypoint = True
+            uav.waypoint = (x, y, 0.0, 0.0)
             uav.mode = ve.EXPLORE
 
     # -- mitigation coordination ------------------------------------------
@@ -415,9 +407,8 @@ class World:
             for track in rec.tracks:
                 uav = uavs[track.uav_id]
                 if not track.joined:
-                    uav.waypoint = fi.point_on_front(f, track.theta_ref)
-                    uav.waypoint_vel = (0.0, 0.0)
-                    uav.has_waypoint = True
+                    x, y = fi.point_on_front(f, track.theta)
+                    uav.waypoint = (x, y, 0.0, 0.0)
                     arrived = ve.reached(uav.pos, uav.waypoint, self._arrival)
                     if track.merging:
                         merging.append(track.uav_id)
@@ -425,17 +416,16 @@ class World:
                     elif arrived:
                         self._join(track, f, t_now)
                     continue
-                omega = omega_at(a, b, speed, track.theta)
-                theta, track.theta_ref, direction = control(
-                    track.theta, track.theta_ref, track.direction,
-                    track.lo, track.hi, omega, gain, margin, dt)
-                track.theta = theta
-                track.direction = direction
+                theta = track.theta   # also the law's reference angle
+                omega = omega_at(a, b, speed, theta)
+                theta, _, direction = control(
+                    theta, theta, track.direction, track.lo, track.hi, omega,
+                    gain, margin, dt)
+                track.theta, track.direction = theta, direction
                 s, c = sin(theta), cos(theta)   # point and feed-forward
                 sweep = direction * omega
-                uav.waypoint = (cx + a * c, cy + b * s)
-                uav.waypoint_vel = (-a * s * sweep, b * c * sweep)
-                uav.has_waypoint = True
+                uav.waypoint = (cx + a * c, cy + b * s,
+                                -a * s * sweep, b * c * sweep)
 
             if merging and all_arrived:
                 # every track restarts at its new sector's midpoint; keep
@@ -449,10 +439,9 @@ class World:
 
     def _join(self, track: mi.SectorTrack, f: fi.FireFront,
               t_now: float) -> None:
-        """A UAV reaches its alignment point and starts sweeping its sector
-        from the reference angle; its fire stops growing."""
+        """A UAV reaches its track's angle on the front and starts sweeping
+        its sector from there; its fire stops growing."""
         track.joined = True
-        track.theta = track.theta_ref
         self.uavs[track.uav_id].mode = ve.MITIGATE
         if f.state is fi.BURNING:
             f.state = fi.UNDER_MITIGATION
@@ -469,8 +458,7 @@ class World:
             for uid in swarm.member_ids:
                 uav = self.uavs[uid]
                 uav.mode = ve.EXPLORE
-                uav.has_waypoint = False
-                uav.waypoint_vel = (0.0, 0.0)
+                uav.waypoint = None
 
     # -- logging and termination ------------------------------------------
 
@@ -515,7 +503,7 @@ def preposition_mitigation(world: World, fid: int,
     rec.tracks = mi.assign_sectors(f, members)
     for track in rec.tracks:
         uav = world.uavs[track.uav_id]
-        uav.pos = fi.point_on_front(f, track.theta_ref)
+        uav.pos = fi.point_on_front(f, track.theta)
         uav.mode = ve.MITIGATE
         track.joined = True
         swarm = world.swarms[uav.swarm_id]

@@ -37,14 +37,13 @@ EXTINGUISHED = FireState.EXTINGUISHED
 
 @dataclass
 class FireFront:
-    """One fire: geometry, lifecycle state and quench bookkeeping."""
+    """One fire: geometry and lifecycle state."""
     id: int
     center: tuple[float, float]
     a: float
     b: float
     spread: float = 0.0               # m/s added to both semi-axes
     state: FireState = BURNING
-    quenched_area_total: float = 0.0
 
 
 def fireline_intensity(flame_length: float, alpha: float, beta: float) -> float:
@@ -63,12 +62,11 @@ def area(fire: FireFront) -> float:
     return math.pi * fire.a * fire.b
 
 
-def grow(fire: FireFront, dt: float) -> FireFront:
+def grow(fire: FireFront, dt: float) -> None:
     """Advance both semi-axes by spread*dt; no-op once extinguished."""
     if fire.state is not EXTINGUISHED:
         fire.a += fire.spread * dt
         fire.b += fire.spread * dt
-    return fire
 
 
 def point_on_front(fire: FireFront, theta: float) -> tuple[float, float]:
@@ -161,7 +159,7 @@ def nearest_front_point(fire: FireFront, p: tuple[float, float],
 
 
 def apply_quench(fire: FireFront, n_active: int, area_rate: float,
-                 dt: float) -> FireFront:
+                 dt: float) -> None:
     """One quench step: net area = current + growth - n_active*rate*dt.
 
     The axes are resized to enclose the net area with a - b held constant
@@ -176,7 +174,5 @@ def apply_quench(fire: FireFront, n_active: int, area_rate: float,
     new_b = 0.5 * (-d + math.sqrt(d * d + 4.0 * net / math.pi))
     fire.a = new_b + d
     fire.b = new_b
-    fire.quenched_area_total += removed
     if net <= EXTINGUISH_AREA:
         fire.state = EXTINGUISHED
-    return fire

@@ -24,15 +24,13 @@ def quench_area_rate(water_rate: float, c: float, nu: float,
 
 @dataclass
 class SectorTrack:
-    """One UAV a fire's record owns: its sector of the front and its sweep
-    state inside it (parametric angles).  A merging track's sector is
-    provisional: its UAV flies to theta_ref on the front and joins only at
-    the repartition that follows once every merging UAV has arrived."""
+    """One UAV a fire's record owns: its sector of the front and the one
+    angle in it that its UAV flies to, joins at and sweeps.  A merging
+    track's sector is provisional until every merging UAV has arrived."""
     uav_id: int
     lo: float
     hi: float
     theta: float
-    theta_ref: float
     direction: int = 1            # mu in {-1, +1}
     joined: bool = False
     merging: bool = False
@@ -85,9 +83,7 @@ def assign_sectors(fire: FireFront,
     for idx, (uid, _pos) in enumerate(ordered):
         lo = math.tau * idx / n
         hi = math.tau * (idx + 1) / n
-        mid = 0.5 * (lo + hi)
-        track = SectorTrack(uav_id=uid, lo=lo, hi=hi, theta=mid,
-                            theta_ref=mid)
+        track = SectorTrack(uav_id=uid, lo=lo, hi=hi, theta=0.5 * (lo + hi))
         if keep and uid in keep:
             old = keep[uid]
             track.joined = old.joined

@@ -53,9 +53,7 @@ class UavState:
     pos: Vec
     vel: Vec = (0.0, 0.0)
     mode: UavMode = EXPLORE
-    waypoint: Vec = (0.0, 0.0)
-    waypoint_vel: Vec = (0.0, 0.0)
-    has_waypoint: bool = False
+    waypoint: tuple | None = None          # (x, y, vx, vy); None: hold
     reading: SensorReading | None = None   # latest; None before the first
     # where a full sensing pass culled every fire (see sensing.sample)
     far: tuple[float, float, float, float] | None = None
@@ -68,15 +66,15 @@ class UavState:
 def step(uavs: list[UavState], kin, dt: float, area: Vec) -> None:
     """The vehicle stage of one tick: advance every UAV in list order.
 
-    A UAV with a waypoint flies toward it at a reference velocity whose
-    speed saturates below the cruise speed as the tracking error grows,
-    plus the waypoint's own velocity as feed-forward; one without holds a
-    zero reference.  The velocity follows the reference through the exact
-    first-order lag and the position integrates it trapezoidally, then is
-    clamped into the area.  When a UAV slows from above HEADING_MIN_SPEED
-    to at most that, ``uav.last_heading`` records the heading it had: that
-    of its last fast tick (see ``heading``).  ``kin`` is a
-    KinematicsParams.
+    A UAV whose ``waypoint`` is (x, y, vx, vy) flies toward (x, y) at a
+    reference velocity whose speed saturates below the cruise speed as the
+    tracking error grows, plus (vx, vy) as feed-forward; one whose
+    ``waypoint`` is None holds a zero reference.  The velocity follows the
+    reference through the exact first-order lag and the position
+    integrates it trapezoidally, then is clamped into the area.  When a
+    UAV slows from above HEADING_MIN_SPEED to at most that,
+    ``uav.last_heading`` records the heading it had: that of its last fast
+    tick (see ``heading``).  ``kin`` is a KinematicsParams.
     """
     cruise, tau = kin.cruise_speed, kin.tracking_tau
     decay = math.exp(-kin.pole * dt)
@@ -87,12 +85,12 @@ def step(uavs: list[UavState], kin, dt: float, area: Vec) -> None:
     for uav in uavs:
         px, py = uav.pos
         vx0, vy0 = uav.vel
-        if uav.has_waypoint:
-            tx, ty = uav.waypoint
+        wp = uav.waypoint
+        if wp is not None:
+            tx, ty, fx, fy = wp
             ex = tx - px
             ey = ty - py
             gain = cruise / (tau + hypot(ex, ey))
-            fx, fy = uav.waypoint_vel
             rx = gain * ex + fx
             ry = gain * ey + fy
         else:
@@ -127,6 +125,6 @@ def arrival_radius(cruise_speed: float, dt: float) -> float:
     return max(2.0 * cruise_speed * dt, 5.0)
 
 
-def reached(pos: Vec, target: Vec, radius: float) -> bool:
-    """Waypoint-arrival predicate: within ``arrival_radius`` of the target."""
+def reached(pos: Vec, target: tuple, radius: float) -> bool:
+    """Arrival: within ``radius`` of target's (x, y), a point or waypoint."""
     return math.hypot(target[0] - pos[0], target[1] - pos[1]) < radius

@@ -189,10 +189,9 @@ def _mitigation_step(world, fid, t_now):
     for track in rec.tracks:
         uav = uavs[track.uav_id]
         if not track.joined:
-            uav.waypoint = fi.point_on_front(f, track.theta_ref)
-            uav.waypoint_vel = (0.0, 0.0)
-            uav.has_waypoint = True
-            arrived = ve.reached(uav.pos, uav.waypoint, world._arrival)
+            point = fi.point_on_front(f, track.theta)
+            uav.waypoint = (*point, 0.0, 0.0)
+            arrived = ve.reached(uav.pos, point, world._arrival)
             if track.merging:
                 merging.append(track.uav_id)
                 all_arrived = all_arrived and arrived
@@ -201,17 +200,15 @@ def _mitigation_step(world, fid, t_now):
             continue
         omega = mi.nominal_angular_velocity(f.a, f.b, m.mitigation_speed,
                                             track.theta)
-        theta, theta_ref, direction = angular_control(
-            track.theta, track.theta_ref, track.direction,
+        theta, _, direction = angular_control(
+            track.theta, track.theta, track.direction,
             track.lo, track.hi, omega, m.track_gain, m.turn_margin, dt)
         track.theta = theta
-        track.theta_ref = theta_ref
         track.direction = direction
-        uav.waypoint = fi.point_on_front(f, theta)
         sweep = direction * omega
-        uav.waypoint_vel = (-f.a * math.sin(theta) * sweep,
-                            f.b * math.cos(theta) * sweep)
-        uav.has_waypoint = True
+        uav.waypoint = (*fi.point_on_front(f, theta),
+                        -f.a * math.sin(theta) * sweep,
+                        f.b * math.cos(theta) * sweep)
 
     if merging and all_arrived:
         # every track restarts at its new sector's midpoint; keep drops

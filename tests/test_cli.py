@@ -273,6 +273,15 @@ def test_malformed_config_value_exit_2(tmp_path, text, field):
     assert field in res.output
 
 
+def test_duplicate_config_key_exit_2(tmp_path):
+    p = tmp_path / "dup.json"
+    p.write_text('{"engine": {"dt": 0.5, "dt": 1e-300}}')
+    res = invoke("run", str(p))
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert "duplicate key 'dt'" in res.output
+
+
 def test_unwritable_output_exit_3(small_config_path, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -78,6 +78,18 @@ def test_bad_json(tmp_path):
         load_config(p)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"engine": {"dt": 0.5, "dt": 1e-300}}', "'dt'"),
+    ('{"swarm_sizes": [2], "swarm_sizes": [3, 2]}', "'swarm_sizes'"),
+])
+def test_duplicate_key_rejected(tmp_path, text, key):
+    """json.loads alone keeps the last of two equal keys."""
+    p = tmp_path / "dup.json"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match=f"duplicate key {key}"):
+        load_config(p)
+
+
 def _with(cfg, section, **kw):
     return dataclasses.replace(
         cfg, **{section: dataclasses.replace(getattr(cfg, section), **kw)})

@@ -140,7 +140,7 @@ def check_invariants(world: World) -> None:
         if world.cfg.engine.strategy == "MSCIDC":
             assert rec.n_swarms <= world.cfg.mitigation.merge_swarms
         for t in rec.tracks:
-            assert t.lo <= t.theta_ref <= t.hi
+            assert t.lo <= t.theta <= t.hi
             assert t.direction in (-1, 1)
     for uav in world.uavs:
         assert 0.0 <= uav.pos[0] <= world.cfg.area[0]
@@ -277,8 +277,7 @@ def test_returning_member_on_lock_repulsion_and_stage_switch():
         center = swarm_center([0, 1, 2], world.uavs)
         world.tick()
         stray = world.uavs[2]
-        assert stray.returning and stray.has_waypoint
-        assert stray.waypoint == center
+        assert stray.returning and stray.waypoint == (*center, 0.0, 0.0)
         return world
 
     def place(world, offsets):
@@ -316,8 +315,7 @@ def test_returning_member_on_lock_repulsion_and_stage_switch():
     world.tick()
     assert world.swarms[0].explore is False
     stray, other = world.uavs[2], world.uavs[1]
-    assert stray.returning and stray.has_waypoint
-    assert stray.waypoint == center
+    assert stray.returning and stray.waypoint == (*center, 0.0, 0.0)
     assert other.waypoint != old and other.mode is ve.UavMode.EXPLOIT
 
 
@@ -518,12 +516,10 @@ def stage_writes(world) -> dict:
     stands for the whole series; both it and the events go by repr, as in
     the golden digests, where a logged int 0 is not the float 0.0."""
     return {
-        "uavs": [(u.pos, u.vel, u.waypoint, u.waypoint_vel, u.mode)
-                 for u in world.uavs],
-        "fires": [(f.a, f.b, f.state, f.quenched_area_total)
-                  for f in world.fires],
-        "tracks": {fid: [(t.uav_id, t.theta, t.theta_ref, t.direction,
-                          t.joined, t.merging) for t in rec.tracks]
+        "uavs": [(u.pos, u.vel, u.waypoint, u.mode) for u in world.uavs],
+        "fires": [(f.a, f.b, f.state) for f in world.fires],
+        "tracks": {fid: [(t.uav_id, t.theta, t.direction, t.joined,
+                          t.merging) for t in rec.tracks]
                    for fid, rec in world.records.items()},
         "peak_total_area": world.peak_total_area,
         "series": (len(world.series), repr(world.series[-1])),

@@ -303,7 +303,7 @@ def test_quench_with_growth_nets_out():
     grown = math.pi * (200.0 + 0.1 * dt) * (150.0 + 0.1 * dt)
     apply_quench(f, 3, 50.0, dt)
     assert area(f) == pytest.approx(grown - 150.0, abs=1e-6)
-    assert f.quenched_area_total == pytest.approx(150.0)
+    assert grown - area(f) == pytest.approx(150.0)   # the area quenched
     assert area(f) < a0 + math.pi * 0.1 * dt * 400
 
 
@@ -312,16 +312,17 @@ def test_quench_area_conservation_over_interval():
     f = make_fire(120.0, 100.0, spread=0.05)
     f.state = FireState.UNDER_MITIGATION
     a0 = area(f)
-    grown_total = 0.0
+    grown_total = removed_total = 0.0
     dt = 0.5
     for _ in range(200):
         pre = area(f)
         a1, b1 = f.a + f.spread * dt, f.b + f.spread * dt
         grown_total += math.pi * a1 * b1 - pre
+        removed_total += 2 * 10.0 * dt   # n_active * area_rate * dt
         apply_quench(f, 2, 10.0, dt)
         if f.state is FireState.EXTINGUISHED:
             break
-    assert (f.quenched_area_total + area(f) - grown_total
+    assert (removed_total + area(f) - grown_total
             ) == pytest.approx(a0, rel=1e-3)
 
 

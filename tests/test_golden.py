@@ -59,10 +59,9 @@ def run_digest(r) -> str:
 def world_digest(world) -> str:
     final = (world.time, world.tick_index,
              sorted(world.extinguished.items()),
-             [(f.id, f.a, f.b, f.state.value, f.quenched_area_total)
-              for f in world.fires],
-             [(u.id, u.pos, u.vel, u.mode.value, u.waypoint,
-               u.waypoint_vel, u.has_waypoint) for u in world.uavs])
+             [(f.id, f.a, f.b, f.state.value) for f in world.fires],
+             [(u.id, u.pos, u.vel, u.mode.value, u.waypoint)
+              for u in world.uavs])
     return _sha((world.events, final))
 
 

@@ -40,7 +40,7 @@ def test_assign_sectors_counts_and_bounds():
     assert len(tracks) == 8
     for t in tracks:
         assert t.hi - t.lo == pytest.approx(TWO_PI / 8)
-        assert t.lo <= t.theta_ref <= t.hi
+        assert t.lo <= t.theta <= t.hi
         assert t.direction in (-1, 1)
 
 
@@ -63,8 +63,8 @@ def test_assign_sectors_cyclic_order_preserved():
 
 def test_assign_sectors_keep_state():
     f = make_fire()
-    old = SectorTrack(uav_id=3, lo=0.0, hi=TWO_PI, theta=1.0, theta_ref=1.0,
-                      direction=-1, joined=True)
+    old = SectorTrack(uav_id=3, lo=0.0, hi=TWO_PI, theta=1.0, direction=-1,
+                      joined=True)
     tracks = assign_sectors(f, [(3, (400.0, 0.0)), (4, (-400.0, 0.0))],
                             keep={3: old})
     t3, t4 = tracks
@@ -72,7 +72,7 @@ def test_assign_sectors_keep_state():
     assert t3.joined and t3.direction == -1
     assert not t4.joined and t4.direction == 1
     # the swept angle is not carried over: it restarts at the midpoint
-    assert t3.theta == t3.theta_ref == 0.5 * (t3.lo + t3.hi)
+    assert t3.theta == 0.5 * (t3.lo + t3.hi)
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,7 +81,7 @@ def test_assign_sectors_keep_state():
        st.booleans(), st.data())
 def test_assign_sectors_tracks_start_inside_contiguous_sectors(
         positions, with_keep, data):
-    """Every track starts at theta == theta_ref inside [lo, hi], and the
+    """Every track starts at its sector midpoint inside [lo, hi], and the
     sectors tile [0, 2*pi) in order; so a clamp to [lo, hi] right after a
     repartition can change nothing."""
     f = make_fire(center=(1.0, -2.0))
@@ -90,7 +90,7 @@ def test_assign_sectors_tracks_start_inside_contiguous_sectors(
     if with_keep:
         kept = data.draw(st.sets(st.sampled_from(range(len(members)))))
         keep = {uid: SectorTrack(uav_id=uid, lo=0.0, hi=1.0, theta=5.0,
-                                 theta_ref=-5.0, direction=-1, joined=True)
+                                 direction=-1, joined=True)
                 for uid in kept}
     tracks = assign_sectors(f, members, keep=keep)
     assert sorted(t.uav_id for t in tracks) == list(range(len(members)))
@@ -100,7 +100,7 @@ def test_assign_sectors_tracks_start_inside_contiguous_sectors(
         assert prev.hi == t.lo
     for t in tracks:
         assert t.lo < t.hi
-        assert t.lo <= t.theta == t.theta_ref <= t.hi
+        assert t.lo <= t.theta == 0.5 * (t.lo + t.hi) <= t.hi
         if keep and t.uav_id in keep:
             assert t.joined and t.direction == -1
 
@@ -194,11 +194,15 @@ def test_angular_control_matches_the_oracle_law(x, y, pick, direction, lo,
                                                 turn_margin, dt):
     """Bit for bit, signed zeros included, the law as first written, which
     multiplies a zero error by the decay factor too.  theta and theta_ref
-    are each +0, -0, x or y, so equal angles and zero errors are common."""
+    are each +0, -0, x or y, so equal angles and zero errors are common.
+    Equal angles come back equal, so a track that passes its one angle as
+    both keeps one angle."""
     theta, theta_ref = ((0.0, -0.0, x, y)[i] for i in pick)
     args = (theta, theta_ref, direction, lo, lo + width, omega, track_gain,
             turn_margin, dt)
-    assert repr(angular_control(*args)) == repr(oracles.angular_control(*args))
+    out = angular_control(*args)
+    assert repr(out) == repr(oracles.angular_control(*args))
+    assert theta != theta_ref or out[0] == out[1]
 
 
 def test_merging_decision_clauses():
@@ -224,8 +228,7 @@ def test_repulsion_heading():
 
 def test_record_counts():
     rec = FireMitigationRecord(swarm_ids=[1, 2])
-    rec.tracks = [SectorTrack(uav_id=i, lo=0, hi=1, theta=0, theta_ref=0,
-                              joined=(i < 2))
+    rec.tracks = [SectorTrack(uav_id=i, lo=0, hi=1, theta=0, joined=(i < 2))
                   for i in range(4)]
     assert rec.n_swarms == 2
     assert rec.joined_count() == 2

@@ -23,9 +23,7 @@ def make_uav(pos=(0.0, 0.0), vel=(0.0, 0.0)):
 
 def fly(uav, target, target_vel=(0.0, 0.0), kin=KIN, dt=1.0):
     """One vehicle-stage step of a single UAV toward ``target``."""
-    uav.waypoint = target
-    uav.waypoint_vel = target_vel
-    uav.has_waypoint = True
+    uav.waypoint = (*target, *target_vel)
     step([uav], kin, dt, AREA)
     return uav
 
@@ -51,9 +49,9 @@ def oracle_step_one(uav, v_ref, pole, dt):
 
 def oracle_stage(uavs, kin, dt, area, last_heading):
     for uav in uavs:
-        if uav.has_waypoint:
+        if uav.waypoint is not None:
             v_ref = oracle_reference_velocity(
-                uav.pos, uav.waypoint, uav.waypoint_vel, kin.cruise_speed,
+                uav.pos, uav.waypoint[:2], uav.waypoint[2:], kin.cruise_speed,
                 kin.tracking_tau)
         else:
             v_ref = (0.0, 0.0)
@@ -85,8 +83,7 @@ def twin_runs(specs, kin, dt, area, ticks=1):
     out = []
     for staged in (True, False):
         uavs = [UavState(id=i, swarm_id=0, pos=pos, vel=vel,
-                         waypoint=wp or (0.0, 0.0), waypoint_vel=wv,
-                         has_waypoint=wp is not None)
+                         waypoint=None if wp is None else (*wp, *wv))
                 for i, (pos, vel, wp, wv) in enumerate(specs)]
         last_heading = {0: 1.25}
         for u in uavs:
