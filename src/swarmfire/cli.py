@@ -185,7 +185,7 @@ def _strategy_names(ctx, param, value: str) -> list[str]:
 @click.option("--out", "out_dir", type=click.Path(), default=".",
               show_default=True)
 def cmd_compare(config_path, names, runs, jobs, seed, out_dir) -> None:
-    """Paired-seed comparison across strategies (same run -> same world)."""
+    """Paired-seed strategy comparison (baselines: same run -> same layout)."""
     cfg = _load(config_path, seed)
     all_results: list[RunResult] = []
     aggregates: dict[str, dict] = {}

@@ -364,12 +364,16 @@ def load_config(path: Union[str, Path]) -> ScenarioConfig:
     if name in PRESETS:
         return PRESETS[name]
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config not found: {p}")
     try:
-        data = json.loads(p.read_text(), object_pairs_hook=_unique_keys)
+        found = p.is_file()
+        if found:
+            data = json.loads(p.read_text(), object_pairs_hook=_unique_keys)
+    except OSError as exc:   # no permission on the file or a directory above
+        raise ConfigError(f"{p}: cannot read: {exc.strerror or exc}") from exc
     except (ValueError, RecursionError) as exc:   # bad JSON or bad UTF-8
         raise ConfigError(f"{p}: JSON parse failure: {exc}") from exc
+    if not found:
+        raise ConfigError(f"config not found: {p}")
     return from_dict(data)
 
 

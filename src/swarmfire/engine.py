@@ -71,8 +71,8 @@ class World:
         self.tick_index = 0
 
         self.area_rate = cfg.area_rate
-        spread = cfg.spread
-        self.fires = [fi.FireFront(i, s.center, s.a, s.b, spread=spread)
+        self.spread = cfg.spread
+        self.fires = [fi.FireFront(i, s.center, s.a, s.b)
                       for i, s in enumerate(cfg.fires)]
         self.rng = RngStreams(cfg.engine.base_seed, run_index, cfg.n_uavs)
         self.uavs: list[ve.UavState] = []
@@ -103,33 +103,25 @@ class World:
     # -- initialisation ----------------------------------------------------
 
     def _spawn(self, swarms: bool) -> None:
-        """Lay out cfg.swarm_sizes as swarms, or every UAV alone."""
+        """Lay out cfg.swarm_sizes as swarms scattered around their drawn
+        centers, or every UAV as a swarm of one at its drawn center."""
         cfg = self.cfg
         w, h = cfg.area
         rng = self.rng.world
-        uid = 0
-        if swarms:
-            for sid, size in enumerate(cfg.swarm_sizes):
-                cx = uniform(rng, 0.0, w)
-                cy = uniform(rng, 0.0, h)
-                members = []
-                for _ in range(size):
+        for sid, size in enumerate(cfg.swarm_sizes if swarms
+                                   else (1,) * cfg.n_uavs):
+            cx, cy = uniform(rng, 0.0, w), uniform(rng, 0.0, h)
+            first = len(self.uavs)
+            for uid in range(first, first + size):
+                pos = (cx, cy)
+                if swarms:
                     r = cfg.swarm_radius * math.sqrt(uniform(rng, 0.0, 1.0))
                     ang = uniform(rng, -math.pi, math.pi)
                     pos = se.clamp_to_area((cx + r * math.cos(ang),
                                             cy + r * math.sin(ang)), cfg.area)
-                    self.uavs.append(ve.UavState(id=uid, swarm_id=sid, pos=pos))
-                    members.append(uid)
-                    uid += 1
-                # member_ids ascend and never change; the tick relies on it
-                self.swarms.append(SwarmState(id=sid, member_ids=members))
-        else:
-            # Baselines: every UAV acts independently (swarm of one).
-            for sid in range(cfg.n_uavs):
-                pos = (uniform(rng, 0.0, w), uniform(rng, 0.0, h))
-                self.uavs.append(ve.UavState(id=uid, swarm_id=sid, pos=pos))
-                self.swarms.append(SwarmState(id=sid, member_ids=[uid]))
-                uid += 1
+                self.uavs.append(ve.UavState(id=uid, pos=pos))
+            # member_ids ascend and never change; the tick relies on it
+            self.swarms.append(SwarmState(sid, list(range(first, first + size))))
 
     # -- helpers -----------------------------------------------------------
 
@@ -163,10 +155,10 @@ class World:
             stage(self, t_now)
 
     def _grow(self, t_now: float) -> None:
-        dt = self.cfg.engine.dt
+        dt, spread = self.cfg.engine.dt, self.spread
         for f in self.fires:
             if f.state is fi.BURNING:
-                fi.grow(f, dt)
+                fi.grow(f, spread, dt)
 
     def _sense(self, t_now: float) -> None:
         """Sensing and detection bookkeeping, fixed uav order.  No fire
@@ -174,8 +166,8 @@ class World:
         is active for the rest of this tick's search stage."""
         detected = self.detected
         for uid in sn.sample(self.uavs, sn.active_fires(self.fires), t_now,
-                             self.cfg.engine.dt, self.cfg.sensing, self.rng,
-                             self._cutoff, detected):
+                             self.cfg.engine.dt, self.spread, self.cfg.sensing,
+                             self.rng, self._cutoff, detected):
             fid = self.uavs[uid].reading.fire_id
             if fid not in detected:
                 detected[fid] = t_now
@@ -196,7 +188,7 @@ class World:
             n_active = records[fid].joined_count()
             if n_active >= 1:
                 f = fires[fid]
-                quench(f, n_active, rate, dt)
+                quench(f, n_active, rate, self.spread, dt)
                 if f.state is spent:
                     self._extinguish(fid, t_now)
 
@@ -499,6 +491,7 @@ def preposition_mitigation(world: World, fid: int,
     fire and mark them joined at t=0 (simultaneous-join oracle setups)."""
     f = world.fires[fid]
     members = [(uid, world.uavs[uid].pos) for uid in uav_ids]
+    swarm_of = {uid: s for s in world.swarms for uid in s.member_ids}
     rec = mi.FireMitigationRecord(swarm_ids=[])
     rec.tracks = mi.assign_sectors(f, members)
     for track in rec.tracks:
@@ -506,7 +499,7 @@ def preposition_mitigation(world: World, fid: int,
         uav.pos = fi.point_on_front(f, track.theta)
         uav.mode = ve.MITIGATE
         track.joined = True
-        swarm = world.swarms[uav.swarm_id]
+        swarm = swarm_of[track.uav_id]
         swarm.mitigating = True
         if swarm.id not in rec.swarm_ids:
             rec.swarm_ids.append(swarm.id)
@@ -585,7 +578,9 @@ def monte_carlo(cfg: ScenarioConfig, n_runs: int,
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if jobs > 1:
-        jobs = min(jobs, n_runs, len(os.sched_getaffinity(0)))
+        cpus = (len(os.sched_getaffinity(0))
+                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+        jobs = min(jobs, n_runs, cpus)
     if jobs <= 1:
         return [run(cfg, i) for i in range(n_runs)]
     # imported here, so that a serial batch and the CLI's start-up never

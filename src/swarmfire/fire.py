@@ -37,12 +37,11 @@ EXTINGUISHED = FireState.EXTINGUISHED
 
 @dataclass
 class FireFront:
-    """One fire: geometry and lifecycle state."""
+    """One fire: geometry and lifecycle; the spread rate is the World's."""
     id: int
     center: tuple[float, float]
     a: float
     b: float
-    spread: float = 0.0               # m/s added to both semi-axes
     state: FireState = BURNING
 
 
@@ -62,11 +61,11 @@ def area(fire: FireFront) -> float:
     return math.pi * fire.a * fire.b
 
 
-def grow(fire: FireFront, dt: float) -> None:
+def grow(fire: FireFront, spread: float, dt: float) -> None:
     """Advance both semi-axes by spread*dt; no-op once extinguished."""
     if fire.state is not EXTINGUISHED:
-        fire.a += fire.spread * dt
-        fire.b += fire.spread * dt
+        fire.a += spread * dt
+        fire.b += spread * dt
 
 
 def point_on_front(fire: FireFront, theta: float) -> tuple[float, float]:
@@ -159,15 +158,15 @@ def nearest_front_point(fire: FireFront, p: tuple[float, float],
 
 
 def apply_quench(fire: FireFront, n_active: int, area_rate: float,
-                 dt: float) -> None:
+                 spread: float, dt: float) -> None:
     """One quench step: net area = current + growth - n_active*rate*dt.
 
     The axes are resized to enclose the net area with a - b held constant
     (positive root of the area quadratic).  Dropping to EXTINGUISH_AREA or
     below ends the fire's life.  Only called on a fire under mitigation.
     """
-    grown_a = fire.a + fire.spread * dt
-    grown_b = fire.b + fire.spread * dt
+    grown_a = fire.a + spread * dt
+    grown_b = fire.b + spread * dt
     removed = n_active * area_rate * dt
     net = max(0.0, math.pi * grown_a * grown_b - removed)
     d = fire.a - fire.b

@@ -3,9 +3,10 @@
 One master seed; each run derives its own SeedSequence from
 (base_seed, run_index), and each agent gets an independent child stream.
 Distinct (run, agent) pairs are statistically independent by spawn-key
-construction, and identical pairs replay identical draw sequences.  Because
-the run seed never depends on the strategy, paired-seed comparisons across
-strategies see identical world layouts.
+construction, and identical pairs replay identical draw sequences.  The run
+seed never depends on the strategy, so under paired seeds the four
+baselines, which draw one point per UAV, see identical UAV layouts; MSCIDC
+draws swarm centers and member offsets from the same world stream instead.
 """
 
 from __future__ import annotations

@@ -88,8 +88,9 @@ def _deferred_temperature(snapshot, ambient: float, span: float,
     return ambient + span * temp_g + noise
 
 
-def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
-           streams, cutoff: float, detected) -> list[int]:
+def sample(uavs, active: list[FireFront], now: float, dt: float,
+           spread: float, sensing, streams, cutoff: float,
+           detected) -> list[int]:
     """The sensing stage of one tick: sample every UAV in list order.
 
     The per-UAV state lives on each UavState.  ``uav.reading`` holds the
@@ -113,13 +114,13 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     ``uav.far`` is None, or ``(x, y, margin, t0)``: at time t0 the UAV
     stood at (x, y) and every active fire was culled, the nearest with
     hypot(p - c) - a = cutoff + margin + ROUNDING_ALLOWANCE.  Centers are
-    fixed, a front grows by at most spread*dt per tick and fires only
-    leave ``active``, so while the UAV has moved less than
-    margin - max(spread) * (now - t0) every fire is still culled and the
-    per-fire loop is skipped.  ``now`` is the time of this tick.  The
-    stage keeps ``uav.far`` valid; only a full pass (neither skipped nor
-    deferred) sets it.  A skipped noise-free UAV whose previous
-    reading is the settled ambient one keeps it.
+    fixed, fires only leave ``active`` and every front grows by at most
+    spread*dt per tick (``spread`` is the world's one rate), so while the
+    UAV has moved less than margin - spread * (now - t0) every fire is
+    still culled and the per-fire loop is skipped.  ``now`` is the time of
+    this tick.  The stage keeps ``uav.far`` valid; only a full pass
+    (neither skipped nor deferred) sets it.  A skipped noise-free UAV whose
+    previous reading is the settled ambient one keeps it.
 
     A reading is read only by the engine's detection bookkeeping, for a
     fire not yet in ``detected`` (the world's detected fire ids), and by
@@ -149,7 +150,6 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
     threshold = sensing.detect_threshold
     geometry = [(f, f.center[0], f.center[1], f.a, f.b) for f in active]
     undetected = [g for g in geometry if g[0].id not in detected]
-    growth = max([f.spread for f in active]) if active else 0.0
     mitigating = MITIGATING_MODES
     distance = distance_to_front
     hypot, exp, inf = math.hypot, math.exp, math.inf
@@ -158,7 +158,7 @@ def sample(uavs, active: list[FireFront], now: float, dt: float, sensing,
         px, py = pos = uav.pos
         last = uav.far
         far = last is not None and (hypot(px - last[0], py - last[1])
-                                    + growth * (now - last[3]) < last[2])
+                                    + spread * (now - last[3]) < last[2])
         if far and not noisy:
             # every fire is still culled
             prev = uav.reading

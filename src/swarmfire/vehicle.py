@@ -49,7 +49,6 @@ MITIGATING_MODES = (ALIGN, ATTRACTED, MITIGATE)
 @dataclass
 class UavState:
     id: int
-    swarm_id: int
     pos: Vec
     vel: Vec = (0.0, 0.0)
     mode: UavMode = EXPLORE

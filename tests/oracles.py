@@ -228,7 +228,7 @@ def quench(world, t_now):
         f = world.fires[fid]
         n_active = sum(1 for t in world.records[fid].tracks if t.joined)
         if n_active >= 1:
-            fi.apply_quench(f, n_active, world.area_rate, dt)
+            fi.apply_quench(f, n_active, world.area_rate, world.spread, dt)
             if f.state is fi.EXTINGUISHED:
                 world._extinguish(fid, t_now)
 

@@ -282,6 +282,18 @@ def test_duplicate_config_key_exit_2(tmp_path):
     assert "duplicate key 'dt'" in res.output
 
 
+def test_unreadable_config_exit_2(small_config_path, monkeypatch):
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    res = invoke("run", small_config_path)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert "Traceback" not in res.output
+    assert f"{small_config_path}: cannot read" in res.output
+
+
 def test_unwritable_output_exit_3(small_config_path, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("x")

@@ -90,6 +90,24 @@ def test_duplicate_key_rejected(tmp_path, text, key):
         load_config(p)
 
 
+@pytest.mark.parametrize("method", ["is_file", "read_text"])
+def test_unreadable_config_rejected(tmp_path, monkeypatch, method):
+    """A file, or a directory above it, that cannot be read is a
+    ConfigError naming the path.  Root reads a mode-000 file, so the
+    failure is monkeypatched in."""
+    p = tmp_path / "cfg.json"
+    p.write_text("{}")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, method, denied)
+    with pytest.raises(ConfigError, match="cannot read: Permission denied"
+                       ) as info:
+        load_config(p)
+    assert str(p) in str(info.value)
+
+
 def _with(cfg, section, **kw):
     return dataclasses.replace(
         cfg, **{section: dataclasses.replace(getattr(cfg, section), **kw)})

@@ -62,7 +62,7 @@ def static_cfg(n_uavs, a=100.0, b=100.0, **kw):
 def test_static_quench_matches_closed_form(n):
     cfg = static_cfg(n)
     world = World(cfg, 0)
-    assert world.fires[0].spread == pytest.approx(0.0, abs=1e-9)
+    assert world.spread == pytest.approx(0.0, abs=1e-9)
     preposition_mitigation(world, 0, list(range(n)))
     expected = closed_form_quench_time(fi.area(world.fires[0]), n,
                                        world.area_rate)
@@ -119,13 +119,12 @@ def test_different_run_indices_differ():
 def test_paired_seeds_share_world_layout():
     cfg = small_cfg()
     worlds = {}
-    for strat in ("UNIFORM", "LEVY"):
+    for strat in ("UNIFORM", "LEVY", "NORMAL", "OMS"):
         c = dataclasses.replace(
             cfg, engine=dataclasses.replace(cfg.engine, strategy=strat))
-        worlds[strat] = World(c, 5)
-    pa = [u.pos for u in worlds["UNIFORM"].uavs]
-    pb = [u.pos for u in worlds["LEVY"].uavs]
-    assert pa == pb
+        worlds[strat] = [u.pos for u in World(c, 5).uavs]
+    assert (worlds["UNIFORM"] == worlds["LEVY"] == worlds["NORMAL"]
+            == worlds["OMS"])
 
 
 # -- bookkeeping invariants ---------------------------------------------------
@@ -162,6 +161,7 @@ def check_coordination(world: World) -> bool:
     the record's track count wide: each merge refreshes every merging track.
     A searching swarm is in no record, and a record with a joined track is
     on a fire under mitigation.  Returns whether any track is merging."""
+    swarm_of = {uid: s.id for s in world.swarms for uid in s.member_ids}
     owner = {}
     any_merging = False
     for fid, rec in world.records.items():
@@ -173,7 +173,7 @@ def check_coordination(world: World) -> bool:
         for t in rec.tracks:
             assert t.uav_id not in owner
             owner[t.uav_id] = fid
-            assert world.uavs[t.uav_id].swarm_id in rec.swarm_ids
+            assert swarm_of[t.uav_id] in rec.swarm_ids
             if t.merging:
                 any_merging = True
                 assert not t.joined
@@ -184,7 +184,8 @@ def check_coordination(world: World) -> bool:
             assert prev.hi == t.lo
         assert abs(settled[-1].hi - 2 * math.pi) <= math.ulp(2 * math.pi)
     for uav in world.uavs:
-        assert (uav.id in owner) == world.swarms[uav.swarm_id].mitigating
+        assert ((uav.id in owner)
+                == world.swarms[swarm_of[uav.id]].mitigating)
     return any_merging
 
 
@@ -197,11 +198,13 @@ def test_coordination_bookkeeping_every_tick():
             base.engine, strategy=strategy, dt=dt, t_max=1800.0))
         for idx in (0, 1):
             world = World(cfg, idx)
+            swarm_of = {uid: s.id for s in world.swarms
+                        for uid in s.member_ids}
             while not world.done():
                 world.tick()
                 ticks_merging += check_coordination(world)
                 ticks_two_merging += any(
-                    len({world.uavs[t.uav_id].swarm_id
+                    len({swarm_of[t.uav_id]
                          for t in rec.tracks if t.merging}) >= 2
                     for rec in world.records.values())
     # the grid reaches the merge path, not only locks, and a merge onto a
@@ -673,7 +676,8 @@ def test_monte_carlo_rejects_zero_runs():
 
 def test_monte_carlo_caps_workers_at_runs(monkeypatch):
     """A pool gets no more workers than runs, --jobs or the CPUs this
-    process may run on (three here), and its results are those of jobs=1."""
+    process may run on (three here): its affinity mask, or the CPU count
+    where the OS has no mask.  Its results are those of jobs=1."""
     workers = []
 
     class FakePool:
@@ -705,6 +709,15 @@ def test_monte_carlo_caps_workers_at_runs(monkeypatch):
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0})
     results = monte_carlo(cfg, 5, jobs=4)
     assert workers == [2, 2, 3]
+    assert [(r.events, r.series) for r in results] == serial
+    # no affinity mask (macOS, Windows): the CPU count, or 1 when unknown
+    monkeypatch.delattr(engine.os, "sched_getaffinity")
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    monte_carlo(cfg, 5, jobs=4)
+    assert workers == [2, 2, 3, 3]
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+    results = monte_carlo(cfg, 5, jobs=4)
+    assert workers == [2, 2, 3, 3]
     assert [(r.events, r.series) for r in results] == serial
 
 

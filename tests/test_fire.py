@@ -19,8 +19,8 @@ GEOMETRIES = [(300.0, 250.0), (150.0, 100.0), (200.0, 200.0),
               (100.0, 100.0), (50.0, 50.0)]
 
 
-def make_fire(a, b, center=(0.0, 0.0), spread=0.0):
-    return FireFront(0, center, a, b, spread=spread)
+def make_fire(a, b, center=(0.0, 0.0)):
+    return FireFront(0, center, a, b)
 
 
 # -- intensity / spread -------------------------------------------------------
@@ -44,16 +44,16 @@ def test_spread_rate_units():
 # -- growth / area ------------------------------------------------------------
 
 def test_grow_adds_rate_to_both_axes():
-    f = make_fire(300.0, 250.0, spread=0.0711)
-    grow(f, 10.0)
+    f = make_fire(300.0, 250.0)
+    grow(f, 0.0711, 10.0)
     assert f.a == pytest.approx(300.711)
     assert f.b == pytest.approx(250.711)
 
 
 def test_grow_noop_when_extinguished():
-    f = make_fire(100.0, 100.0, spread=1.0)
+    f = make_fire(100.0, 100.0)
     f.state = FireState.EXTINGUISHED
-    grow(f, 10.0)
+    grow(f, 1.0, 10.0)
     assert (f.a, f.b) == (100.0, 100.0)
 
 
@@ -283,25 +283,25 @@ def test_quench_removes_full_circle():
     f = make_fire(100.0, 100.0)
     f.state = FireState.UNDER_MITIGATION
     rate = math.pi * 100.0 ** 2 / 10.0
-    apply_quench(f, 1, rate, 10.0)
+    apply_quench(f, 1, rate, 0.0, 10.0)
     assert f.state is FireState.EXTINGUISHED
 
 
 def test_quench_preserves_axis_difference():
     f = make_fire(300.0, 250.0)
     f.state = FireState.UNDER_MITIGATION
-    apply_quench(f, 5, 2.0, 1.0)
+    apply_quench(f, 5, 2.0, 0.0, 1.0)
     assert f.a - f.b == pytest.approx(50.0, abs=1e-9)
     assert area(f) == pytest.approx(math.pi * 300 * 250 - 10.0, abs=1e-6)
 
 
 def test_quench_with_growth_nets_out():
-    f = make_fire(200.0, 150.0, spread=0.1)
+    f = make_fire(200.0, 150.0)
     f.state = FireState.UNDER_MITIGATION
     a0 = area(f)
     dt = 1.0
     grown = math.pi * (200.0 + 0.1 * dt) * (150.0 + 0.1 * dt)
-    apply_quench(f, 3, 50.0, dt)
+    apply_quench(f, 3, 50.0, 0.1, dt)
     assert area(f) == pytest.approx(grown - 150.0, abs=1e-6)
     assert grown - area(f) == pytest.approx(150.0)   # the area quenched
     assert area(f) < a0 + math.pi * 0.1 * dt * 400
@@ -309,17 +309,18 @@ def test_quench_with_growth_nets_out():
 
 def test_quench_area_conservation_over_interval():
     """(removed) + (remaining) - (grown) == initial, to dt tolerance."""
-    f = make_fire(120.0, 100.0, spread=0.05)
+    f = make_fire(120.0, 100.0)
+    spread = 0.05
     f.state = FireState.UNDER_MITIGATION
     a0 = area(f)
     grown_total = removed_total = 0.0
     dt = 0.5
     for _ in range(200):
         pre = area(f)
-        a1, b1 = f.a + f.spread * dt, f.b + f.spread * dt
+        a1, b1 = f.a + spread * dt, f.b + spread * dt
         grown_total += math.pi * a1 * b1 - pre
         removed_total += 2 * 10.0 * dt   # n_active * area_rate * dt
-        apply_quench(f, 2, 10.0, dt)
+        apply_quench(f, 2, 10.0, spread, dt)
         if f.state is FireState.EXTINGUISHED:
             break
     assert (removed_total + area(f) - grown_total
@@ -329,5 +330,5 @@ def test_quench_area_conservation_over_interval():
 def test_extinguish_threshold():
     f = make_fire(1.0, 1.0)
     f.state = FireState.UNDER_MITIGATION
-    apply_quench(f, 1, math.pi - EXTINGUISH_AREA, 1.0)
+    apply_quench(f, 1, math.pi - EXTINGUISH_AREA, 0.0, 1.0)
     assert f.state is FireState.EXTINGUISHED

@@ -35,10 +35,10 @@ def temperature_at(fires: list[FireFront], p: tuple[float, float],
 
 def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     """One UAV's reading, read out through a one-UAV stage call."""
-    uav = UavState(id=0, swarm_id=0, pos=pos, reading=prev)
+    uav = UavState(id=0, pos=pos, reading=prev)
     if cutoff is None:
         cutoff = cull_distance(sensing, thermal=True)
-    sample([uav], fires, 0.0, dt, sensing, None, cutoff, {})
+    sample([uav], fires, 0.0, dt, 0.0, sensing, None, cutoff, {})
     return uav.reading
 
 
@@ -215,14 +215,14 @@ def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
     out = []
     for stage in (True, False):
         streams = RngStreams(seed, 0, n)
-        uavs = [UavState(id=i, swarm_id=0, pos=p, reading=prev)
+        uavs = [UavState(id=i, pos=p, reading=prev)
                 for i, (p, prev) in enumerate(zip(positions, prevs))]
         readings = list(prevs)
         detections = []
         for k in range(ticks):
             if stage:
                 detections.append(sample(
-                    uavs, fires, (k + 1) * dt, dt, sensing,
+                    uavs, fires, (k + 1) * dt, dt, 0.0, sensing,
                     streams if sensing.noise_std > 0.0 else None, cutoff,
                     {}))
                 readings = [u.reading for u in uavs]
@@ -331,18 +331,18 @@ def to_boundary(pos, f, cutoff, offset):
 
 @st.composite
 def moving_scene(draw):
-    """Fires with different spreads that grow, are quenched or go out, one
-    of those per fire and tick; UAVs that start near a cull boundary and
-    each tick stay, take a small step or move to just inside or outside a
-    boundary; noise-free or noisy sensors."""
-    fires = []
+    """Fires with different spread rates (the second list) that grow, are
+    quenched or go out, one of those per fire and tick; UAVs that start
+    near a cull boundary and each tick stay, take a small step or move to
+    just inside or outside a boundary; noise-free or noisy sensors."""
+    fires, rates = [], []
     for fid in range(draw(st.integers(1, 3))):
         a = draw(st.floats(10.0, 400.0))
         b = a if draw(st.booleans()) else draw(st.floats(10.0, a))
         center = (draw(st.floats(0.0, 3000.0)), draw(st.floats(0.0, 3000.0)))
-        spread = draw(st.one_of(st.sampled_from([0.0, 0.05, 1.0, 3.0]),
-                                st.floats(0.0, 3.0)))
-        fires.append(FireFront(fid, center, a, b, spread=spread))
+        rates.append(draw(st.one_of(st.sampled_from([0.0, 0.05, 1.0, 3.0]),
+                                    st.floats(0.0, 3.0))))
+        fires.append(FireFront(fid, center, a, b))
     noise = draw(st.one_of(st.just(0.0), st.floats(0.1, 20.0)))
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = draw(st.one_of(st.just(cull_distance(sensing, thermal=True)),
@@ -363,7 +363,7 @@ def moving_scene(draw):
     ticks = [([draw(fire_acts) for _ in fires],
               [draw(uav_moves) for _ in range(n_uavs)])
              for _ in range(draw(st.integers(5, 40)))]
-    return fires, starts, ticks, sensing, cutoff
+    return fires, rates, starts, ticks, sensing, cutoff
 
 
 def one_fire_scene(noise, spread, offset, acts, moves):
@@ -371,8 +371,8 @@ def one_fire_scene(noise, spread, offset, acts, moves):
     beyond its cull boundary on the x axis."""
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing, thermal=True)
-    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=spread)
-    return ([fire], [(100.0 + cutoff + offset, 0.0)],
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0)
+    return ([fire], [spread], [(100.0 + cutoff + offset, 0.0)],
             [([act], [move]) for act, move in zip(acts, moves)], sensing,
             cutoff)
 
@@ -395,21 +395,21 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
     unskipped oracle while UAVs cross cull boundaries both ways and fronts
     grow, shrink and go out: every reading field and the detections on
     every tick, and each agent stream's next draw at the end."""
-    fires, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
+    fires, rates, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
     n = len(starts)
-    uavs = [UavState(id=i, swarm_id=0, pos=p) for i, p in enumerate(starts)]
+    uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
     streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
     oracle_readings = [None] * n
     now = 0.0
     for fire_acts, moves in ticks:
-        for f, act in zip(fires, fire_acts):
+        for f, rate, act in zip(fires, rates, fire_acts):
             if f.state is FireState.EXTINGUISHED:
                 continue
             if act == "grow":
-                grow(f, dt)
+                grow(f, rate, dt)
             elif act == "quench":
                 f.state = FireState.UNDER_MITIGATION
-                apply_quench(f, 2, 40.0, dt)
+                apply_quench(f, 2, 40.0, rate, dt)
             elif act == "out":
                 f.state = FireState.EXTINGUISHED
         for uav, move in zip(uavs, moves):
@@ -420,8 +420,9 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
                                       move[2])
         now += dt
         active = active_fires(fires)
-        detections = sample(uavs, active, now, dt, sensing, streams[0],
-                            cutoff, {})
+        # the largest rate bounds every front's growth
+        detections = sample(uavs, active, now, dt, max(rates), sensing,
+                            streams[0], cutoff, {})
         for uav in uavs:
             oracle_readings[uav.id] = oracles.sample(
                 uav.pos, active, oracle_readings[uav.id], dt, sensing,
@@ -438,14 +439,15 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
 def test_far_uav_skips_and_keeps_settled_reading(noise):
     """A UAV that stays far from every fire records its clearance, then
     skips; noise-free, its settled ambient reading is kept as it is."""
-    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=1.0)
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0)
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing, thermal=True)
-    uavs = [UavState(id=0, swarm_id=0, pos=(100.0 + cutoff + 50.0, 0.0))]
+    uavs = [UavState(id=0, pos=(100.0 + cutoff + 50.0, 0.0))]
     streams = RngStreams(7, 0, 1)
     kept = []
     for k in range(1, 5):
-        sample(uavs, [fire], 0.5 * k, 0.5, sensing, streams, cutoff, {})
+        sample(uavs, [fire], 0.5 * k, 0.5, 1.0, sensing, streams, cutoff,
+               {})
         kept.append(uavs[0].reading)
     far = uavs[0].far
     assert far[:2] == uavs[0].pos and far[3] == 0.5
@@ -462,7 +464,7 @@ def deferring_scene(draw):
     on each tick every UAV is in a search or a mitigating mode and a random
     subset of the fires counts as detected.  A last tick puts every UAV in
     a search mode, so each deferred temperature is resolved."""
-    fires, starts, ticks, sensing, cutoff = draw(moving_scene())
+    fires, rates, starts, ticks, sensing, cutoff = draw(moving_scene())
     # to where hypot(p - c) - a is between -50 and 400 m
     near_front = st.tuples(st.just("boundary"),
                            st.integers(0, len(fires) - 1),
@@ -475,7 +477,7 @@ def deferring_scene(draw):
            for acts, moves in ticks]
     out.append((["none"] * len(fires), [STAY] * len(starts),
                 [UavMode.EXPLORE] * len(starts), set()))
-    return fires, starts, out, sensing, cutoff
+    return fires, rates, starts, out, sensing, cutoff
 
 
 def one_fire_deferrals(noise, beyond_cull=None):
@@ -485,13 +487,13 @@ def one_fire_deferrals(noise, beyond_cull=None):
     fire grew, and the same again."""
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing, thermal=True)
-    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0, spread=1.0)
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0)
     mit, search = UavMode.MITIGATE, UavMode.EXPLORE
     ticks = [(["grow"], [STAY], [mode], det)
              for mode, det in [(mit, set()), (mit, {0}), (search, {0}),
                                (mit, {0}), (search, {0})]]
     x = 250.0 if beyond_cull is None else 100.0 + cutoff + beyond_cull
-    return [fire], [(x, 0.0)], ticks, sensing, cutoff
+    return [fire], [1.0], [(x, 0.0)], ticks, sensing, cutoff
 
 
 @settings(max_examples=100, deadline=None)
@@ -507,21 +509,21 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
     from the temperature a deferred pass before it stands for; a deferred
     UAV reports no detection; and each agent stream's next draw matches at
     the end."""
-    fires, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
+    fires, rates, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
     n = len(starts)
-    uavs = [UavState(id=i, swarm_id=0, pos=p) for i, p in enumerate(starts)]
+    uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
     streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
     oracle_readings = [None] * n
     now = 0.0
     for fire_acts, moves, modes, detected in ticks:
-        for f, act in zip(fires, fire_acts):
+        for f, rate, act in zip(fires, rates, fire_acts):
             if f.state is FireState.EXTINGUISHED:
                 continue
             if act == "grow":
-                grow(f, dt)
+                grow(f, rate, dt)
             elif act == "quench":
                 f.state = FireState.UNDER_MITIGATION
-                apply_quench(f, 2, 40.0, dt)
+                apply_quench(f, 2, 40.0, rate, dt)
             elif act == "out":
                 f.state = FireState.EXTINGUISHED
         for uav, move, mode in zip(uavs, moves, modes):
@@ -534,8 +536,8 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
         now += dt
         active = active_fires(fires)
         before = [u.reading for u in uavs]
-        detections = sample(uavs, active, now, dt, sensing, streams[0],
-                            cutoff, dict.fromkeys(detected, 0.0))
+        detections = sample(uavs, active, now, dt, max(rates), sensing,
+                            streams[0], cutoff, dict.fromkeys(detected, 0.0))
         deferred = []
         for uav in uavs:
             px, py = uav.pos
@@ -586,14 +588,14 @@ def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing, thermal=True)
     stale = (9000.0, 9000.0, 10.0, 0.0)   # fails the skip test
-    uavs = [UavState(id=i, swarm_id=0, pos=(1500.0 * (i % 5) + 150.0, 0.0),
+    uavs = [UavState(id=i, pos=(1500.0 * (i % 5) + 150.0, 0.0),
                      mode=MITIGATING_MODES[i % 3], far=far)
             for i, far in enumerate([None] * 5 + [stale] * 5)]
     counting = CountingMath()
     monkeypatch.setattr(sensing_module, "math", counting)
     streams = RngStreams(7, 0, len(uavs))
     every = dict.fromkeys(range(5), 0.0)
-    assert sample(uavs, fires, 1.0, 0.5, sensing, streams, cutoff,
+    assert sample(uavs, fires, 1.0, 0.5, 0.0, sensing, streams, cutoff,
                   every) == []
     assert counting.hypot_calls == 5
     assert all(u.reading is DEFERRED for u in uavs)
@@ -606,7 +608,7 @@ def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
         [twins.agent(i).random() for i in range(len(uavs))]
 
     del every[2]
-    sample(uavs, fires, 1.5, 0.5, sensing, streams, cutoff, every)
+    sample(uavs, fires, 1.5, 0.5, 0.0, sensing, streams, cutoff, every)
     near = [abs(u.pos[0] - 3000.0) - 100.0 <= cutoff for u in uavs]
     assert [u.reading is not DEFERRED for u in uavs] == near
     assert any(near) and not all(near)

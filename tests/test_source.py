@@ -53,3 +53,47 @@ def test_no_attribute_is_stored_and_never_loaded():
     write_only = [f"{where} {name}" for name, where in stored.items()
                   if name not in loaded]
     assert not write_only, sorted(write_only)
+
+
+# Dataclass fields that nothing reads yet, each with the reason it stays.
+UNREAD_FIELDS = {
+    # ROADMAP item 1: its removal needs a benchmark change, because the
+    # tracer's REQUIRED set needs the nearest_front_point call it makes.
+    "SensorReading.heading_to_fire",
+}
+
+
+def test_every_dataclass_field_is_loaded():
+    """Every field declared on a dataclass of the package is loaded as an
+    attribute somewhere in the package, so that a field set only through a
+    constructor cannot go unread either.  config.py's dataclasses are read
+    through fields(), and RunResult by the CLI, perfbench and the tests, so
+    they are left out.  Every field in UNREAD_FIELDS must still be unread,
+    so the list cannot outlive the field it names."""
+    declared, loaded = {}, set()
+    for path in sorted(SRC.glob("swarmfire/*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.ClassDef)
+                    and path.name != "config.py" and node.name != "RunResult"
+                    and any(_names_dataclass(d) for d in node.decorator_list)):
+                for stmt in node.body:
+                    if (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        declared[f"{node.name}.{stmt.target.id}"] = \
+                            f"{path.name}:{stmt.lineno}"
+    assert declared
+    unread = {name for name in declared
+              if name.partition(".")[2] not in loaded}
+    assert unread == UNREAD_FIELDS, sorted(
+        f"{declared.get(name, '?')} {name}" for name in unread ^ UNREAD_FIELDS)
+
+
+def _names_dataclass(decorator) -> bool:
+    """``@dataclass`` or ``@dataclass(...)``."""
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return isinstance(decorator, ast.Name) and decorator.id == "dataclass"

@@ -18,7 +18,7 @@ AREA = (10000.0, 10000.0)
 
 
 def make_uav(pos=(0.0, 0.0), vel=(0.0, 0.0)):
-    return UavState(id=0, swarm_id=0, pos=pos, vel=vel)
+    return UavState(id=0, pos=pos, vel=vel)
 
 
 def fly(uav, target, target_vel=(0.0, 0.0), kin=KIN, dt=1.0):
@@ -82,7 +82,7 @@ def twin_runs(specs, kin, dt, area, ticks=1):
     them on the UavStates, the oracle in a dict by id."""
     out = []
     for staged in (True, False):
-        uavs = [UavState(id=i, swarm_id=0, pos=pos, vel=vel,
+        uavs = [UavState(id=i, pos=pos, vel=vel,
                          waypoint=None if wp is None else (*wp, *wv))
                 for i, (pos, vel, wp, wv) in enumerate(specs)]
         last_heading = {0: 1.25}
@@ -140,15 +140,15 @@ def test_stage_clamps_each_edge_and_heading_threshold():
     ]
     stage, oracle = twin_runs(specs, KIN, 0.5, (AREA_W, AREA_H))
     assert stage == oracle
-    uavs = [UavState(id=i, swarm_id=0, pos=p, vel=v) for i, (p, v, _, _)
+    uavs = [UavState(id=i, pos=p, vel=v) for i, (p, v, _, _)
             in enumerate(specs[:4])]
     step(uavs, KIN, 0.5, (AREA_W, AREA_H))
     assert [u.pos for u in uavs] == [(0.0, 400.0), (AREA_W, 400.0),
                                      (500.0, 0.0), (500.0, AREA_H)]
     decay = math.exp(-0.5)
     assert 0.099 < 0.164 * decay < 0.1 < 0.166 * decay < 0.101
-    slow = UavState(id=5, swarm_id=0, pos=(500.0, 400.0), vel=(0.164, 0.0))
-    fast = UavState(id=6, swarm_id=0, pos=(500.0, 400.0), vel=(0.166, 0.0))
+    slow = UavState(id=5, pos=(500.0, 400.0), vel=(0.164, 0.0))
+    fast = UavState(id=6, pos=(500.0, 400.0), vel=(0.166, 0.0))
     step([slow, fast], KIN, 0.5, (AREA_W, AREA_H))
     assert (slow.last_heading, fast.last_heading) == (0.0, None)
 
@@ -157,9 +157,9 @@ def test_heading_velocity_then_last_fast_tick_then_draw():
     """Above 0.1 m/s the velocity's heading, at or below it the recorded
     one; only a UAV with neither draws, once, from its own agent stream."""
     streams, twin = RngStreams(7, 0, 2), RngStreams(7, 0, 2)
-    fast = UavState(id=0, swarm_id=0, pos=(0.0, 0.0), vel=(0.0, 0.11),
+    fast = UavState(id=0, pos=(0.0, 0.0), vel=(0.0, 0.11),
                     last_heading=2.0)
-    slow = UavState(id=1, swarm_id=0, pos=(0.0, 0.0), vel=(0.1, 0.0),
+    slow = UavState(id=1, pos=(0.0, 0.0), vel=(0.1, 0.0),
                     last_heading=-0.5)
     assert heading(fast, streams) == math.atan2(0.11, 0.0)
     assert heading(slow, streams) == -0.5
