@@ -13,11 +13,13 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .config import (ConfigError, STRATEGIES, ScenarioConfig, load_config,
@@ -51,7 +53,11 @@ def _write_summary(path: Path, results: list[RunResult]) -> None:
 
 
 def _write_manifest(path: Path, cfg: ScenarioConfig) -> None:
+    """The config and the versions of the tool, Python and NumPy, whose
+    generators draw every random number, so that outputs that differ can
+    be traced to their builds."""
     manifest = {"tool": "swarmfire", "version": __version__,
+                "python": platform.python_version(), "numpy": np.__version__,
                 "base_seed": cfg.engine.base_seed, "config": to_dict(cfg)}
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 

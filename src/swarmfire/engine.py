@@ -37,6 +37,8 @@ class SwarmState:
     repel_until: float = -math.inf
     repel_heading: float = 0.0    # set with repel_until, read only before it
     explore: bool | None = None   # last search stage; None forces a switch
+    # the search stage skips the swarm before this time (_swarm_search)
+    quiet_until: float = -math.inf
 
 
 @dataclass
@@ -165,8 +167,10 @@ class World:
         changes state while the UAVs sample, so every fire a reading names
         is active for the rest of this tick's search stage."""
         detected = self.detected
+        cfg = self.cfg
         for uid in sn.sample(self.uavs, sn.active_fires(self.fires), t_now,
-                             self.cfg.engine.dt, self.spread, self.cfg.sensing,
+                             cfg.engine.dt, self.spread,
+                             cfg.kinematics.cruise_speed, cfg.sensing,
                              self.rng, self._cutoff, detected):
             fid = self.uavs[uid].reading.fire_id
             if fid not in detected:
@@ -210,7 +214,7 @@ class World:
 
     def _mscidc_search(self, t_now: float) -> None:
         for swarm in self.swarms:
-            if not swarm.mitigating:
+            if not (swarm.mitigating or t_now < swarm.quiet_until):
                 self._swarm_search(swarm, t_now)
 
     def _swarm_search(self, swarm: SwarmState, t_now: float) -> None:
@@ -280,6 +284,8 @@ class World:
                     continue
             due.append(uav)
         if not due:
+            swarm.quiet_until = self._quiet_until(swarm, t_now, cx, cy,
+                                                  repelled)
             return
 
         if repelled:
@@ -307,6 +313,47 @@ class World:
                                     cfg.area, center_pred, swarm_radius)
             uav.waypoint = (x, y, 0.0, 0.0)
             uav.mode = mode
+
+    def _quiet_until(self, swarm: SwarmState, t_now: float, cx: float,
+                     cy: float, repelled: bool) -> float:
+        """The time before which a searching swarm that did nothing this
+        tick does nothing.  Each member holds its settled reading before
+        its far_until (see sensing.sample), so before the earliest no
+        member detects, sees a fire to repel off or changes the stage;
+        only an arrival, a stray or the end of a repulsion can act.
+        Member i flies no faster than B_i (vehicle.speed_bound: a leg has
+        no feed-forward), and the centre (cx, cy), the members' mean, moves
+        too, so member i's offset from it grows by at most
+        (n-1)/n * (B_i + max B) per second."""
+        uavs = self.uavs
+        members = swarm.member_ids
+        until = swarm.repel_until if repelled else math.inf
+        for uid in members:
+            far_until = uavs[uid].far_until
+            if far_until < until:
+                until = far_until
+        if not until > t_now:
+            return until
+        cruise = self.cfg.kinematics.cruise_speed
+        speeds = [ve.speed_bound(uavs[uid], cruise) for uid in members]
+        share = (len(members) - 1) / len(members)
+        centre = share * max(speeds)
+        arrival = self._arrival + sn.ROUNDING_ALLOWANCE
+        radius = self.cfg.swarm_radius - sn.ROUNDING_ALLOWANCE
+        hypot = math.hypot
+        for uid, b in zip(members, speeds):
+            uav = uavs[uid]
+            px, py = uav.pos
+            wx, wy, _, _ = uav.waypoint
+            t = t_now + (hypot(wx - px, wy - py) - arrival) / b
+            if t < until:
+                until = t
+            if share:   # a lone member is its own centre
+                t = t_now + ((radius - hypot(px - cx, py - cy))
+                             / (share * b + centre))
+                if t < until:
+                    until = t
+        return until
 
     def _baseline_search(self, t_now: float) -> None:
         """Search stage of the baseline strategies: every searching swarm
@@ -377,7 +424,9 @@ class World:
         swarm.mitigating = True
         uav_mode = ve.ATTRACTED if kind == "merge" else ve.ALIGN
         for uid in swarm.member_ids:
-            uavs[uid].mode = uav_mode
+            uav = uavs[uid]
+            uav.mode = uav_mode
+            uav.far_until = -math.inf   # a sweep has feed-forward
         self._event(kind, t_now, swarm=swarm.id, fire=fid)
         return True
 
@@ -488,7 +537,9 @@ class World:
 def preposition_mitigation(world: World, fid: int,
                            uav_ids: list[int]) -> None:
     """Place the given UAVs exactly on their sector alignment points of one
-    fire and mark them joined at t=0 (simultaneous-join oracle setups)."""
+    fire and mark them joined at t=0 (simultaneous-join oracle setups).
+    A placed UAV has moved, so its sensing deadline and its swarm's search
+    one are reset."""
     f = world.fires[fid]
     members = [(uid, world.uavs[uid].pos) for uid in uav_ids]
     swarm_of = {uid: s for s in world.swarms for uid in s.member_ids}
@@ -498,9 +549,11 @@ def preposition_mitigation(world: World, fid: int,
         uav = world.uavs[track.uav_id]
         uav.pos = fi.point_on_front(f, track.theta)
         uav.mode = ve.MITIGATE
+        uav.far_until = -math.inf
         track.joined = True
         swarm = swarm_of[track.uav_id]
         swarm.mitigating = True
+        swarm.quiet_until = -math.inf
         if swarm.id not in rec.swarm_ids:
             rec.swarm_ids.append(swarm.id)
     world.records[fid] = rec

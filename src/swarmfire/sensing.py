@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .fire import (EXTINGUISHED, FireFront, boundary_distance,
                    distance_to_front, nearest_front_point)
-from .vehicle import MITIGATING_MODES
+from .vehicle import MITIGATING_MODES, speed_bound
 
 
 @dataclass(slots=True)
@@ -60,9 +60,11 @@ def cull_distance(sensing, thermal: bool) -> float:
     return max(sensing.sensing_radius, reach)
 
 
-# Slack (m) kept below a far UAV's clearance margin.  It absorbs the
-# rounding in what the skip test adds up (positions, front axes grown tick
-# by tick, elapsed time), which stays far below a millimetre.
+# Slack (m) kept below a far UAV's clearance margin, and below each
+# clearance a deadline rests on (here and in engine.World._quiet_until).
+# It absorbs the rounding in what those tests add up (positions, front
+# axes grown tick by tick, elapsed time), which stays far below a
+# millimetre.
 ROUNDING_ALLOWANCE = 1.0e-3
 
 # The reading of a UAV whose pass was deferred (see sample).  Its NaN
@@ -89,7 +91,7 @@ def _deferred_temperature(snapshot, ambient: float, span: float,
 
 
 def sample(uavs, active: list[FireFront], now: float, dt: float,
-           spread: float, sensing, streams, cutoff: float,
+           spread: float, cruise: float, sensing, streams, cutoff: float,
            detected) -> list[int]:
     """The sensing stage of one tick: sample every UAV in list order.
 
@@ -121,6 +123,22 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     this tick.  The stage keeps ``uav.far`` valid; only a full pass
     (neither skipped nor deferred) sets it.  A skipped noise-free UAV whose
     previous reading is the settled ambient one keeps it.
+
+    Keeping that reading also sets a deadline, ``uav.far_until``, unless
+    the UAV is in one of ``vehicle.MITIGATING_MODES``; before it the loop
+    skips the UAV with one comparison.  ``cruise`` is the cruise speed.
+    While a UAV's command has no feed-forward (every command but a joined
+    sweep's) it flies no faster than B = ``vehicle.speed_bound(uav,
+    cruise)``, so the test above keeps passing while (B + spread) times
+    the time elapsed stays below the clearance left, margin minus the
+    distance moved and the growth since t0, less ROUNDING_ALLOWANCE: the
+    deadline is when that time runs out.  A lock or merge gives the UAV a
+    mitigating mode, whose sweep has feed-forward, so
+    ``engine.World._lock_or_merge`` and ``engine.preposition_mitigation``
+    reset it to -inf; an infinite ``cruise`` sets none.  The ``uav.far``
+    test stays: once a deadline passes, one hypot renews it from the
+    clearance a full pass found, where a deadline alone would need a full
+    pass over every fire.
 
     A reading is read only by the engine's detection bookkeeping, for a
     fire not yet in ``detected`` (the world's detected fire ids), and by
@@ -155,15 +173,24 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     hypot, exp, inf = math.hypot, math.exp, math.inf
     detections = []
     for uav in uavs:
+        if now < uav.far_until:
+            continue
         px, py = pos = uav.pos
         last = uav.far
-        far = last is not None and (hypot(px - last[0], py - last[1])
-                                    + spread * (now - last[3]) < last[2])
+        far = False
+        if last is not None:
+            moved = (hypot(px - last[0], py - last[1])
+                     + spread * (now - last[3]))
+            far = moved < last[2]
         if far and not noisy:
             # every fire is still culled
             prev = uav.reading
             if (prev.temp_rate == 0.0 and prev.temperature == ambient
                     and prev.fire_id is None):
+                if uav.mode not in mitigating:
+                    uav.far_until = now + (
+                        (last[2] - moved - ROUNDING_ALLOWANCE)
+                        / (speed_bound(uav, cruise) + spread))
                 continue
         # noise-free, adding 0.0 changes no bit: no temperature is -0.0
         noise = (noise_std * streams.agent(uav.id).standard_normal()

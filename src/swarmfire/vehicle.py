@@ -60,6 +60,8 @@ class UavState:
     returning: bool = False                # headed back to the swarm center
     # (x, y, tick geometry, noise) of a deferred pass (see sensing.sample)
     deferred: tuple | None = None
+    # sensing skips the UAV before this time (see sensing.sample)
+    far_until: float = -math.inf
 
 
 def step(uavs: list[UavState], kin, dt: float, area: Vec) -> None:
@@ -105,6 +107,26 @@ def step(uavs: list[UavState], kin, dt: float, area: Vec) -> None:
         uav.vel = (vx, vy)
         if not hypot(vx, vy) > slow and hypot(vx0, vy0) > slow:
             uav.last_heading = math.atan2(vy0, vx0)
+
+
+# speed_bound's relative slack, 1e-9, far above the rounding of the lag and
+# the trapezoid (a few ulps of each velocity and step).
+SPEED_SCALE = 1.0 + 1.0e-9
+
+
+def speed_bound(uav: UavState, cruise_speed: float) -> float:
+    """A bound on the UAV's speed, and so on how far it flies per second,
+    over every later tick whose command has no feed-forward (every command
+    but a joined sweep's): max(|vel|, cruise_speed) times SPEED_SCALE.
+
+    ``step`` blends the velocity toward a reference slower than
+    cruise_speed through the exact lag, so the new velocity is no faster
+    than the larger of the two; the trapezoid moves by the mean of two such
+    velocities; clamping into the area never lengthens a step."""
+    vx, vy = uav.vel
+    speed = math.hypot(vx, vy)
+    # a NaN speed stays NaN, so sensing sets no deadline on it
+    return (cruise_speed if cruise_speed >= speed else speed) * SPEED_SCALE
 
 
 def heading(uav: UavState, streams) -> float:

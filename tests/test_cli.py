@@ -1,7 +1,9 @@
 import json
+import platform
 import statistics
 from pathlib import Path
 
+import numpy
 import pytest
 from click.testing import CliRunner
 
@@ -44,6 +46,22 @@ def test_run_preset_smoke(tmp_path, small_config_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["base_seed"] == 42
     assert manifest["tool"] == "swarmfire"
+
+
+@pytest.mark.parametrize("command", [["run"], ["mc", "--runs", "2"],
+                                     ["compare", "--runs", "1",
+                                      "--strategies", "MSCIDC,NORMAL"]])
+def test_manifest_names_python_and_numpy(tmp_path, small_config_path,
+                                         command):
+    """Every command's manifest names the Python and NumPy versions that
+    made its outputs."""
+    out = tmp_path / "out"
+    res = invoke(command[0], small_config_path, *command[1:],
+                 "--out", str(out))
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == numpy.__version__
 
 
 def test_run_deterministic_outputs(tmp_path, small_config_path):

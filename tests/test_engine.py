@@ -5,6 +5,7 @@ import gc
 import inspect
 import math
 import os
+import struct
 import subprocess
 import sys
 import weakref
@@ -15,6 +16,7 @@ import pytest
 import oracles
 from oracles import closed_form_quench_time, max_info_member, swarm_center
 from test_golden import preposition_setup
+from test_sensing import reading_bits
 from swarmfire import engine
 from swarmfire import fire as fi
 from swarmfire import mitigation as mi
@@ -144,6 +146,36 @@ def check_invariants(world: World) -> None:
     for uav in world.uavs:
         assert 0.0 <= uav.pos[0] <= world.cfg.area[0]
         assert 0.0 <= uav.pos[1] <= world.cfg.area[1]
+    check_deadlines(world)
+
+
+def check_deadlines(world: World) -> None:
+    """The deadlines are sound.  A UAV before its far_until is in a search
+    mode, whose command has no feed-forward, and holds the settled ambient
+    reading; one the next sensing pass skips is beyond the cull distance
+    of every active fire, as the next growth leaves it.  A swarm before
+    its quiet_until searches, and each member's far_until is live."""
+    t, t_next = world.time, world.time + world.cfg.engine.dt
+    ambient = world.cfg.sensing.ambient_temp
+    reach = world._cutoff + world.spread * world.cfg.engine.dt
+    active = sn.active_fires(world.fires)
+    for uav in world.uavs:
+        if not t < uav.far_until:
+            continue
+        assert uav.mode not in ve.MITIGATING_MODES
+        r = uav.reading
+        assert (r.temperature, r.temp_rate, r.fire_id, r.detected) == (
+            ambient, 0.0, None, False)
+        if t_next < uav.far_until:
+            px, py = uav.pos
+            for f in active:
+                assert math.hypot(px - f.center[0], py - f.center[1]) \
+                    - f.a > reach
+    for swarm in world.swarms:
+        if t < swarm.quiet_until:
+            assert not swarm.mitigating
+            assert all(t < world.uavs[uid].far_until
+                       for uid in swarm.member_ids)
 
 
 def test_invariants_every_tick_small_run():
@@ -275,6 +307,7 @@ def test_returning_member_on_lock_repulsion_and_stage_switch():
                                    (1100.0, 600.0), (3400.0, 600.0),
                                    (3400.0, 600.0)]):
             world.uavs[uid].pos = pos
+            world.uavs[uid].far_until = -math.inf
         if prepositioned:
             preposition_mitigation(world, 0, [3, 4])
         center = swarm_center([0, 1, 2], world.uavs)
@@ -289,6 +322,7 @@ def test_returning_member_on_lock_repulsion_and_stage_switch():
         front = f.center[0] + f.a
         for uid, off in enumerate(offsets):
             world.uavs[uid].pos = (front + off, f.center[1])
+            world.uavs[uid].far_until = -math.inf   # it did not fly there
 
     # lock: member 0 on the front detects the fire
     world = stray_world(prepositioned=False)
@@ -400,6 +434,179 @@ def test_released_members_first_readings_match_full_passes(monkeypatch,
     assert [repr(r) for r in ticks[k][:3]] == \
         [repr(r) for r in ref_ticks[k][:3]]
     assert all(r.temp_rate != 0.0 for r in ticks[k][:3])
+
+
+# -- speed-bounded deadlines ---------------------------------------------------
+
+def deadline_free(world: World) -> None:
+    """Expire every deadline, so that the next tick re-checks all."""
+    for uav in world.uavs:
+        uav.far_until = -math.inf
+    for swarm in world.swarms:
+        swarm.quiet_until = -math.inf
+
+
+def uav_bits(world: World) -> list:
+    """Each UAV's position, velocity, waypoint, mode and reading, by bits."""
+    return [(struct.pack("<4d", *u.pos, *u.vel),
+             u.waypoint and struct.pack("<4d", *u.waypoint), u.mode,
+             reading_bits(u.reading)) for u in world.uavs]
+
+
+def tick_beside_twin(world: World, twin: World) -> None:
+    """One tick of ``world`` and of ``twin``, whose deadlines are expired
+    first; both end it alike, and the invariants and the deadlines'
+    soundness hold."""
+    deadline_free(twin)
+    world.tick()
+    twin.tick()
+    assert uav_bits(world) == uav_bits(twin), f"tick {world.tick_index}"
+    assert world.events == twin.events, f"tick {world.tick_index}"
+    check_invariants(world)
+
+
+def step_beside_twin(world: World, twin: World) -> tuple[int, int, int]:
+    """tick_beside_twin until done.  Returns how many UAV passes and swarm
+    searches the deadlines skipped, and how many UAVs turned to mitigating
+    while they held a live far_until."""
+    skipped = quiet = locked_far = 0
+    while not world.done():
+        t_now = world.time + world.cfg.engine.dt
+        skipped += sum(t_now < u.far_until for u in world.uavs)
+        quiet += sum(not s.mitigating and t_now < s.quiet_until
+                     for s in world.swarms)
+        far = [u.mode not in ve.MITIGATING_MODES and t_now < u.far_until
+               for u in world.uavs]
+        tick_beside_twin(world, twin)
+        locked_far += sum(f and u.mode in ve.MITIGATING_MODES
+                          for f, u in zip(far, world.uavs))
+    assert twin.done()
+    return skipped, quiet, locked_far
+
+
+def pine_cfg(strategy="MSCIDC", dt=0.5, t_max=14400.0, noise_std=0.0,
+             **scenario):
+    cfg = load_config("pine-table1")
+    return dataclasses.replace(
+        cfg, engine=dataclasses.replace(cfg.engine, strategy=strategy, dt=dt,
+                                        t_max=t_max),
+        sensing=dataclasses.replace(cfg.sensing, noise_std=noise_std),
+        **scenario)
+
+
+def wide_swarms_cfg():
+    """pine-table1 with swarm disks wider than a fire's short thermal
+    reach, so that members far from every fire see their swarm lock; with
+    no merging, so that swarms are repelled; and exploiting at ambient
+    temperature, so that a repulsion's end switches the stage."""
+    cfg = pine_cfg(t_max=3600.0, swarm_radius=1500.0)
+    return dataclasses.replace(
+        cfg, sensing=dataclasses.replace(cfg.sensing, temp_sigma=30.0,
+                                         temp_threshold=290.0),
+        mitigation=dataclasses.replace(cfg.mitigation, merge_swarms=1))
+
+
+def thin_fire_cfg():
+    """A thin fire (b = a/40), swept out first, and a rounder one."""
+    base = ScenarioConfig(
+        area=(4000.0, 4000.0),
+        fires=(FireSpec((2000.0, 2000.0), 200.0, 5.0),
+               FireSpec((2600.0, 2900.0), 150.0, 120.0)),
+        swarm_sizes=(3, 2))
+    return validate(dataclasses.replace(base, engine=dataclasses.replace(
+        base.engine, dt=0.5, t_max=3600.0)))
+
+
+@pytest.mark.parametrize("cfg, index, kinds", [
+    (pine_cfg(), 5, {"merge", "extinguish"}),
+    (pine_cfg(dt=1.0), 5, {"lock", "extinguish"}),
+    (pine_cfg("NORMAL", dt=1.0, t_max=3600.0), 0, {"detection"}),
+    (pine_cfg("OMS", dt=1.0, t_max=3600.0), 0, {"join-request"}),
+    (pine_cfg(noise_std=2.0, t_max=3600.0), 0, {"lock"}),
+    (wide_swarms_cfg(), 1, {"lock", "repulsion"})],
+    ids=["MSCIDC-dt0.5", "MSCIDC-dt1.0", "NORMAL", "OMS", "noisy",
+         "wide-swarms"])
+def test_deadlines_match_a_deadline_free_twin(cfg, index, kinds):
+    """Every tick of a mission with its deadlines is, bit for bit, that of
+    a twin that re-checks every UAV and swarm.  Noise-free, the deadlines
+    skip passes, and MSCIDC swarm searches; noisy, nothing is skipped.
+    Wide swarms lock with members far from every fire."""
+    world, twin = World(cfg, index), World(cfg, index)
+    skipped, quiet, locked_far = step_beside_twin(world, twin)
+    assert kinds <= {e["type"] for e in world.events}
+    if cfg.sensing.noise_std > 0.0:
+        assert skipped == quiet == 0
+        return
+    assert skipped > 0
+    assert (quiet > 0) is (cfg.engine.strategy == "MSCIDC")
+    assert (locked_far > 0) is (cfg.swarm_radius > 1000.0)
+
+
+def test_deadlines_after_a_fast_release():
+    """A thin fire's sweep releases a UAV faster than the cruise speed;
+    its deadlines, bounded by its own speed, still match the twin's."""
+    cfg = thin_fire_cfg()
+    world, twin = World(cfg, 0), World(cfg, 0)
+    cruise = cfg.kinematics.cruise_speed
+    fastest = 0.0
+    while not world.done():
+        modes = [u.mode for u in world.uavs]
+        tick_beside_twin(world, twin)
+        for uav, mode in zip(world.uavs, modes):
+            if mode is ve.MITIGATE and uav.mode is ve.EXPLORE:
+                fastest = max(fastest, math.hypot(*uav.vel))
+    assert fastest > cruise
+    assert [e["type"] for e in world.events].count("extinguish") == 2
+
+
+def test_quiet_swarm_flying_apart_matches_twin():
+    """Two members of a quiet swarm, far from the fire, fly apart at three
+    times the cruise speed (as a fast release leaves them), with a lag so
+    slow that they keep that speed, so each leaves the disk about their
+    moving mean on the twin's tick: the swarm's deadline bounds each member
+    by its own speed and counts the centre's motion."""
+    base = ScenarioConfig(area=(4000.0, 4000.0),
+                          fires=(FireSpec((3500.0, 3500.0), 20.0, 20.0),),
+                          swarm_sizes=(2,))
+    cfg = validate(dataclasses.replace(
+        base, kinematics=dataclasses.replace(base.kinematics, pole=0.01),
+        engine=dataclasses.replace(base.engine, dt=0.5, t_max=60.0)))
+    world, twin = World(cfg, 0), World(cfg, 0)
+    speed = 3.0 * cfg.kinematics.cruise_speed
+    for w in (world, twin):
+        for uav in w.uavs:
+            uav.pos = (1000.0, 1000.0)
+        for _ in range(3):
+            w.tick()
+        assert world.time < min(u.far_until for u in w.uavs)
+        for uav, sign in zip(w.uavs, (-1.0, 1.0)):
+            uav.waypoint = (1000.0 + sign * 900.0, 1000.0, 0.0, 0.0)
+            uav.vel = (sign * speed, 0.0)
+            uav.far_until = -math.inf   # it did not fly at this speed
+        w.swarms[0].quiet_until = -math.inf
+    quiet = strayed = 0
+    while not world.done():
+        quiet += world.time + cfg.engine.dt < world.swarms[0].quiet_until
+        tick_beside_twin(world, twin)
+        strayed += any(u.returning for u in world.uavs)
+    assert quiet > 0 and strayed > 0
+
+
+def test_preposition_mid_mission_matches_twin():
+    """preposition_mitigation on a World 300 ticks into its mission resets
+    the deadlines of what it moves: the mission then matches the twin's."""
+    cfg = pine_cfg()
+    world, twin = World(cfg, 0), World(cfg, 0)
+    for _ in range(300):
+        tick_beside_twin(world, twin)
+    assert any(world.time < u.far_until for u in world.uavs)
+    assert any(world.time < s.quiet_until for s in world.swarms)
+    for w in (world, twin):
+        for swarm in w.swarms:
+            preposition_mitigation(w, swarm.id % len(w.fires),
+                                   swarm.member_ids)
+    step_beside_twin(world, twin)
+    assert "extinguish" in {e["type"] for e in world.events}
 
 
 def test_detected_count_non_decreasing():

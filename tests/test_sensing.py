@@ -8,15 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from swarmfire import sensing as sensing_module
-from swarmfire.config import SensingParams
+from swarmfire.config import KinematicsParams, SensingParams
 from swarmfire.fire import (FireFront, FireState, apply_quench,
                             distance_to_front, grow)
 from swarmfire.rng import RngStreams
+from swarmfire.search import clamp_to_area
 from swarmfire.sensing import (DEFERRED, SensorReading, active_fires,
                                cull_distance, detection_probability, sample)
-from swarmfire.vehicle import MITIGATING_MODES, UavMode, UavState
+from swarmfire.vehicle import MITIGATING_MODES, UavMode, UavState, step
 
 SENSING = SensingParams()
+CRUISE = KinematicsParams().cruise_speed
 
 
 def temperature_at(fires: list[FireFront], p: tuple[float, float],
@@ -38,7 +40,7 @@ def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     uav = UavState(id=0, pos=pos, reading=prev)
     if cutoff is None:
         cutoff = cull_distance(sensing, thermal=True)
-    sample([uav], fires, 0.0, dt, 0.0, sensing, None, cutoff, {})
+    sample([uav], fires, 0.0, dt, 0.0, CRUISE, sensing, None, cutoff, {})
     return uav.reading
 
 
@@ -222,7 +224,7 @@ def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
         for k in range(ticks):
             if stage:
                 detections.append(sample(
-                    uavs, fires, (k + 1) * dt, dt, 0.0, sensing,
+                    uavs, fires, (k + 1) * dt, dt, 0.0, CRUISE, sensing,
                     streams if sensing.noise_std > 0.0 else None, cutoff,
                     {}))
                 readings = [u.reading for u in uavs]
@@ -380,6 +382,36 @@ def one_fire_scene(noise, spread, offset, acts, moves):
 STAY = ("stay",)
 
 
+def burn(fires, rates, acts, dt):
+    """One tick of each burning fire: grow at its rate, quench, go out or
+    none, as ``acts`` says."""
+    for f, rate, act in zip(fires, rates, acts):
+        if f.state is FireState.EXTINGUISHED:
+            continue
+        if act == "grow":
+            grow(f, rate, dt)
+        elif act == "quench":
+            f.state = FireState.UNDER_MITIGATION
+            apply_quench(f, 2, 40.0, rate, dt)
+        elif act == "out":
+            f.state = FireState.EXTINGUISHED
+
+
+def match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
+                 streams, cutoff):
+    """Advance each UAV's oracle reading over this tick (drawing from
+    ``streams``); the stage's readings and detections equal the oracle's,
+    bit for bit."""
+    for uav in uavs:
+        oracle_readings[uav.id] = oracles.sample(
+            uav.pos, active, oracle_readings[uav.id], dt, sensing,
+            streams.agent(uav.id), cutoff)
+    assert [reading_bits(u.reading) for u in uavs] == \
+        [reading_bits(r) for r in oracle_readings]
+    assert detections == [u.id for u in uavs
+                          if oracle_readings[u.id].detected]
+
+
 @settings(max_examples=100, deadline=None)
 @given(moving_scene(), st.floats(0.1, 2.0))
 # moves 5 m in, to 0.5 mm inside the cull boundary, after a pass 5 m out
@@ -402,16 +434,7 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
     oracle_readings = [None] * n
     now = 0.0
     for fire_acts, moves in ticks:
-        for f, rate, act in zip(fires, rates, fire_acts):
-            if f.state is FireState.EXTINGUISHED:
-                continue
-            if act == "grow":
-                grow(f, rate, dt)
-            elif act == "quench":
-                f.state = FireState.UNDER_MITIGATION
-                apply_quench(f, 2, 40.0, rate, dt)
-            elif act == "out":
-                f.state = FireState.EXTINGUISHED
+        burn(fires, rates, fire_acts, dt)
         for uav, move in zip(uavs, moves):
             if move[0] == "step":
                 uav.pos = (uav.pos[0] + move[1], uav.pos[1] + move[2])
@@ -420,19 +443,160 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
                                       move[2])
         now += dt
         active = active_fires(fires)
-        # the largest rate bounds every front's growth
-        detections = sample(uavs, active, now, dt, max(rates), sensing,
-                            streams[0], cutoff, {})
-        for uav in uavs:
-            oracle_readings[uav.id] = oracles.sample(
-                uav.pos, active, oracle_readings[uav.id], dt, sensing,
-                streams[1].agent(uav.id), cutoff)
-        assert [reading_bits(u.reading) for u in uavs] == \
-            [reading_bits(r) for r in oracle_readings]
-        assert detections == [u.id for u in uavs
-                              if oracle_readings[u.id].detected]
+        # the largest rate bounds every front's growth; UAVs teleport, so
+        # no speed bounds them and no deadline is set
+        detections = sample(uavs, active, now, dt, max(rates), math.inf,
+                            sensing, streams[0], cutoff, {})
+        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
+                     streams[1], cutoff)
     assert [streams[0].agent(i).random() for i in range(n)] == \
         [streams[1].agent(i).random() for i in range(n)]
+
+
+# Fractions of the most a UAV may fly in a tick; flying the whole of it,
+# straight at a front, closes a clearance as fast as a deadline allows.
+SPEED_FRACTIONS = st.one_of(st.just(1.0), st.just(1.0),
+                            st.sampled_from([0.0, 0.5, 0.999]),
+                            st.floats(0.0, 1.0))
+
+
+@st.composite
+def flying_scene(draw):
+    """moving_scene's fires, sensors and starts, and a cruise speed.  A UAV
+    stays at rest (so the cruise speed bounds it) and each tick flies at
+    most cruise * dt: toward or away from a fire's centre, or on a drawn
+    heading, some moves exactly at the bound."""
+    fires, rates, starts, ticks, sensing, cutoff = draw(moving_scene())
+    cruise = draw(st.one_of(st.just(CRUISE), st.floats(0.5, 40.0)))
+    moves = st.one_of(
+        st.tuples(st.just("toward"), st.integers(0, len(fires) - 1),
+                  SPEED_FRACTIONS),
+        st.tuples(st.just("away"), st.integers(0, len(fires) - 1),
+                  SPEED_FRACTIONS),
+        st.tuples(st.just("heading"), st.floats(-math.pi, math.pi),
+                  SPEED_FRACTIONS))
+    ticks = [(acts, [draw(moves) for _ in uav_moves])
+             for acts, uav_moves in ticks]
+    return fires, rates, starts, ticks, sensing, cutoff, cruise
+
+
+def flown(pos, move, fires, reach):
+    """pos after ``move``, at most ``reach`` m from it."""
+    kind, target, fraction = move
+    if kind == "heading":
+        ux, uy = math.cos(target), math.sin(target)
+    else:
+        cx, cy = fires[target].center
+        dx, dy = cx - pos[0], cy - pos[1]
+        norm = math.hypot(dx, dy)
+        if norm == 0.0:
+            return pos
+        sign = 1.0 if kind == "toward" else -1.0
+        ux, uy = sign * dx / norm, sign * dy / norm
+    step = fraction * reach
+    moved = (pos[0] + step * ux, pos[1] + step * uy)
+    # the rounded sum may come out a few ulps of pos longer than reach
+    assert math.hypot(moved[0] - pos[0], moved[1] - pos[1]) <= reach + 1e-9
+    return moved
+
+
+@settings(max_examples=100, deadline=None)
+@given(flying_scene(), st.floats(0.1, 2.0))
+def test_far_skip_deadlines_match_oracle_over_ticks(sc, dt):
+    """The stage with its deadlines, UAVs flying at most cruise * dt per
+    tick as ``vehicle.step`` does from rest, against the unskipped oracle
+    while fronts grow, shrink and go out: every reading and the
+    detections on every tick, and each agent stream's next draw."""
+    fires, rates, starts, ticks, sensing, cutoff, cruise = copy.deepcopy(sc)
+    n = len(starts)
+    uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
+    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
+    oracle_readings = [None] * n
+    now = 0.0
+    for fire_acts, moves in ticks:
+        burn(fires, rates, fire_acts, dt)
+        now += dt
+        active = active_fires(fires)
+        detections = sample(uavs, active, now, dt, max(rates), cruise,
+                            sensing, streams[0], cutoff, {})
+        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
+                     streams[1], cutoff)
+        # the vehicle stage runs after sensing
+        for uav, move in zip(uavs, moves):
+            uav.pos = flown(uav.pos, move, fires, cruise * dt)
+    assert [streams[0].agent(i).random() for i in range(n)] == \
+        [streams[1].agent(i).random() for i in range(n)]
+
+
+@st.composite
+def vehicle_scene(draw):
+    """moving_scene's fires, sensors and starts, flown by ``vehicle.step``
+    in an area that may clamp them: each UAV starts at a drawn velocity,
+    up to four times the cruise speed, and each tick may turn to a new
+    waypoint with no feed-forward (a fire's centre, a point anywhere or
+    none)."""
+    fires, rates, starts, ticks, sensing, cutoff = draw(moving_scene())
+    kin = KinematicsParams(
+        cruise_speed=draw(st.one_of(st.just(CRUISE), st.floats(0.5, 40.0))),
+        pole=draw(st.one_of(st.just(1.0), st.floats(0.01, 20.0))),
+        tracking_tau=draw(st.one_of(st.just(1.0), st.floats(0.01, 100.0))))
+    speed = st.floats(-4.0 * kin.cruise_speed, 4.0 * kin.cruise_speed)
+    vels = [(draw(speed), draw(speed)) for _ in starts]
+    area = (draw(st.floats(100.0, 4000.0)), draw(st.floats(100.0, 4000.0)))
+    point = st.tuples(st.floats(-500.0, 4500.0), st.floats(-500.0, 4500.0))
+    waypoint = st.one_of(
+        st.just(STAY), st.just(None),
+        st.sampled_from(fires).map(lambda f: (*f.center, 0.0, 0.0)),
+        point.map(lambda p: (*p, 0.0, 0.0)))
+    ticks = [(acts, [draw(waypoint) for _ in moves]) for acts, moves in ticks]
+    return fires, rates, starts, vels, ticks, sensing, cutoff, kin, area
+
+
+def fast_approach(speed, spread=0.0):
+    """One fire growing at ``spread`` and one UAV 300 m beyond its cull
+    boundary, flying at ``speed`` straight at it with a lag so slow that
+    it keeps that speed."""
+    sensing = SENSING
+    cutoff = cull_distance(sensing, thermal=True)
+    fire = FireFront(0, (2000.0, 2000.0), 100.0, 100.0)
+    kin = KinematicsParams(pole=0.01)
+    ticks = [(["grow"], [(2000.0, 2000.0, 0.0, 0.0)])] * 40
+    return ([fire], [spread], [(2100.0 + cutoff + 300.0, 2000.0)],
+            [(-speed, 0.0)], ticks, sensing, cutoff, kin, (4000.0, 4000.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(vehicle_scene(), st.floats(0.1, 2.0))
+# four times the cruise speed: the deadline is its own speed's
+@example(fast_approach(4.0 * CRUISE), 0.5)
+@example(fast_approach(CRUISE), 0.5)
+# the front closes in too
+@example(fast_approach(CRUISE, spread=3.0), 0.5)
+def test_far_skip_deadlines_under_vehicle_step(sc, dt):
+    """The stage with its deadlines, UAVs flown by the vehicle stage from
+    speeds above and below the cruise speed, against the unskipped
+    oracle: every reading and the detections on every tick."""
+    (fires, rates, starts, vels, ticks, sensing, cutoff, kin,
+     area) = copy.deepcopy(sc)
+    n = len(starts)
+    # a UAV starts inside the area, as every UAV of a World does
+    uavs = [UavState(id=i, pos=clamp_to_area(p, area), vel=v)
+            for i, (p, v) in enumerate(zip(starts, vels))]
+    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
+    oracle_readings = [None] * n
+    now = 0.0
+    for fire_acts, waypoints in ticks:
+        burn(fires, rates, fire_acts, dt)
+        now += dt
+        active = active_fires(fires)
+        detections = sample(uavs, active, now, dt, max(rates),
+                            kin.cruise_speed, sensing, streams[0], cutoff, {})
+        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
+                     streams[1], cutoff)
+        for uav, waypoint in zip(uavs, waypoints):
+            if waypoint is not STAY:
+                uav.waypoint = waypoint
+        step(uavs, kin, dt, area)
 
 
 @pytest.mark.parametrize("noise", [0.0, 2.5])
@@ -446,13 +610,21 @@ def test_far_uav_skips_and_keeps_settled_reading(noise):
     streams = RngStreams(7, 0, 1)
     kept = []
     for k in range(1, 5):
-        sample(uavs, [fire], 0.5 * k, 0.5, 1.0, sensing, streams, cutoff,
-               {})
+        sample(uavs, [fire], 0.5 * k, 0.5, 1.0, CRUISE, sensing, streams,
+               cutoff, {})
         kept.append(uavs[0].reading)
     far = uavs[0].far
     assert far[:2] == uavs[0].pos and far[3] == 0.5
     assert far[2] == pytest.approx(50.0 - 1.0e-3)
     assert (kept[1] is kept[2] is kept[3]) is (noise == 0.0)
+    # set by the second pass, the first skip: the clearance left after
+    # 0.5 s of growth at 1 m/s lasts while the UAV at rest, bounded by
+    # the cruise speed, and the front close in
+    if noise == 0.0:
+        assert uavs[0].far_until == pytest.approx(
+            1.0 + (50.0 - 2.0e-3 - 0.5) / (CRUISE + 1.0), rel=1e-8)
+    else:
+        assert uavs[0].far_until == -math.inf
     assert kept[3].temperature != SENSING.ambient_temp or noise == 0.0
 
 
@@ -516,16 +688,7 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
     oracle_readings = [None] * n
     now = 0.0
     for fire_acts, moves, modes, detected in ticks:
-        for f, rate, act in zip(fires, rates, fire_acts):
-            if f.state is FireState.EXTINGUISHED:
-                continue
-            if act == "grow":
-                grow(f, rate, dt)
-            elif act == "quench":
-                f.state = FireState.UNDER_MITIGATION
-                apply_quench(f, 2, 40.0, rate, dt)
-            elif act == "out":
-                f.state = FireState.EXTINGUISHED
+        burn(fires, rates, fire_acts, dt)
         for uav, move, mode in zip(uavs, moves, modes):
             uav.mode = mode
             if move[0] == "step":
@@ -536,8 +699,9 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
         now += dt
         active = active_fires(fires)
         before = [u.reading for u in uavs]
-        detections = sample(uavs, active, now, dt, max(rates), sensing,
-                            streams[0], cutoff, dict.fromkeys(detected, 0.0))
+        detections = sample(uavs, active, now, dt, max(rates), math.inf,
+                            sensing, streams[0], cutoff,
+                            dict.fromkeys(detected, 0.0))
         deferred = []
         for uav in uavs:
             px, py = uav.pos
@@ -595,8 +759,8 @@ def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
     monkeypatch.setattr(sensing_module, "math", counting)
     streams = RngStreams(7, 0, len(uavs))
     every = dict.fromkeys(range(5), 0.0)
-    assert sample(uavs, fires, 1.0, 0.5, 0.0, sensing, streams, cutoff,
-                  every) == []
+    assert sample(uavs, fires, 1.0, 0.5, 0.0, CRUISE, sensing, streams,
+                  cutoff, every) == []
     assert counting.hypot_calls == 5
     assert all(u.reading is DEFERRED for u in uavs)
     assert [u.far for u in uavs] == [None] * 5 + [stale] * 5
@@ -608,7 +772,8 @@ def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
         [twins.agent(i).random() for i in range(len(uavs))]
 
     del every[2]
-    sample(uavs, fires, 1.5, 0.5, 0.0, sensing, streams, cutoff, every)
+    sample(uavs, fires, 1.5, 0.5, 0.0, CRUISE, sensing, streams, cutoff,
+           every)
     near = [abs(u.pos[0] - 3000.0) - 100.0 <= cutoff for u in uavs]
     assert [u.reading is not DEFERRED for u in uavs] == near
     assert any(near) and not all(near)
