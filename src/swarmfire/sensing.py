@@ -60,15 +60,14 @@ def cull_distance(sensing, thermal: bool) -> float:
     return max(sensing.sensing_radius, reach)
 
 
-# Slack (m) kept below a far UAV's clearance margin, and below each
-# clearance a deadline rests on (here and in engine.World._quiet_until).
-# It absorbs the rounding in what those tests add up (positions, front
-# axes grown tick by tick, elapsed time), which stays far below a
-# millimetre.
+# Slack (m) kept below each clearance a deadline rests on: twice in
+# sample's, once for the clearance it measures and once for the time it
+# lasts, and once per bound in engine.World._quiet_until.  It absorbs the
+# rounding in what those bounds add up (positions, front axes grown tick by
+# tick, elapsed time), which stays far below a millimetre.
 ROUNDING_ALLOWANCE = 1.0e-3
 
-# The reading of a UAV whose pass was deferred (see sample).  Its NaN
-# temperature fails the settled-ambient test, so it is never kept.
+# The reading of a UAV whose pass was deferred (see sample).
 DEFERRED = SensorReading(math.nan, math.nan, None, 0.0, None, False)
 
 
@@ -113,32 +112,23 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     Returns the ids of the UAVs whose reading detects a fire, in list
     order.
 
-    ``uav.far`` is None, or ``(x, y, margin, t0)``: at time t0 the UAV
-    stood at (x, y) and every active fire was culled, the nearest with
-    hypot(p - c) - a = cutoff + margin + ROUNDING_ALLOWANCE.  Centers are
-    fixed, fires only leave ``active`` and every front grows by at most
-    spread*dt per tick (``spread`` is the world's one rate), so while the
-    UAV has moved less than margin - spread * (now - t0) every fire is
-    still culled and the per-fire loop is skipped.  ``now`` is the time of
-    this tick.  The stage keeps ``uav.far`` valid; only a full pass
-    (neither skipped nor deferred) sets it.  A skipped noise-free UAV whose
-    previous reading is the settled ambient one keeps it.
-
-    Keeping that reading also sets a deadline, ``uav.far_until``, unless
-    the UAV is in one of ``vehicle.MITIGATING_MODES``; before it the loop
-    skips the UAV with one comparison.  ``cruise`` is the cruise speed.
-    While a UAV's command has no feed-forward (every command but a joined
-    sweep's) it flies no faster than B = ``vehicle.speed_bound(uav,
-    cruise)``, so the test above keeps passing while (B + spread) times
-    the time elapsed stays below the clearance left, margin minus the
-    distance moved and the growth since t0, less ROUNDING_ALLOWANCE: the
-    deadline is when that time runs out.  A lock or merge gives the UAV a
+    A full pass of a noise-free UAV that culls every fire and reads the
+    settled ambient reading (rate 0.0) sets a deadline, ``uav.far_until``,
+    before which the loop skips the UAV with one comparison and its reading
+    stays.  ``now`` is the time of this tick and ``cruise`` the cruise
+    speed.  With clear the smallest hypot(p - c) - a over the active fires,
+    every fire stays culled while (B + spread) times the time elapsed stays
+    below clear - cutoff: centers are fixed, fires only leave ``active``,
+    every front grows by at most spread*dt per tick (``spread`` is the
+    world's one rate), and while a UAV's command has no feed-forward (every
+    command but a joined sweep's) it flies no faster than B =
+    ``vehicle.speed_bound(uav, cruise)``.  The deadline is when that time
+    runs out, less two ROUNDING_ALLOWANCE; after it the UAV takes a full
+    pass, which renews it.  A mitigating UAV with every fire culled defers
+    (below), so it gets no deadline; a lock or merge gives the UAV a
     mitigating mode, whose sweep has feed-forward, so
     ``engine.World._lock_or_merge`` and ``engine.preposition_mitigation``
-    reset it to -inf; an infinite ``cruise`` sets none.  The ``uav.far``
-    test stays: once a deadline passes, one hypot renews it from the
-    clearance a full pass found, where a deadline alone would need a full
-    pass over every fire.
+    reset the deadline to -inf.  A noisy UAV draws every tick and gets none.
 
     A reading is read only by the engine's detection bookkeeping, for a
     fire not yet in ``detected`` (the world's detected fire ids), and by
@@ -148,11 +138,10 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     ``detected`` within the cull distance is deferred.  That is decided
     before the cull, by testing only the undetected fires, so once every
     active fire is detected the pass makes no per-fire test.  It builds no
-    kept list, leaves ``uav.far`` as it was (a stale clearance stays valid:
-    the skip test adds the distance moved and the growth since t0) and
-    draws its noise, then stores ``uav.deferred = (x, y, geometry,
-    noise)``, where ``geometry`` is the tick's shared list of ``(fire, cx,
-    cy, a, b)`` of every active fire, and sets ``uav.reading`` to DEFERRED.
+    kept list and draws its noise, then stores ``uav.deferred = (x, y,
+    geometry, noise)``, where ``geometry`` is the tick's shared list of
+    ``(fire, cx, cy, a, b)`` of every active fire, and sets ``uav.reading``
+    to DEFERRED.
     The UAV's next full pass, on the first tick after its swarm is released
     or once an undetected fire is within its cull distance, culls
     ``geometry`` as the deferred pass would have, computes the deferred
@@ -176,22 +165,6 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
         if now < uav.far_until:
             continue
         px, py = pos = uav.pos
-        last = uav.far
-        far = False
-        if last is not None:
-            moved = (hypot(px - last[0], py - last[1])
-                     + spread * (now - last[3]))
-            far = moved < last[2]
-        if far and not noisy:
-            # every fire is still culled
-            prev = uav.reading
-            if (prev.temp_rate == 0.0 and prev.temperature == ambient
-                    and prev.fire_id is None):
-                if uav.mode not in mitigating:
-                    uav.far_until = now + (
-                        (last[2] - moved - ROUNDING_ALLOWANCE)
-                        / (speed_bound(uav, cruise) + spread))
-                continue
         # noise-free, adding 0.0 changes no bit: no temperature is -0.0
         noise = (noise_std * streams.agent(uav.id).standard_normal()
                  if noisy else 0.0)
@@ -203,18 +176,8 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
                 uav.deferred = (px, py, geometry, noise)
                 uav.reading = DEFERRED
                 continue
-        if far:
-            kept = ()
-        else:
-            kept = [g for g in geometry
-                    if not hypot(px - g[1], py - g[2]) - g[3] > cutoff]
-            if not kept:
-                # rare: most UAVs clear of every fire took the skip above
-                clear = min([hypot(px - cx, py - cy) - a
-                             for _, cx, cy, a, _ in geometry], default=inf)
-                uav.far = (px, py, clear - cutoff - ROUNDING_ALLOWANCE, now)
-            elif last is not None:
-                uav.far = None
+        kept = [g for g in geometry
+                if not hypot(px - g[1], py - g[2]) - g[3] > cutoff]
         best_fire = best_t = None
         best_d = inf
         temp_g = 0.0
@@ -240,6 +203,12 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
 
         if best_fire is None or best_d > radius:
             uav.reading = SensorReading(temp, rate, None, 0.0, None, False)
+            if not kept and rate == 0.0 and not noisy:
+                clear = min([hypot(px - cx, py - cy) - a
+                             for _, cx, cy, a, _ in geometry], default=inf)
+                uav.far_until = now + (
+                    (clear - cutoff - 2.0 * ROUNDING_ALLOWANCE)
+                    / (speed_bound(uav, cruise) + spread))
             continue
         prob = detection_probability(best_d, sigma)
         fx, fy = nearest_front_point(best_fire, pos, best_t)

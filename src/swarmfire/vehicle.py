@@ -54,8 +54,6 @@ class UavState:
     mode: UavMode = EXPLORE
     waypoint: tuple | None = None          # (x, y, vx, vy); None: hold
     reading: SensorReading | None = None   # latest; None before the first
-    # where a full sensing pass culled every fire (see sensing.sample)
-    far: tuple[float, float, float, float] | None = None
     last_heading: float | None = None      # of its last fast tick
     returning: bool = False                # headed back to the swarm center
     # (x, y, tick geometry, noise) of a deferred pass (see sensing.sample)

@@ -150,18 +150,21 @@ def check_invariants(world: World) -> None:
 
 
 def check_deadlines(world: World) -> None:
-    """The deadlines are sound.  A UAV before its far_until is in a search
-    mode, whose command has no feed-forward, and holds the settled ambient
-    reading; one the next sensing pass skips is beyond the cull distance
-    of every active fire, as the next growth leaves it.  A swarm before
-    its quiet_until searches, and each member's far_until is live."""
+    """The deadlines are sound.  A UAV before its far_until has a
+    noise-free sensor, is in a search mode, whose command has no
+    feed-forward, and holds the settled ambient reading; one the next
+    sensing pass skips is beyond the cull distance of every active fire, as
+    the next growth leaves it.  A swarm before its quiet_until searches,
+    and each member's far_until is live."""
     t, t_next = world.time, world.time + world.cfg.engine.dt
     ambient = world.cfg.sensing.ambient_temp
+    noisy = world.cfg.sensing.noise_std > 0.0
     reach = world._cutoff + world.spread * world.cfg.engine.dt
     active = sn.active_fires(world.fires)
     for uav in world.uavs:
         if not t < uav.far_until:
             continue
+        assert not noisy
         assert uav.mode not in ve.MITIGATING_MODES
         r = uav.reading
         assert (r.temperature, r.temp_rate, r.fire_id, r.detected) == (
@@ -557,6 +560,32 @@ def test_deadlines_after_a_fast_release():
                 fastest = max(fastest, math.hypot(*uav.vel))
     assert fastest > cruise
     assert [e["type"] for e in world.events].count("extinguish") == 2
+
+
+@pytest.mark.xfail(strict=True, reason="the sweep feed-forward is "
+                   "mitigation_speed * r(theta_new) / r(theta_old), so a "
+                   "thin front's sweep is commanded faster than "
+                   "mitigation_speed")
+def test_sweep_feed_forward_within_mitigation_speed():
+    """Every feed-forward the mitigation stage commands is at most
+    mitigation_speed, on a thin fire's front as on a rounder one's."""
+    cfg = thin_fire_cfg()
+    world = World(cfg, 0)
+    cap = cfg.mitigation.mitigation_speed * (1.0 + 1e-9)
+    index = world.stages.index(World._mitigate)
+    commanded = []
+
+    def mitigate(w, t_now):
+        World._mitigate(w, t_now)
+        commanded.extend(math.hypot(u.waypoint[2], u.waypoint[3])
+                         for u in w.uavs if u.waypoint is not None)
+
+    world.stages = (world.stages[:index] + (mitigate,)
+                    + world.stages[index + 1:])
+    while not world.done():
+        world.tick()
+    assert [e["type"] for e in world.events].count("extinguish") == 2
+    assert max(commanded) <= cap
 
 
 def test_quiet_swarm_flying_apart_matches_twin():

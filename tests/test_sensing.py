@@ -13,9 +13,11 @@ from swarmfire.fire import (FireFront, FireState, apply_quench,
                             distance_to_front, grow)
 from swarmfire.rng import RngStreams
 from swarmfire.search import clamp_to_area
-from swarmfire.sensing import (DEFERRED, SensorReading, active_fires,
-                               cull_distance, detection_probability, sample)
-from swarmfire.vehicle import MITIGATING_MODES, UavMode, UavState, step
+from swarmfire.sensing import (DEFERRED, ROUNDING_ALLOWANCE, SensorReading,
+                               active_fires, cull_distance,
+                               detection_probability, sample)
+from swarmfire.vehicle import (MITIGATING_MODES, UavMode, UavState,
+                               speed_bound, step)
 
 SENSING = SensingParams()
 CRUISE = KinematicsParams().cruise_speed
@@ -423,10 +425,10 @@ def match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
 # noisy, far from the fire throughout
 @example(one_fire_scene(2.0, 0.05, 500.0, ["grow"] * 5, [STAY] * 5), 0.5)
 def test_far_skip_matches_oracle_over_ticks(sc, dt):
-    """The stage, its skip state carried from tick to tick, against the
-    unskipped oracle while UAVs cross cull boundaries both ways and fronts
-    grow, shrink and go out: every reading field and the detections on
-    every tick, and each agent stream's next draw at the end."""
+    """The stage against the unskipped oracle while UAVs cross cull
+    boundaries both ways and fronts grow, shrink and go out: every reading
+    field and the detections on every tick, and each agent stream's next
+    draw at the end."""
     fires, rates, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
     n = len(starts)
     uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
@@ -601,8 +603,10 @@ def test_far_skip_deadlines_under_vehicle_step(sc, dt):
 
 @pytest.mark.parametrize("noise", [0.0, 2.5])
 def test_far_uav_skips_and_keeps_settled_reading(noise):
-    """A UAV that stays far from every fire records its clearance, then
-    skips; noise-free, its settled ambient reading is kept as it is."""
+    """A noise-free UAV far from every fire gets its deadline from its
+    first pass, which reads the settled ambient reading, then skips and
+    keeps that reading.  A noisy UAV gets no deadline and draws one normal
+    per tick."""
     fire = FireFront(0, (0.0, 0.0), 100.0, 100.0)
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing, thermal=True)
@@ -613,19 +617,25 @@ def test_far_uav_skips_and_keeps_settled_reading(noise):
         sample(uavs, [fire], 0.5 * k, 0.5, 1.0, CRUISE, sensing, streams,
                cutoff, {})
         kept.append(uavs[0].reading)
-    far = uavs[0].far
-    assert far[:2] == uavs[0].pos and far[3] == 0.5
-    assert far[2] == pytest.approx(50.0 - 1.0e-3)
-    assert (kept[1] is kept[2] is kept[3]) is (noise == 0.0)
-    # set by the second pass, the first skip: the clearance left after
-    # 0.5 s of growth at 1 m/s lasts while the UAV at rest, bounded by
-    # the cruise speed, and the front close in
     if noise == 0.0:
+        # the clearance of the first pass lasts while the UAV at rest,
+        # bounded by the cruise speed, and the front at 1 m/s close in
+        clear = math.hypot(100.0 + cutoff + 50.0, 0.0) - 100.0
+        assert uavs[0].far_until == 0.5 + (
+            (clear - cutoff - 2.0 * ROUNDING_ALLOWANCE)
+            / (speed_bound(uavs[0], CRUISE) + 1.0))
         assert uavs[0].far_until == pytest.approx(
-            1.0 + (50.0 - 2.0e-3 - 0.5) / (CRUISE + 1.0), rel=1e-8)
+            0.5 + (50.0 - 2.0e-3) / (CRUISE + 1.0), rel=1e-8)
+        assert kept[0] is kept[1] is kept[2] is kept[3]
+        assert (kept[0].temperature, kept[0].temp_rate) == (
+            SENSING.ambient_temp, 0.0)
     else:
         assert uavs[0].far_until == -math.inf
-    assert kept[3].temperature != SENSING.ambient_temp or noise == 0.0
+        assert len({r.temperature for r in kept}) == 4
+        twin = RngStreams(7, 0, 1)
+        for _ in range(4):
+            twin.agent(0).standard_normal()
+        assert streams.agent(0).random() == twin.agent(0).random()
 
 
 # -- deferred passes of mitigating UAVs -----------------------------------------
@@ -676,7 +686,7 @@ def one_fire_deferrals(noise, beyond_cull=None):
 @example(one_fire_deferrals(0.0, beyond_cull=50.0), 1.0)
 def test_deferred_passes_match_oracle_over_ticks(sc, dt):
     """A UAV in a mitigating mode whose unculled fires are all detected
-    defers, unless it keeps a settled reading, and no other UAV does.
+    defers, and no other UAV does.
     Every full reading equals the oracle's bit for bit, its rate computed
     from the temperature a deferred pass before it stands for; a deferred
     UAV reports no detection; and each agent stream's next draw matches at
@@ -698,7 +708,6 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
                                       move[2])
         now += dt
         active = active_fires(fires)
-        before = [u.reading for u in uavs]
         detections = sample(uavs, active, now, dt, max(rates), math.inf,
                             sensing, streams[0], cutoff,
                             dict.fromkeys(detected, 0.0))
@@ -716,8 +725,7 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
                 assert defers
                 deferred.append(uav.id)
             else:
-                # a far noise-free UAV keeps its settled reading instead
-                assert not defers or uav.reading is before[uav.id]
+                assert not defers
                 assert reading_bits(uav.reading) == \
                     reading_bits(oracle_readings[uav.id])
         assert detections == [u.id for u in uavs if u.id not in deferred
@@ -743,27 +751,23 @@ class CountingMath:
 @pytest.mark.parametrize("noise", [0.0, 2.5])
 def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
     """Mitigating UAVs near the fronts of five fires.  With every fire
-    detected each defers without a per-fire distance test: those with no
-    far-field clearance make no hypot call at all, those with a stale one
-    only the skip test's, and every ``uav.far`` is left as it was.  Each
-    still draws its noise.  With one fire undetected, the UAVs within the
-    cull distance of it take full passes and the others still defer."""
+    detected each defers without a per-fire distance test, making no hypot
+    call at all, and still draws its noise.  With one fire undetected, the
+    UAVs within the cull distance of it take full passes and the others
+    still defer."""
     fires = [FireFront(i, (1500.0 * i, 0.0), 100.0, 80.0) for i in range(5)]
     sensing = dataclasses.replace(SENSING, noise_std=noise)
     cutoff = cull_distance(sensing, thermal=True)
-    stale = (9000.0, 9000.0, 10.0, 0.0)   # fails the skip test
     uavs = [UavState(id=i, pos=(1500.0 * (i % 5) + 150.0, 0.0),
-                     mode=MITIGATING_MODES[i % 3], far=far)
-            for i, far in enumerate([None] * 5 + [stale] * 5)]
+                     mode=MITIGATING_MODES[i % 3]) for i in range(10)]
     counting = CountingMath()
     monkeypatch.setattr(sensing_module, "math", counting)
     streams = RngStreams(7, 0, len(uavs))
     every = dict.fromkeys(range(5), 0.0)
     assert sample(uavs, fires, 1.0, 0.5, 0.0, CRUISE, sensing, streams,
                   cutoff, every) == []
-    assert counting.hypot_calls == 5
+    assert counting.hypot_calls == 0
     assert all(u.reading is DEFERRED for u in uavs)
-    assert [u.far for u in uavs] == [None] * 5 + [stale] * 5
     twins = RngStreams(7, 0, len(uavs))
     if noise:
         for i in range(len(uavs)):
