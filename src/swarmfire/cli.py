@@ -26,10 +26,6 @@ from .config import (ConfigError, STRATEGIES, ScenarioConfig, load_config,
                      to_dict, validate)
 from .engine import RunResult, monte_carlo, run, summarize
 
-# out-of-range values are rejected with exit code 2, naming the flag
-POSITIVE = click.IntRange(min=1)
-NON_NEGATIVE = click.IntRange(min=0)
-
 CSV_COLUMNS = ["run_index", "strategy", "n_swarms", "detection_time_s",
                "mission_time_s", "fer", "objective", "complete_flag"]
 
@@ -52,14 +48,18 @@ def _write_summary(path: Path, results: list[RunResult]) -> None:
             writer.writerow(_result_row(r))
 
 
+def _write_json(path: Path, data: dict) -> None:
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(path: Path, cfg: ScenarioConfig) -> None:
     """The config and the versions of the tool, Python and NumPy, whose
     generators draw every random number, so that outputs that differ can
     be traced to their builds."""
-    manifest = {"tool": "swarmfire", "version": __version__,
-                "python": platform.python_version(), "numpy": np.__version__,
-                "base_seed": cfg.engine.base_seed, "config": to_dict(cfg)}
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(path, {
+        "tool": "swarmfire", "version": __version__,
+        "python": platform.python_version(), "numpy": np.__version__,
+        "base_seed": cfg.engine.base_seed, "config": to_dict(cfg)})
 
 
 def _write_trace(path: Path, result: RunResult) -> None:
@@ -108,6 +108,19 @@ def _print_metrics(r: RunResult) -> None:
     click.echo(f"  objective      : {r.objective:10.4g}")
 
 
+# shared by subcommands; an out-of-range value exits 2, naming the flag
+SEED = click.option("--seed", type=int, default=None,
+                    help="Base seed; without it, SWARMFIRE_SEED if set, "
+                         "else the config's.")
+RUNS = click.option("--runs", type=click.IntRange(min=1), required=True,
+                    help="Number of runs.")
+JOBS = click.option("--jobs", type=click.IntRange(min=1), default=1,
+                    show_default=True,
+                    help="Worker processes, at most one per usable CPU.")
+OUT = click.option("--out", "out_dir", type=click.Path(), default=".",
+                   show_default=True, help="Directory for the output files.")
+
+
 @click.group()
 @click.version_option(__version__)
 def main() -> None:
@@ -116,8 +129,9 @@ def main() -> None:
 
 @main.command("run")
 @click.argument("config_path")
-@click.option("--seed", type=int, default=None, help="Override base seed.")
-@click.option("--run-index", type=NON_NEGATIVE, default=0, show_default=True)
+@SEED
+@click.option("--run-index", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--trace", "trace_path", type=click.Path(), default=None,
               help="Write a JSONL step trace to this path.")
 @click.option("--out", "out_dir", type=click.Path(), default=None,
@@ -139,12 +153,10 @@ def cmd_run(config_path, seed, run_index, trace_path, out_dir) -> None:
 
 @main.command("mc")
 @click.argument("config_path")
-@click.option("--runs", type=POSITIVE, required=True, help="Number of runs.")
-@click.option("--jobs", type=POSITIVE, default=1, show_default=True,
-              help="Worker processes, at most one per usable CPU.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=".",
-              show_default=True)
+@RUNS
+@JOBS
+@SEED
+@OUT
 def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
     """Monte-Carlo batch of seeded runs; summary CSV + aggregate JSON."""
     cfg = _load(config_path, seed)
@@ -154,8 +166,7 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_summary(out / "summary.csv", results)
-        (out / "aggregate.json").write_text(
-            json.dumps(agg, indent=2, sort_keys=True) + "\n")
+        _write_json(out / "aggregate.json", agg)
         _write_manifest(out / "manifest.json", cfg)
     click.echo(f"{runs} runs ({agg['n_complete']} complete)")
     for name in ("detection_time", "mission_time", "fer"):
@@ -184,12 +195,10 @@ def _strategy_names(ctx, param, value: str) -> list[str]:
               show_default=True, callback=_strategy_names,
               help="Comma-separated strategy list; every strategy by "
                    "default.")
-@click.option("--runs", type=POSITIVE, required=True)
-@click.option("--jobs", type=POSITIVE, default=1, show_default=True,
-              help="Worker processes, at most one per usable CPU.")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", "out_dir", type=click.Path(), default=".",
-              show_default=True)
+@RUNS
+@JOBS
+@SEED
+@OUT
 def cmd_compare(config_path, names, runs, jobs, seed, out_dir) -> None:
     """Paired-seed strategy comparison (baselines: same run -> same layout)."""
     cfg = _load(config_path, seed)
@@ -212,9 +221,8 @@ def cmd_compare(config_path, names, runs, jobs, seed, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         _write_summary(out / "compare.csv", all_results)
-        (out / "compare.json").write_text(json.dumps(
-            {"aggregates": aggregates, "mean_differences": differences},
-            indent=2, sort_keys=True) + "\n")
+        _write_json(out / "compare.json", {"aggregates": aggregates,
+                                           "mean_differences": differences})
         _write_manifest(out / "manifest.json", cfg)
     for name in names:
         st = aggregates[name]

@@ -68,7 +68,6 @@ class World:
     def __init__(self, cfg: ScenarioConfig, run_index: int,
                  collect_trace: bool = False):
         self.cfg = cfg
-        self.collect_trace = collect_trace
         self.time = 0.0
         self.tick_index = 0
 
@@ -88,7 +87,7 @@ class World:
         self.extinguished: dict[int, float] = {}
         self.events: list[dict] = []
         self.series: list[tuple] = []
-        self.trace: list[dict] = []
+        self.trace: list[dict] | None = [] if collect_trace else None
         self.total_area0 = sum(fi.area(f) for f in self.fires)
         self.peak_total_area = self.total_area0
         self._cutoff = sn.cull_distance(
@@ -130,15 +129,12 @@ class World:
     def _event(self, kind: str, t: float, **payload) -> None:
         self.events.append({"type": kind, "t": t, **payload})
 
-    def fires_remaining(self) -> int:
-        return len(self.fires) - len(self.extinguished)
-
     def _merge_allowed(self, f: fi.FireFront,
                        rec: mi.FireMitigationRecord) -> bool:
         m = self.cfg.mitigation
         return mi.merging_decision(
-            fi.area(f), self.fires_remaining(), rec.n_swarms, m.merge_area,
-            m.merge_fires, m.merge_swarms)
+            fi.area(f), len(self.fires) - len(self.extinguished),
+            rec.n_swarms, m.merge_area, m.merge_fires, m.merge_swarms)
 
     def _swarm_mean_vel(self, swarm: SwarmState) -> tuple[float, float]:
         xs = ys = 0.0
@@ -516,7 +512,7 @@ class World:
         """Append a series row; total_area is the burning area now."""
         f_d, f_f, f_r, s_s, s_q = self.counters()
         self.series.append((self.time, f_d, f_f, f_r, s_s, s_q, total_area))
-        if self.collect_trace:
+        if self.trace is not None:
             self.trace.append({
                 "t": round(self.time, 6),
                 "uavs": [{"id": u.id, "x": round(u.pos[0], 3),
@@ -614,12 +610,7 @@ def run(cfg: ScenarioConfig, run_index: int,
         detected_area_sum=detected_area_sum,
         undetected_area_sum=undetected_area_sum,
         series=world.series, events=world.events,
-        trace=world.trace if collect_trace else None)
-
-
-def _run_job(args) -> RunResult:
-    cfg, idx = args
-    return run(cfg, idx)
+        trace=world.trace)
 
 
 def monte_carlo(cfg: ScenarioConfig, n_runs: int,
@@ -641,7 +632,7 @@ def monte_carlo(cfg: ScenarioConfig, n_runs: int,
     from concurrent.futures import ProcessPoolExecutor
     # map yields results in the order of its inputs
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_job, [(cfg, i) for i in range(n_runs)]))
+        return list(pool.map(run, [cfg] * n_runs, range(n_runs)))
 
 
 def summarize(results: list[RunResult]) -> dict:

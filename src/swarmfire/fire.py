@@ -62,10 +62,9 @@ def area(fire: FireFront) -> float:
 
 
 def grow(fire: FireFront, spread: float, dt: float) -> None:
-    """Advance both semi-axes by spread*dt; no-op once extinguished."""
-    if fire.state is not EXTINGUISHED:
-        fire.a += spread * dt
-        fire.b += spread * dt
+    """Advance both semi-axes by spread*dt (only burning fires grow)."""
+    fire.a += spread * dt
+    fire.b += spread * dt
 
 
 def point_on_front(fire: FireFront, theta: float) -> tuple[float, float]:

@@ -249,6 +249,34 @@ def test_run_overflowing_noise_completes(tmp_path, small_config_path):
     assert res.exit_code == 0, res.output
 
 
+def option_helps(command: str) -> dict[str, str]:
+    """Each option's entry in ``command --help``, keyed by the option and
+    with its wrapped lines joined by single spaces."""
+    res = invoke(command, "--help")
+    assert res.exit_code == 0, res.output
+    entries: list[str] = []
+    for line in res.output.split("Options:\n", 1)[1].splitlines():
+        if line.startswith("  -"):
+            entries.append(line)
+        elif entries:
+            entries[-1] += line
+    return {e.split()[0]: " ".join(e.split()) for e in entries}
+
+
+def test_shared_options_have_one_help():
+    """--seed, --runs, --jobs and --out show one help line in every
+    subcommand that takes them, but run's --out, which writes nothing by
+    default; --seed's names the variable that stands in for it."""
+    helps = {c: option_helps(c) for c in ("run", "mc", "compare")}
+    del helps["run"]["--out"]
+    shared = {"--seed": ["run", "mc", "compare"], "--runs": ["mc", "compare"],
+              "--jobs": ["mc", "compare"], "--out": ["mc", "compare"]}
+    for option, commands in shared.items():
+        assert [c for c in helps if option in helps[c]] == commands
+        assert len({helps[c][option] for c in commands}) == 1, option
+    assert "SWARMFIRE_SEED" in helps["run"]["--seed"]
+
+
 def test_seed_env_override(tmp_path, small_config_path):
     out = tmp_path / "env"
     res = invoke("run", small_config_path, "--out", str(out),

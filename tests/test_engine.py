@@ -926,8 +926,8 @@ def test_monte_carlo_caps_workers_at_runs(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2})

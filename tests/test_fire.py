@@ -50,13 +50,6 @@ def test_grow_adds_rate_to_both_axes():
     assert f.b == pytest.approx(250.711)
 
 
-def test_grow_noop_when_extinguished():
-    f = make_fire(100.0, 100.0)
-    f.state = FireState.EXTINGUISHED
-    grow(f, 1.0, 10.0)
-    assert (f.a, f.b) == (100.0, 100.0)
-
-
 def test_area_values():
     assert area(make_fire(300.0, 250.0)) == pytest.approx(235619.449, abs=0.01)
     assert area(make_fire(50.0, 50.0)) == pytest.approx(7853.98, abs=0.01)
