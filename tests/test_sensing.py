@@ -370,6 +370,17 @@ def moving_scene(draw):
     return fires, rates, starts, ticks, sensing, cutoff
 
 
+def one_fire_scene(noise, spread, offset, acts, moves):
+    """One circular fire at the origin and one UAV starting ``offset`` m
+    beyond its cull boundary on the x axis."""
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = cull_distance(sensing, thermal=True)
+    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0)
+    return ([fire], [spread], [(100.0 + cutoff + offset, 0.0)],
+            [([act], [move]) for act, move in zip(acts, moves)], sensing,
+            cutoff)
+
+
 STAY = ("stay",)
 
 
@@ -401,6 +412,47 @@ def match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
         [reading_bits(r) for r in oracle_readings]
     assert detections == [u.id for u in uavs
                           if oracle_readings[u.id].detected]
+
+
+@settings(max_examples=100, deadline=None)
+@given(moving_scene(), st.floats(0.1, 2.0))
+# moves 5 m in, to 0.5 mm inside the cull boundary, after a pass 5 m out
+@example(one_fire_scene(0.0, 0.0, 5.0, ["none"] * 5,
+                        [STAY, ("boundary", 0, -5.0e-4), STAY, STAY, STAY]),
+         1.0)
+# stays 2 m out while the front grows 1 m per tick
+@example(one_fire_scene(0.0, 1.0, 2.0, ["grow"] * 5, [STAY] * 5), 1.0)
+# noisy, far from the fire throughout
+@example(one_fire_scene(2.0, 0.05, 500.0, ["grow"] * 5, [STAY] * 5), 0.5)
+def test_far_skip_matches_oracle_over_ticks(sc, dt):
+    """The stage against the unskipped oracle while UAVs cross cull
+    boundaries both ways and fronts grow, shrink and go out: every reading
+    field and the detections on every tick, and each agent stream's next
+    draw at the end."""
+    fires, rates, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
+    n = len(starts)
+    uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
+    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
+    oracle_readings = [None] * n
+    now = 0.0
+    for fire_acts, moves in ticks:
+        burn(fires, rates, fire_acts, dt)
+        for uav, move in zip(uavs, moves):
+            if move[0] == "step":
+                uav.pos = (uav.pos[0] + move[1], uav.pos[1] + move[2])
+            elif move[0] == "boundary":
+                uav.pos = to_boundary(uav.pos, fires[move[1]], cutoff,
+                                      move[2])
+        now += dt
+        active = active_fires(fires)
+        # the largest rate bounds every front's growth; UAVs teleport, so
+        # no speed bounds them and no deadline is set
+        detections = sample(uavs, active, now, dt, max(rates), math.inf,
+                            sensing, streams[0], cutoff, {})
+        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
+                     streams[1], cutoff)
+    assert [streams[0].agent(i).random() for i in range(n)] == \
+        [streams[1].agent(i).random() for i in range(n)]
 
 
 # Fractions of the most a UAV may fly in a tick; flying the whole of it,
@@ -626,38 +678,15 @@ def one_fire_deferrals(noise, beyond_cull=None):
     return [fire], [1.0], [(x, 0.0)], ticks, sensing, cutoff
 
 
-def one_fire_search(noise, spread, offset, acts, moves):
-    """One circular fire at the origin, undetected, and one UAV in a search
-    mode starting ``offset`` m beyond its cull boundary on the x axis."""
-    sensing = dataclasses.replace(SENSING, noise_std=noise)
-    cutoff = cull_distance(sensing, thermal=True)
-    fire = FireFront(0, (0.0, 0.0), 100.0, 100.0)
-    ticks = [([act], [move], [UavMode.EXPLORE], set())
-             for act, move in zip(acts, moves)]
-    return ([fire], [spread], [(100.0 + cutoff + offset, 0.0)], ticks,
-            sensing, cutoff)
-
-
 @settings(max_examples=100, deadline=None)
 @given(deferring_scene(), st.floats(0.1, 2.0))
 @example(one_fire_deferrals(0.0), 1.0)
 @example(one_fire_deferrals(2.0), 0.5)
 # resolves a deferral whose fire was culled: the resolution culls too
 @example(one_fire_deferrals(0.0, beyond_cull=50.0), 1.0)
-# moves 5 m in, to 0.5 mm inside the cull boundary, after a pass 5 m out
-@example(one_fire_search(0.0, 0.0, 5.0, ["none"] * 5,
-                         [STAY, ("boundary", 0, -5.0e-4), STAY, STAY, STAY]),
-         1.0)
-# stays 2 m out while the front grows 1 m per tick
-@example(one_fire_search(0.0, 1.0, 2.0, ["grow"] * 5, [STAY] * 5), 1.0)
-# noisy, far from the fire throughout
-@example(one_fire_search(2.0, 0.05, 500.0, ["grow"] * 5, [STAY] * 5), 0.5)
 def test_deferred_passes_match_oracle_over_ticks(sc, dt):
     """A UAV in a mitigating mode whose unculled fires are all detected
-    defers, and no other UAV does, while UAVs cross cull boundaries both
-    ways and fronts grow, shrink and go out.  UAVs teleport, so no speed
-    bounds them and no far-field deadline is set: every pass is a full or
-    a deferred one.
+    defers, and no other UAV does.
     Every full reading equals the oracle's bit for bit, its rate computed
     from the temperature a deferred pass before it stands for; a deferred
     UAV reports no detection; and each agent stream's next draw matches at
