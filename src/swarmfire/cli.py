@@ -3,13 +3,15 @@ strategy comparisons.
 
 Outputs are schema-stable: a summary CSV (one row per run), an optional
 JSONL step trace, and a manifest JSON that suffices to reproduce any run
-byte-identically.  Floats in the CSV carry 6 significant digits.
+byte-identically and holds each run's sha256 digest to check it by.
+Floats in the CSV carry 6 significant digits.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -52,14 +54,28 @@ def _write_json(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _write_manifest(path: Path, cfg: ScenarioConfig) -> None:
-    """The config and the versions of the tool, Python and NumPy, whose
-    generators draw every random number, so that outputs that differ can
-    be traced to their builds."""
+def _run_digest(r: RunResult) -> str:
+    """sha256 over a run's event stream, its final metrics and its logged
+    series, by the formula of ``perfbench/workloads.result_digest``."""
+    final = (r.detection_time, r.mission_time, r.fer, r.objective,
+             r.complete, r.all_detected, sorted(r.quench_times.items()),
+             r.quench_violations, r.detected_area_sum,
+             r.undetected_area_sum, r.series)
+    return hashlib.sha256(repr((r.events, final)).encode()).hexdigest()
+
+
+def _write_manifest(path: Path, cfg: ScenarioConfig,
+                    results: list[RunResult]) -> None:
+    """The config, the versions of the tool, Python and NumPy, whose
+    generators draw every random number, and each run's digest under
+    ``"<strategy>/<run_index>"``, so that outputs that differ can be traced
+    to their builds and to the runs that differ, bit for bit."""
     _write_json(path, {
         "tool": "swarmfire", "version": __version__,
         "python": platform.python_version(), "numpy": np.__version__,
-        "base_seed": cfg.engine.base_seed, "config": to_dict(cfg)})
+        "base_seed": cfg.engine.base_seed, "config": to_dict(cfg),
+        "digests": {f"{r.strategy}/{r.run_index}": _run_digest(r)
+                    for r in results}})
 
 
 def _write_trace(path: Path, result: RunResult) -> None:
@@ -148,7 +164,7 @@ def cmd_run(config_path, seed, run_index, trace_path, out_dir) -> None:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             _write_summary(out / "summary.csv", [result])
-            _write_manifest(out / "manifest.json", cfg)
+            _write_manifest(out / "manifest.json", cfg, [result])
 
 
 @main.command("mc")
@@ -167,7 +183,7 @@ def cmd_mc(config_path, runs, jobs, seed, out_dir) -> None:
         out.mkdir(parents=True, exist_ok=True)
         _write_summary(out / "summary.csv", results)
         _write_json(out / "aggregate.json", agg)
-        _write_manifest(out / "manifest.json", cfg)
+        _write_manifest(out / "manifest.json", cfg, results)
     click.echo(f"{runs} runs ({agg['n_complete']} complete)")
     for name in ("detection_time", "mission_time", "fer"):
         st = agg[name]
@@ -223,7 +239,7 @@ def cmd_compare(config_path, names, runs, jobs, seed, out_dir) -> None:
         _write_summary(out / "compare.csv", all_results)
         _write_json(out / "compare.json", {"aggregates": aggregates,
                                            "mean_differences": differences})
-        _write_manifest(out / "manifest.json", cfg)
+        _write_manifest(out / "manifest.json", cfg, all_results)
     for name in names:
         st = aggregates[name]
         click.echo(f"{name:8s} detection={st['detection_time']['mean']:.4g}s "

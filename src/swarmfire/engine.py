@@ -354,34 +354,39 @@ class World:
     def _baseline_search(self, t_now: float) -> None:
         """Search stage of the baseline strategies: every searching swarm
         (one UAV each), by id, locks on a detection or draws a new
-        independent waypoint once it reaches its current one."""
+        independent waypoint once it reaches its current one.  What every
+        draw shares is read once per call; each draw is one
+        ``baseline_waypoint`` call on the UAV's ``self.rng.agent`` stream,
+        both looked up here, where the benchmark's tracer wraps them."""
         cfg = self.cfg
         strategy = cfg.engine.strategy
-        uavs = self.uavs
+        area, params, l_max = cfg.area, cfg.search, self._l_max
+        threshold = cfg.sensing.temp_threshold
+        agent = self.rng.agent
+        waypoint = se.baseline_waypoint
+        explore = ve.EXPLORE
         arrival = self._arrival
         hypot = math.hypot
-        waypoint = se.baseline_waypoint
-        for swarm in self.swarms:
+        # a baseline swarm k is UAV k alone (_spawn)
+        for swarm, uav in zip(self.swarms, self.uavs):
             if swarm.mitigating:
                 continue
-            uid = swarm.member_ids[0]
-            uav = uavs[uid]
             r = uav.reading
             if r.detected:
                 self._lock_or_merge(swarm, r.fire_id, t_now, "join-request")
                 continue
-            if uav.waypoint is not None:
+            pos = uav.pos
+            wp = uav.waypoint
+            if wp is not None:
                 # not ve.reached: NaN distances count as not arrived
-                px, py = uav.pos
-                wx, wy, _, _ = uav.waypoint
+                px, py = pos
+                wx, wy, _, _ = wp
                 if not hypot(wx - px, wy - py) < arrival:
                     continue
-            x, y = waypoint(
-                strategy, uav.pos, uav.vel, r.temperature, r.temp_rate,
-                self.rng.agent(uid), cfg.area, cfg.search, self._l_max,
-                cfg.sensing.temp_threshold)
-            uav.waypoint = (x, y, 0.0, 0.0)
-            uav.mode = ve.EXPLORE
+            uav.waypoint = waypoint(
+                strategy, pos, uav.vel, r.temperature, r.temp_rate,
+                agent(uav.id), area, params, l_max, threshold)
+            uav.mode = explore
 
     # -- mitigation coordination ------------------------------------------
 

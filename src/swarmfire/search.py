@@ -148,32 +148,50 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
                       vel: tuple[float, float], temperature: float,
                       temp_rate: float, rng: np.random.Generator,
                       area: tuple[float, float], search_params,
-                      l_max: float,
-                      temp_threshold: float) -> tuple[float, float]:
-    """Independent per-UAV waypoint for the comparison strategies.
+                      l_max: float, temp_threshold: float
+                      ) -> tuple[float, float, float, float]:
+    """Independent per-UAV waypoint for the comparison strategies, as the
+    flight command ``(x, y, 0.0, 0.0)`` the engine stores.
 
     UNIFORM resamples anywhere in the area; NORMAL and LEVY step from the
     current position at a uniform heading; OMS approximates a multi-level
     switching search (levy legs while cool, short legs while hot, heading
     biased along the current velocity when the temperature is rising).
     ``l_max`` truncates the levy step factor (area diagonal / levy_step).
+
+    This runs for every leg a baseline UAV flies, so it draws and clamps
+    inline, bit for bit as ``uniform``, ``sample_heading``,
+    ``sample_step_length`` and ``clamp_to_area`` would (pi - -pi is
+    exactly tau).  An unknown strategy raises before any draw.
     """
-    if strategy == "UNIFORM":
-        return (uniform(rng, 0.0, area[0]), uniform(rng, 0.0, area[1]))
-    if strategy == "OMS":
-        levy = temperature < temp_threshold
-        if temp_rate > 0.0 and (vel[0] != 0.0 or vel[1] != 0.0):
-            phi = math.atan2(vel[1], vel[0])
-            heading = sample_heading(phi, 0.25 * math.pi, rng)
-        else:
-            heading = uniform(rng, -math.pi, math.pi)
-    elif strategy in ("NORMAL", "LEVY"):
+    w, h = area
+    if strategy in ("NORMAL", "LEVY"):
         levy = strategy == "LEVY"
-        heading = uniform(rng, -math.pi, math.pi)
+        heading = -math.pi + math.tau * rng.random()
+    elif strategy == "OMS":
+        levy = temperature < temp_threshold
+        vx, vy = vel
+        if temp_rate > 0.0 and (vx != 0.0 or vy != 0.0):
+            # wrap_angle of a uniform draw within pi/4 of the velocity
+            q = 0.25 * math.pi
+            a = math.fmod(math.atan2(vy, vx) + (-q + (q - -q) * rng.random())
+                          + math.pi, math.tau)
+            heading = (a + math.tau if a <= 0.0 else a) - math.pi
+        else:
+            heading = -math.pi + math.tau * rng.random()
+    elif strategy == "UNIFORM":
+        return (w * rng.random(), h * rng.random(), 0.0, 0.0)
     else:
         raise ValueError(f"unknown baseline strategy: {strategy}")
-    scale = search_params.levy_step if levy else search_params.brown_step
-    step = scale * sample_step_length(
-        levy, rng, search_params.levy_tail_exponent, l_max)
-    return clamp_to_area((pos[0] + step * math.cos(heading),
-                          pos[1] + step * math.sin(heading)), area)
+    if levy:
+        mu = search_params.levy_tail_exponent
+        step = search_params.levy_step * (
+            1.0 - rng.random() * (1.0 - l_max ** -mu)) ** (-1.0 / mu)
+    else:
+        step = search_params.brown_step * abs(rng.standard_normal())
+    px, py = pos
+    x = px + step * math.cos(heading)
+    y = py + step * math.sin(heading)
+    x = 0.0 if 0.0 > x else x
+    y = 0.0 if 0.0 > y else y
+    return (w if w < x else x, h if h < y else y, 0.0, 0.0)

@@ -4,8 +4,9 @@ None of this runs in a mission.  The engine spaces sectors evenly in the
 ellipse's parametric angle (``mitigation.assign_sectors``); the polar-angle
 sector geometry here derives the same equal-area partition another way, and
 the closed-form quench time is the no-growth, simultaneous-join limit of
-the quench model.  The per-UAV sensor sample and the per-swarm member
-scans are the compositions the engine's one-call stages replaced.
+the quench model.  The per-UAV sensor sample, the per-swarm member scans
+and the baseline leg draw are the compositions the engine's one-call
+stages replaced.
 ``mitigate``, ``quench`` and ``bookkeep`` are ``World._mitigate``,
 ``World._quench`` and ``World._bookkeep`` as first written: one step per
 record, a sin/cos for the waypoint and another for the feed-forward, and
@@ -22,6 +23,8 @@ from swarmfire import fire as fi
 from swarmfire import mitigation as mi
 from swarmfire import vehicle as ve
 from swarmfire.fire import distance_to_front, nearest_front_point
+from swarmfire.rng import uniform
+from swarmfire.search import clamp_to_area, sample_heading, sample_step_length
 from swarmfire.sensing import SensorReading, detection_probability
 
 TWO_PI = 2.0 * math.pi
@@ -146,6 +149,31 @@ def swarm_center(members, uavs):
         ys += py
     n = len(members)
     return (xs / n, ys / n)
+
+
+def baseline_waypoint(strategy, pos, vel, temperature, temp_rate, rng, area,
+                      search_params, l_max, temp_threshold):
+    """A baseline strategy's next waypoint ``(x, y)``, composed of the
+    search helpers: a uniform heading, a step factor, and the clamp."""
+    if strategy == "UNIFORM":
+        return (uniform(rng, 0.0, area[0]), uniform(rng, 0.0, area[1]))
+    if strategy == "OMS":
+        levy = temperature < temp_threshold
+        if temp_rate > 0.0 and (vel[0] != 0.0 or vel[1] != 0.0):
+            phi = math.atan2(vel[1], vel[0])
+            heading = sample_heading(phi, 0.25 * math.pi, rng)
+        else:
+            heading = uniform(rng, -math.pi, math.pi)
+    elif strategy in ("NORMAL", "LEVY"):
+        levy = strategy == "LEVY"
+        heading = uniform(rng, -math.pi, math.pi)
+    else:
+        raise ValueError(f"unknown baseline strategy: {strategy}")
+    scale = search_params.levy_step if levy else search_params.brown_step
+    step = scale * sample_step_length(
+        levy, rng, search_params.levy_tail_exponent, l_max)
+    return clamp_to_area((pos[0] + step * math.cos(heading),
+                          pos[1] + step * math.sin(heading)), area)
 
 
 def angular_control(theta, theta_ref, direction, lo, hi, omega, track_gain,

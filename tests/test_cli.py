@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import platform
 import statistics
+import sys
 from pathlib import Path
 
 import numpy
@@ -62,6 +64,64 @@ def test_manifest_names_python_and_numpy(tmp_path, small_config_path,
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == numpy.__version__
+
+
+def perfbench_result_digest():
+    """perfbench/workloads.result_digest, loaded from its file: the check
+    shares no code with the CLI it checks."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the file runs
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.result_digest
+
+
+@pytest.mark.parametrize("command", [["run", "--run-index", "3"],
+                                     ["mc", "--runs", "3"],
+                                     ["compare", "--runs", "2",
+                                      "--strategies", "NORMAL,MSCIDC,OMS"]])
+def test_manifest_digests_every_run_as_perfbench_does(tmp_path,
+                                                      small_config_path,
+                                                      command):
+    """Each command's manifest maps "<strategy>/<run_index>" to the run's
+    sha256 by perfbench's formula, for exactly the runs it made."""
+    out = tmp_path / "out"
+    res = invoke(command[0], small_config_path, *command[1:],
+                 "--out", str(out))
+    assert res.exit_code == 0, res.output
+    digests = json.loads((out / "manifest.json").read_text())["digests"]
+    cfg = load_config(small_config_path)
+    if command[0] == "run":
+        runs = [(cfg.engine.strategy, 3)]
+    elif command[0] == "mc":
+        runs = [(cfg.engine.strategy, i) for i in range(3)]
+    else:
+        runs = [(s, i) for s in ("NORMAL", "MSCIDC", "OMS") for i in range(2)]
+    result_digest = perfbench_result_digest()
+    want = {}
+    for strategy, i in runs:
+        scfg = dataclasses.replace(
+            cfg, engine=dataclasses.replace(cfg.engine, strategy=strategy))
+        want[f"{strategy}/{i}"] = result_digest(run(scfg, i))
+    assert digests == want
+
+
+def test_mc_manifest_identical_at_any_jobs(tmp_path, small_config_path):
+    """The manifest, digests included, does not depend on --jobs."""
+    manifests = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"j{jobs}"
+        res = invoke("mc", small_config_path, "--runs", "4", "--jobs", jobs,
+                     "--out", str(out))
+        assert res.exit_code == 0, res.output
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert len(json.loads(manifests[0])["digests"]) == 4
 
 
 def test_run_deterministic_outputs(tmp_path, small_config_path):

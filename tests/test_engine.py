@@ -28,6 +28,7 @@ from swarmfire.config import (STRATEGIES, FireSpec, ScenarioConfig,
 from swarmfire.engine import (RunResult, World, monte_carlo,
                               preposition_mitigation, run, summarize,
                               weighted_objective)
+from swarmfire.rng import RngStreams
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -802,13 +803,16 @@ TRACED = ((mi, "angular_control"), (mi, "assign_sectors"),
 
 
 @pytest.mark.parametrize("strategy, entries", [
-    ("MSCIDC", TRACED), ("NORMAL", ((se, "baseline_waypoint"),))])
+    ("MSCIDC", TRACED),
+    ("NORMAL", ((se, "baseline_waypoint"), (RngStreams, "agent")))])
 def test_entry_points_are_looked_up_where_the_tracer_wraps_them(
         monkeypatch, strategy, entries):
     """A counting pass-through set on each entry point's module before the
     World is built, as the benchmark's tracer installs its wrappers, sees
     calls, and the mission is the unwrapped one.  A stage that bound an
-    entry point at import would bypass it and leave its count at 0."""
+    entry point at import would bypass it and leave its count at 0.  With
+    noise-free sensing, a NORMAL mission takes each leg's stream from
+    ``RngStreams.agent`` once per ``baseline_waypoint`` call."""
     cfg = small_cfg(strategy=strategy,
                     t_max=3600.0 if strategy == "MSCIDC" else 60.0)
     twin = World(cfg, 0)
@@ -828,6 +832,10 @@ def test_entry_points_are_looked_up_where_the_tracer_wraps_them(
         world.tick()
     assert all(counts.values()), counts
     assert world.events == twin.events
+    if strategy == "NORMAL":
+        assert cfg.sensing.noise_std == 0.0
+        assert counts["RngStreams.agent"] == counts[
+            "swarmfire.search.baseline_waypoint"] > 0
     if strategy == "MSCIDC":
         # locks, sweeps and quenches its fire out
         assert {"lock", "join", "extinguish"} <= {

@@ -4,8 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+import oracles
 from oracles import max_info_member
 from swarmfire.config import SearchParams
 from swarmfire.search import (baseline_waypoint, clamp_to_area, next_waypoint,
@@ -239,3 +240,72 @@ def test_all_baseline_waypoints_inside_area():
                                    0.5, g, AREA, PARAMS, L_MAX, 330.0)
             assert 0.0 <= wp[0] <= AREA[0]
             assert 0.0 <= wp[1] <= AREA[1]
+
+
+BASELINES = ("UNIFORM", "NORMAL", "LEVY", "OMS")
+THRESHOLD = 330.0
+
+
+def assert_draws_like_its_composition(strategy, pos, vel, temperature,
+                                      temp_rate, seed, area=AREA,
+                                      params=PARAMS):
+    """baseline_waypoint returns the bits of tests/oracles.py's composition
+    of the search helpers, as a flight command (x, y, 0.0, 0.0), and leaves
+    its generator where the composition leaves a twin.  Returns it."""
+    g, twin = rng(seed), rng(seed)
+    l_max = math.hypot(*area) / params.levy_step
+    got = baseline_waypoint(strategy, pos, vel, temperature, temp_rate, g,
+                            area, params, l_max, THRESHOLD)
+    want = oracles.baseline_waypoint(strategy, pos, vel, temperature,
+                                     temp_rate, twin, area, params, l_max,
+                                     THRESHOLD)
+    assert struct.pack("4d", *got) == struct.pack("4d", *want, 0.0, 0.0)
+    assert g.random() == twin.random()
+    return got
+
+
+# a fraction of the extent: on either wall half of the time
+FRACTION = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
+SPEED = st.one_of(st.just(0.0), st.floats(-20.0, 20.0))
+
+
+@given(strategy=st.sampled_from(BASELINES),
+       area=st.sampled_from((AREA, (1200.0, 800.0))),
+       params=st.sampled_from((PARAMS, SearchParams(
+           levy_step=800.0, brown_step=20.0, levy_tail_exponent=2.2))),
+       fx=FRACTION, fy=FRACTION,
+       temperature=st.one_of(st.sampled_from((THRESHOLD, 300.0, 500.0)),
+                             st.floats(250.0, 450.0)),
+       temp_rate=st.one_of(st.sampled_from((0.0, -1.0, 1.0)),
+                           st.floats(-5.0, 5.0)),
+       vel=st.tuples(SPEED, SPEED),
+       seed=st.integers(0, 2 ** 32 - 1))
+# rising along a velocity just below -pi: the cone's draw (seed 1's is
+# below its middle) crosses the wrap at -pi; from the corner (0, 0) an ulp
+# of the sine is not rounded away
+@example(strategy="OMS", area=AREA, params=PARAMS, fx=0.0, fy=0.0,
+         temperature=300.0, temp_rate=1.0, vel=(-1.0, -1e-9), seed=1)
+def test_baseline_waypoint_matches_its_composition(strategy, area, params, fx,
+                                                   fy, temperature, temp_rate,
+                                                   vel, seed):
+    """Bit for bit and stream position, for every baseline, at and away
+    from the walls, OMS hot and cool, rising, falling and steady, with a
+    moving UAV and a hovering one."""
+    assert_draws_like_its_composition(
+        strategy, (fx * area[0], fy * area[1]), vel, temperature, temp_rate,
+        seed, area, params)
+
+
+@pytest.mark.parametrize("strategy", ("NORMAL", "LEVY", "OMS"))
+@pytest.mark.parametrize("axis, wall", [(0, 0.0), (0, AREA[0]),
+                                        (1, 0.0), (1, AREA[1])])
+def test_baseline_waypoint_clamps_at_each_wall_like_its_composition(
+        strategy, axis, wall):
+    """From a UAV on a wall, some leg leaves the area and is clamped onto
+    that wall, with the composition's bits."""
+    pos = [AREA[0] / 2, AREA[1] / 2]
+    pos[axis] = wall
+    clamped = [assert_draws_like_its_composition(
+        strategy, tuple(pos), (0.0, 0.0), 300.0, 0.0, seed)[axis] == wall
+        for seed in range(32)]
+    assert any(clamped)
