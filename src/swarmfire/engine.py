@@ -364,7 +364,6 @@ class World:
         threshold = cfg.sensing.temp_threshold
         agent = self.rng.agent
         waypoint = se.baseline_waypoint
-        explore = ve.EXPLORE
         arrival = self._arrival
         hypot = math.hypot
         # a baseline swarm k is UAV k alone (_spawn)
@@ -386,7 +385,6 @@ class World:
             uav.waypoint = waypoint(
                 strategy, pos, uav.vel, r.temperature, r.temp_rate,
                 agent(uav.id), area, params, l_max, threshold)
-            uav.mode = explore
 
     # -- mitigation coordination ------------------------------------------
 

@@ -159,36 +159,33 @@ def baseline_waypoint(strategy: str, pos: tuple[float, float],
     biased along the current velocity when the temperature is rising).
     ``l_max`` truncates the levy step factor (area diagonal / levy_step).
 
-    This runs for every leg a baseline UAV flies, so it draws and clamps
-    inline, bit for bit as ``uniform``, ``sample_heading``,
-    ``sample_step_length`` and ``clamp_to_area`` would (pi - -pi is
-    exactly tau).  An unknown strategy raises before any draw.
+    This runs for every leg a baseline UAV flies, so NORMAL's part of it
+    is written inline: the uniform heading (``uniform(rng, -pi, pi)``, as
+    pi - -pi is exactly tau), the ``|N(0, 1)|`` step factor and the clamp
+    of ``clamp_to_area``, with the same bits.  An unknown strategy raises
+    before any draw.
     """
-    w, h = area
     if strategy in ("NORMAL", "LEVY"):
         levy = strategy == "LEVY"
         heading = -math.pi + math.tau * rng.random()
     elif strategy == "OMS":
         levy = temperature < temp_threshold
-        vx, vy = vel
-        if temp_rate > 0.0 and (vx != 0.0 or vy != 0.0):
-            # wrap_angle of a uniform draw within pi/4 of the velocity
-            q = 0.25 * math.pi
-            a = math.fmod(math.atan2(vy, vx) + (-q + (q - -q) * rng.random())
-                          + math.pi, math.tau)
-            heading = (a + math.tau if a <= 0.0 else a) - math.pi
+        if temp_rate > 0.0 and (vel[0] != 0.0 or vel[1] != 0.0):
+            phi = math.atan2(vel[1], vel[0])
+            heading = sample_heading(phi, 0.25 * math.pi, rng)
         else:
-            heading = -math.pi + math.tau * rng.random()
+            heading = uniform(rng, -math.pi, math.pi)
     elif strategy == "UNIFORM":
-        return (w * rng.random(), h * rng.random(), 0.0, 0.0)
+        return (uniform(rng, 0.0, area[0]), uniform(rng, 0.0, area[1]),
+                0.0, 0.0)
     else:
         raise ValueError(f"unknown baseline strategy: {strategy}")
     if levy:
-        mu = search_params.levy_tail_exponent
-        step = search_params.levy_step * (
-            1.0 - rng.random() * (1.0 - l_max ** -mu)) ** (-1.0 / mu)
+        step = search_params.levy_step * sample_levy_length(
+            rng, search_params.levy_tail_exponent, l_max)
     else:
         step = search_params.brown_step * abs(rng.standard_normal())
+    w, h = area
     px, py = pos
     x = px + step * math.cos(heading)
     y = py + step * math.sin(heading)

@@ -244,26 +244,6 @@ def test_all_baseline_waypoints_inside_area():
 
 BASELINES = ("UNIFORM", "NORMAL", "LEVY", "OMS")
 THRESHOLD = 330.0
-
-
-def assert_draws_like_its_composition(strategy, pos, vel, temperature,
-                                      temp_rate, seed, area=AREA,
-                                      params=PARAMS):
-    """baseline_waypoint returns the bits of tests/oracles.py's composition
-    of the search helpers, as a flight command (x, y, 0.0, 0.0), and leaves
-    its generator where the composition leaves a twin.  Returns it."""
-    g, twin = rng(seed), rng(seed)
-    l_max = math.hypot(*area) / params.levy_step
-    got = baseline_waypoint(strategy, pos, vel, temperature, temp_rate, g,
-                            area, params, l_max, THRESHOLD)
-    want = oracles.baseline_waypoint(strategy, pos, vel, temperature,
-                                     temp_rate, twin, area, params, l_max,
-                                     THRESHOLD)
-    assert struct.pack("4d", *got) == struct.pack("4d", *want, 0.0, 0.0)
-    assert g.random() == twin.random()
-    return got
-
-
 # a fraction of the extent: on either wall half of the time
 FRACTION = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0))
 SPEED = st.one_of(st.just(0.0), st.floats(-20.0, 20.0))
@@ -285,27 +265,32 @@ SPEED = st.one_of(st.just(0.0), st.floats(-20.0, 20.0))
 # of the sine is not rounded away
 @example(strategy="OMS", area=AREA, params=PARAMS, fx=0.0, fy=0.0,
          temperature=300.0, temp_rate=1.0, vel=(-1.0, -1e-9), seed=1)
+# a leg clamped onto each wall in turn: a NORMAL leg onto x = 0, a LEVY one
+# onto x = w, a cool rising OMS one (levy, in the cone) onto y = 0 and a hot
+# falling OMS one (short) onto y = h
+@example(strategy="NORMAL", area=AREA, params=PARAMS, fx=0.0, fy=0.5,
+         temperature=300.0, temp_rate=0.0, vel=(0.0, 0.0), seed=0)
+@example(strategy="LEVY", area=AREA, params=PARAMS, fx=1.0, fy=0.5,
+         temperature=300.0, temp_rate=0.0, vel=(0.0, 0.0), seed=2)
+@example(strategy="OMS", area=AREA, params=PARAMS, fx=0.5, fy=0.0,
+         temperature=300.0, temp_rate=1.0, vel=(0.0, -3.0), seed=0)
+@example(strategy="OMS", area=AREA, params=PARAMS, fx=0.5, fy=1.0,
+         temperature=500.0, temp_rate=-1.0, vel=(0.0, 0.0), seed=2)
 def test_baseline_waypoint_matches_its_composition(strategy, area, params, fx,
                                                    fy, temperature, temp_rate,
                                                    vel, seed):
-    """Bit for bit and stream position, for every baseline, at and away
-    from the walls, OMS hot and cool, rising, falling and steady, with a
-    moving UAV and a hovering one."""
-    assert_draws_like_its_composition(
-        strategy, (fx * area[0], fy * area[1]), vel, temperature, temp_rate,
-        seed, area, params)
-
-
-@pytest.mark.parametrize("strategy", ("NORMAL", "LEVY", "OMS"))
-@pytest.mark.parametrize("axis, wall", [(0, 0.0), (0, AREA[0]),
-                                        (1, 0.0), (1, AREA[1])])
-def test_baseline_waypoint_clamps_at_each_wall_like_its_composition(
-        strategy, axis, wall):
-    """From a UAV on a wall, some leg leaves the area and is clamped onto
-    that wall, with the composition's bits."""
-    pos = [AREA[0] / 2, AREA[1] / 2]
-    pos[axis] = wall
-    clamped = [assert_draws_like_its_composition(
-        strategy, tuple(pos), (0.0, 0.0), 300.0, 0.0, seed)[axis] == wall
-        for seed in range(32)]
-    assert any(clamped)
+    """baseline_waypoint returns the bits of tests/oracles.py's composition
+    of the search helpers, as a flight command (x, y, 0.0, 0.0), and leaves
+    its generator where the composition leaves a twin: for every baseline,
+    at and away from the walls, OMS hot and cool, rising, falling and
+    steady, with a moving UAV and a hovering one."""
+    pos = (fx * area[0], fy * area[1])
+    g, twin = rng(seed), rng(seed)
+    l_max = math.hypot(*area) / params.levy_step
+    got = baseline_waypoint(strategy, pos, vel, temperature, temp_rate, g,
+                            area, params, l_max, THRESHOLD)
+    want = oracles.baseline_waypoint(strategy, pos, vel, temperature,
+                                     temp_rate, twin, area, params, l_max,
+                                     THRESHOLD)
+    assert struct.pack("4d", *got) == struct.pack("4d", *want, 0.0, 0.0)
+    assert g.random() == twin.random()
