@@ -165,7 +165,7 @@ class World:
         detected = self.detected
         cfg = self.cfg
         for uid in sn.sample(self.uavs, sn.active_fires(self.fires), t_now,
-                             cfg.engine.dt, self.spread,
+                             cfg.engine.dt, self.spread, self.area_rate,
                              cfg.kinematics.cruise_speed, cfg.sensing,
                              self.rng, self._cutoff, detected):
             fid = self.uavs[uid].reading.fire_id
@@ -488,6 +488,9 @@ class World:
         self._event("join", t_now, uav=track.uav_id, fire=f.id)
 
     def _extinguish(self, fid: int, t_now: float) -> None:
+        """Release the fire's swarms, the only release there is.  Their
+        members' sensing deadlines, release bounds (see sensing.sample),
+        are at most t_now, so none needs a reset."""
         rec = self.records.pop(fid)
         self.extinguished[fid] = t_now
         self._event("extinguish", t_now, fire=fid)

@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fire import (EXTINGUISHED, FireFront, boundary_distance,
-                   distance_to_front, nearest_front_point)
+from .fire import (EXTINGUISH_AREA, EXTINGUISHED, FireFront,
+                   boundary_distance, distance_to_front, nearest_front_point)
 from .vehicle import MITIGATING_MODES, speed_bound
 
 
@@ -90,8 +90,8 @@ def _deferred_temperature(snapshot, ambient: float, span: float,
 
 
 def sample(uavs, active: list[FireFront], now: float, dt: float,
-           spread: float, cruise: float, sensing, streams, cutoff: float,
-           detected) -> list[int]:
+           spread: float, area_rate: float, cruise: float, sensing, streams,
+           cutoff: float, detected) -> list[int]:
     """The sensing stage of one tick: sample every UAV in list order.
 
     The per-UAV state lives on each UavState.  ``uav.reading`` holds the
@@ -124,11 +124,12 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     command but a joined sweep's) it flies no faster than B =
     ``vehicle.speed_bound(uav, cruise)``.  The deadline is when that time
     runs out, less two ROUNDING_ALLOWANCE; after it the UAV takes a full
-    pass, which renews it.  A mitigating UAV with every fire culled defers
-    (below), so it gets no deadline; a lock or merge gives the UAV a
-    mitigating mode, whose sweep has feed-forward, so
-    ``engine.World._lock_or_merge`` and ``engine.preposition_mitigation``
-    reset the deadline to -inf.  A noisy UAV draws every tick and gets none.
+    pass, which renews it.  A lock or merge gives the UAV a mitigating
+    mode, whose sweep has feed-forward, so ``engine.World._lock_or_merge``
+    and ``engine.preposition_mitigation`` reset the deadline to -inf; a
+    mitigating UAV's passes defer, and one of them may set the deadline to
+    a release bound instead (below).  A noisy UAV draws every tick and gets
+    none.
 
     A reading is read only by the engine's detection bookkeeping, for a
     fire not yet in ``detected`` (the world's detected fire ids), and by
@@ -146,6 +147,20 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     or once an undetected fire is within its cull distance, culls
     ``geometry`` as the deferred pass would have, computes the deferred
     temperature from the kept fires for its rate and drops the snapshot.
+
+    A deferred pass of a noise-free UAV on a tick with every active fire
+    detected also sets ``uav.far_until``, to the release bound now + (A -
+    EXTINGUISH_AREA) / (len(uavs) * area_rate) - 2*dt, with A the least
+    pi*a*b of the active fires and ``area_rate`` the area one UAV quenches
+    per second.  Only ``engine.World._extinguish`` releases a swarm, and no
+    fire goes out on a tick before the bound plus dt: a quench step removes
+    at most len(uavs) * area_rate * dt of a fire's area and growth only
+    adds to it.  The other dt is slack for the rounding of the areas and
+    tick times.  Nor can an undetected fire come within reach: ``detected``
+    only grows and fires only leave ``active``.  So until the bound the UAV
+    would defer on every tick; its pass on the release tick still takes
+    the snapshot, and the bound it sets then has passed.  The bound is
+    computed on the tick's first such deferral.
     """
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     ambient = sensing.ambient_temp
@@ -157,6 +172,9 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     threshold = sensing.detect_threshold
     geometry = [(f, f.center[0], f.center[1], f.a, f.b) for f in active]
     undetected = [g for g in geometry if g[0].id not in detected]
+    # the release bound of the tick's deferrals (see above), None until the
+    # first one computes it
+    release = -math.inf if noisy or undetected else None
     mitigating = MITIGATING_MODES
     distance = distance_to_front
     hypot, exp, inf = math.hypot, math.exp, math.inf
@@ -175,6 +193,14 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
             else:
                 uav.deferred = (px, py, geometry, noise)
                 uav.reading = DEFERRED
+                if release is None:
+                    least = min([math.pi * a * b
+                                 for _, _, _, a, b in geometry], default=inf)
+                    # an area rate that underflowed to 0.0 gets no bound
+                    quench = len(uavs) * area_rate
+                    release = (now + (least - EXTINGUISH_AREA) / quench
+                               - 2.0 * dt) if quench > 0.0 else -inf
+                uav.far_until = release
                 continue
         kept = [g for g in geometry
                 if not hypot(px - g[1], py - g[2]) - g[3] > cutoff]

@@ -58,7 +58,9 @@ class UavState:
     returning: bool = False                # headed back to the swarm center
     # (x, y, tick geometry, noise) of a deferred pass (see sensing.sample)
     deferred: tuple | None = None
-    # sensing skips the UAV before this time (see sensing.sample)
+    # sensing skips the UAV before this time (see sensing.sample): while
+    # the fronts could not reach it, or while its swarm mitigates and no
+    # fire could go out, which is what releases it
     far_until: float = -math.inf
 
 

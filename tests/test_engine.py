@@ -152,21 +152,33 @@ def check_invariants(world: World) -> None:
 
 def check_deadlines(world: World) -> None:
     """The deadlines are sound.  A UAV before its far_until has a
-    noise-free sensor, is in a search mode, whose command has no
-    feed-forward, and holds the settled ambient reading; one the next
-    sensing pass skips is beyond the cull distance of every active fire, as
-    the next growth leaves it.  A swarm before its quiet_until searches,
-    and each member's far_until is live."""
+    noise-free sensor.  In a mitigating mode it holds DEFERRED, every
+    active fire is detected, and no active fire quenched by every UAV can
+    reach EXTINGUISH_AREA on a tick before the deadline, so none releases
+    it.  In a search mode, whose command has no feed-forward, it holds the
+    settled ambient reading; if the next sensing pass skips it, it is
+    beyond the cull distance of every active fire, as the next growth
+    leaves it.  A swarm before its quiet_until searches, and each member's
+    far_until is live."""
     t, t_next = world.time, world.time + world.cfg.engine.dt
     ambient = world.cfg.sensing.ambient_temp
     noisy = world.cfg.sensing.noise_std > 0.0
     reach = world._cutoff + world.spread * world.cfg.engine.dt
     active = sn.active_fires(world.fires)
+    quench = len(world.uavs) * world.area_rate
     for uav in world.uavs:
         if not t < uav.far_until:
             continue
         assert not noisy
-        assert uav.mode not in ve.MITIGATING_MODES
+        if uav.mode in ve.MITIGATING_MODES:
+            assert uav.reading is sn.DEFERRED
+            assert all(f.id in world.detected for f in active)
+            # k ticks on, its quench leaves at least area - k*dt*quench,
+            # so no tick before far_until puts f out
+            for f in active:
+                assert (fi.area(f) - (uav.far_until - t) * quench
+                        > fi.EXTINGUISH_AREA)
+            continue
         r = uav.reading
         assert (r.temperature, r.temp_rate, r.fire_id, r.detected) == (
             ambient, 0.0, None, False)
@@ -469,23 +481,29 @@ def tick_beside_twin(world: World, twin: World) -> None:
     check_invariants(world)
 
 
-def step_beside_twin(world: World, twin: World) -> tuple[int, int, int]:
-    """tick_beside_twin until done.  Returns how many UAV passes and swarm
-    searches the deadlines skipped, and how many UAVs turned to mitigating
-    while they held a live far_until."""
-    skipped = quiet = locked_far = 0
+def step_beside_twin(world: World,
+                     twin: World) -> tuple[int, int, int, int]:
+    """tick_beside_twin until done; every UAV an extinguish releases has
+    let its far_until pass.  Returns how many UAV passes the deadlines
+    skipped, how many of those were mitigating UAVs', how many swarm
+    searches they skipped, and how many UAVs turned to mitigating while
+    they held a live far_until."""
+    skipped = mitigating = quiet = locked_far = 0
     while not world.done():
         t_now = world.time + world.cfg.engine.dt
-        skipped += sum(t_now < u.far_until for u in world.uavs)
+        held = [t_now < u.far_until for u in world.uavs]
+        modes = [u.mode in ve.MITIGATING_MODES for u in world.uavs]
+        skipped += sum(held)
+        mitigating += sum(h and m for h, m in zip(held, modes))
         quiet += sum(not s.mitigating and t_now < s.quiet_until
                      for s in world.swarms)
-        far = [u.mode not in ve.MITIGATING_MODES and t_now < u.far_until
-               for u in world.uavs]
         tick_beside_twin(world, twin)
-        locked_far += sum(f and u.mode in ve.MITIGATING_MODES
-                          for f, u in zip(far, world.uavs))
+        for h, m, u in zip(held, modes, world.uavs):
+            locked_far += h and not m and u.mode in ve.MITIGATING_MODES
+            if m and u.mode not in ve.MITIGATING_MODES:
+                assert u.far_until <= world.time
     assert twin.done()
-    return skipped, quiet, locked_far
+    return skipped, mitigating, quiet, locked_far
 
 
 def pine_cfg(strategy="MSCIDC", dt=0.5, t_max=14400.0, noise_std=0.0,
@@ -521,25 +539,57 @@ def thin_fire_cfg():
         base.engine, dt=0.5, t_max=3600.0)))
 
 
-@pytest.mark.parametrize("cfg, index, kinds", [
-    (pine_cfg(), 5, {"merge", "extinguish"}),
-    (pine_cfg(dt=1.0), 5, {"lock", "extinguish"}),
-    (pine_cfg("NORMAL", dt=1.0, t_max=3600.0), 0, {"detection"}),
-    (pine_cfg("OMS", dt=1.0, t_max=3600.0), 0, {"join-request"}),
-    (pine_cfg(noise_std=2.0, t_max=3600.0), 0, {"lock"}),
-    (wide_swarms_cfg(), 1, {"lock", "repulsion"})],
+def big_fires_cfg():
+    """pine-table1 with every fire's axes four times as long, as the
+    mitigation-sweep benchmark flies it, for the 400 s in which the least
+    fire goes out under the swarm prepositioned on it."""
+    cfg = pine_cfg(t_max=400.0)
+    return dataclasses.replace(cfg, fires=tuple(
+        dataclasses.replace(f, a=4.0 * f.a, b=4.0 * f.b) for f in cfg.fires))
+
+
+def preposition_every_swarm(world: World) -> None:
+    """Swarm s prepositioned on fire s mod the fire count."""
+    for swarm in world.swarms:
+        preposition_mitigation(world, swarm.id % len(world.fires),
+                               swarm.member_ids)
+
+
+@pytest.mark.parametrize("cfg, index, kinds, prepositioned", [
+    (pine_cfg(), 5, {"merge", "extinguish"}, False),
+    (pine_cfg(dt=1.0), 5, {"lock", "extinguish"}, False),
+    (pine_cfg("NORMAL", dt=1.0, t_max=3600.0), 0, {"detection"}, False),
+    (pine_cfg("OMS", dt=1.0, t_max=3600.0), 0, {"join-request"}, False),
+    (pine_cfg(noise_std=2.0, t_max=3600.0), 0, {"lock"}, False),
+    (wide_swarms_cfg(), 1, {"lock", "repulsion"}, False),
+    (big_fires_cfg(), 0, {"extinguish"}, True),
+    (static_cfg(4, t_max=120.0), 0, {"extinguish"}, True)],
     ids=["MSCIDC-dt0.5", "MSCIDC-dt1.0", "NORMAL", "OMS", "noisy",
-         "wide-swarms"])
-def test_deadlines_match_a_deadline_free_twin(cfg, index, kinds):
+         "wide-swarms", "prepositioned", "every-uav-quenches"])
+def test_deadlines_match_a_deadline_free_twin(cfg, index, kinds,
+                                              prepositioned):
     """Every tick of a mission with its deadlines is, bit for bit, that of
     a twin that re-checks every UAV and swarm.  Noise-free, the deadlines
     skip passes, and MSCIDC swarm searches; noisy, nothing is skipped.
-    Wide swarms lock with members far from every fire."""
+    Wide swarms lock with members far from every fire.  Prepositioned,
+    on fires four times as long or with every UAV quenching the one fire
+    (where the release bound is tightest), mitigating UAVs hold release
+    deadlines for many ticks and skip their deferred passes until a fire
+    goes out."""
     world, twin = World(cfg, index), World(cfg, index)
-    skipped, quiet, locked_far = step_beside_twin(world, twin)
+    if prepositioned:
+        preposition_every_swarm(world)
+        preposition_every_swarm(twin)
+    skipped, mitigating, quiet, locked_far = step_beside_twin(world, twin)
     assert kinds <= {e["type"] for e in world.events}
     if cfg.sensing.noise_std > 0.0:
         assert skipped == quiet == 0
+        return
+    if prepositioned:
+        # the deadlines skip more than ten passes of mitigating UAVs for
+        # each pass taken
+        passes = len(world.uavs) * world.tick_index
+        assert mitigating > 10 * (passes - skipped)
         return
     assert skipped > 0
     assert (quiet > 0) is (cfg.engine.strategy == "MSCIDC")
@@ -631,12 +681,28 @@ def test_preposition_mid_mission_matches_twin():
         tick_beside_twin(world, twin)
     assert any(world.time < u.far_until for u in world.uavs)
     assert any(world.time < s.quiet_until for s in world.swarms)
-    for w in (world, twin):
-        for swarm in w.swarms:
-            preposition_mitigation(w, swarm.id % len(w.fires),
-                                   swarm.member_ids)
+    preposition_every_swarm(world)
+    preposition_every_swarm(twin)
     step_beside_twin(world, twin)
     assert "extinguish" in {e["type"] for e in world.events}
+
+
+def test_zero_quench_rate_sets_no_release_bound():
+    """A quench so weak that its area rate underflows to 0.0 validates;
+    mitigating UAVs then defer every tick with no release bound, where
+    the bound would divide by zero."""
+    base = small_cfg(t_max=30.0)
+    cfg = validate(dataclasses.replace(base, quench=dataclasses.replace(
+        base.quench, water_rate=1e-322, c=1e10)))
+    assert cfg.area_rate == 0.0
+    world = World(cfg, 0)
+    preposition_mitigation(world, 0, world.swarms[0].member_ids)
+    while not world.done():
+        world.tick()
+        for uid in world.swarms[0].member_ids:
+            uav = world.uavs[uid]
+            assert uav.reading is sn.DEFERRED
+            assert uav.far_until == -math.inf
 
 
 def test_detected_count_non_decreasing():

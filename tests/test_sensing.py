@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from swarmfire import sensing as sensing_module
-from swarmfire.config import KinematicsParams, SensingParams
-from swarmfire.fire import (FireFront, FireState, apply_quench,
-                            distance_to_front, grow)
+from swarmfire.config import KinematicsParams, ScenarioConfig, SensingParams
+from swarmfire.fire import (EXTINGUISH_AREA, FireFront, FireState,
+                            apply_quench, distance_to_front, grow)
 from swarmfire.rng import RngStreams
 from swarmfire.search import clamp_to_area
 from swarmfire.sensing import (DEFERRED, ROUNDING_ALLOWANCE, SensorReading,
@@ -21,6 +21,7 @@ from swarmfire.vehicle import (MITIGATING_MODES, UavMode, UavState,
 
 SENSING = SensingParams()
 CRUISE = KinematicsParams().cruise_speed
+AREA_RATE = ScenarioConfig().area_rate
 
 
 def temperature_at(fires: list[FireFront], p: tuple[float, float],
@@ -42,7 +43,8 @@ def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
     uav = UavState(id=0, pos=pos, reading=prev)
     if cutoff is None:
         cutoff = cull_distance(sensing, thermal=True)
-    sample([uav], fires, 0.0, dt, 0.0, CRUISE, sensing, None, cutoff, {})
+    sample([uav], fires, 0.0, dt, 0.0, AREA_RATE, CRUISE, sensing, None,
+           cutoff, {})
     return uav.reading
 
 
@@ -226,9 +228,9 @@ def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
         for k in range(ticks):
             if stage:
                 detections.append(sample(
-                    uavs, fires, (k + 1) * dt, dt, 0.0, CRUISE, sensing,
-                    streams if sensing.noise_std > 0.0 else None, cutoff,
-                    {}))
+                    uavs, fires, (k + 1) * dt, dt, 0.0, AREA_RATE, CRUISE,
+                    sensing, streams if sensing.noise_std > 0.0 else None,
+                    cutoff, {}))
                 readings = [u.reading for u in uavs]
             else:
                 for uav in uavs:
@@ -428,7 +430,10 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
     """The stage against the unskipped oracle while UAVs cross cull
     boundaries both ways and fronts grow, shrink and go out: every reading
     field and the detections on every tick, and each agent stream's next
-    draw at the end."""
+    draw at the end.  A step is at most hypot(10, 10) < 15 m, so 15 / dt
+    bounds a UAV's speed and its far-field deadlines hold across steps; a
+    UAV moved to a boundary has no speed bound, so the move resets its
+    deadline, as preposition_mitigation does."""
     fires, rates, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
     n = len(starts)
     uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
@@ -443,12 +448,12 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
             elif move[0] == "boundary":
                 uav.pos = to_boundary(uav.pos, fires[move[1]], cutoff,
                                       move[2])
+                uav.far_until = -math.inf
         now += dt
         active = active_fires(fires)
-        # the largest rate bounds every front's growth; UAVs teleport, so
-        # no speed bounds them and no deadline is set
-        detections = sample(uavs, active, now, dt, max(rates), math.inf,
-                            sensing, streams[0], cutoff, {})
+        # the largest rate bounds every front's growth
+        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
+                            15.0 / dt, sensing, streams[0], cutoff, {})
         match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
                      streams[1], cutoff)
     assert [streams[0].agent(i).random() for i in range(n)] == \
@@ -519,8 +524,8 @@ def test_far_skip_deadlines_match_oracle_over_ticks(sc, dt):
         burn(fires, rates, fire_acts, dt)
         now += dt
         active = active_fires(fires)
-        detections = sample(uavs, active, now, dt, max(rates), cruise,
-                            sensing, streams[0], cutoff, {})
+        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
+                            cruise, sensing, streams[0], cutoff, {})
         match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
                      streams[1], cutoff)
         # the vehicle stage runs after sensing
@@ -591,7 +596,7 @@ def test_far_skip_deadlines_under_vehicle_step(sc, dt):
         burn(fires, rates, fire_acts, dt)
         now += dt
         active = active_fires(fires)
-        detections = sample(uavs, active, now, dt, max(rates),
+        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
                             kin.cruise_speed, sensing, streams[0], cutoff, {})
         match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
                      streams[1], cutoff)
@@ -614,8 +619,8 @@ def test_far_uav_skips_and_keeps_settled_reading(noise):
     streams = RngStreams(7, 0, 1)
     kept = []
     for k in range(1, 5):
-        sample(uavs, [fire], 0.5 * k, 0.5, 1.0, CRUISE, sensing, streams,
-               cutoff, {})
+        sample(uavs, [fire], 0.5 * k, 0.5, 1.0, AREA_RATE, CRUISE, sensing,
+               streams, cutoff, {})
         kept.append(uavs[0].reading)
     if noise == 0.0:
         # the clearance of the first pass lasts while the UAV at rest,
@@ -708,8 +713,11 @@ def test_deferred_passes_match_oracle_over_ticks(sc, dt):
                                       move[2])
         now += dt
         active = active_fires(fires)
+        # modes, detections and fires going out are drawn afresh each tick,
+        # so neither a speed nor a quench rate bounds them: infinite ones
+        # set no deadline
         detections = sample(uavs, active, now, dt, max(rates), math.inf,
-                            sensing, streams[0], cutoff,
+                            math.inf, sensing, streams[0], cutoff,
                             dict.fromkeys(detected, 0.0))
         deferred = []
         for uav in uavs:
@@ -764,8 +772,10 @@ def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
     monkeypatch.setattr(sensing_module, "math", counting)
     streams = RngStreams(7, 0, len(uavs))
     every = dict.fromkeys(range(5), 0.0)
-    assert sample(uavs, fires, 1.0, 0.5, 0.0, CRUISE, sensing, streams,
-                  cutoff, every) == []
+    # a mission never takes a detection away, as the second call does, so
+    # an infinite quench rate keeps the first call from setting a deadline
+    assert sample(uavs, fires, 1.0, 0.5, 0.0, math.inf, CRUISE, sensing,
+                  streams, cutoff, every) == []
     assert counting.hypot_calls == 0
     assert all(u.reading is DEFERRED for u in uavs)
     twins = RngStreams(7, 0, len(uavs))
@@ -776,8 +786,58 @@ def test_deferral_tests_only_undetected_fires(monkeypatch, noise):
         [twins.agent(i).random() for i in range(len(uavs))]
 
     del every[2]
-    sample(uavs, fires, 1.5, 0.5, 0.0, CRUISE, sensing, streams, cutoff,
-           every)
+    sample(uavs, fires, 1.5, 0.5, 0.0, math.inf, CRUISE, sensing, streams,
+           cutoff, every)
     near = [abs(u.pos[0] - 3000.0) - 100.0 <= cutoff for u in uavs]
     assert [u.reading is not DEFERRED for u in uavs] == near
     assert any(near) and not all(near)
+
+
+@pytest.mark.parametrize("noise", [0.0, 2.5])
+def test_deferral_holds_until_a_fire_could_go_out(noise):
+    """Mitigating UAVs with every fire detected.  A noise-free deferred
+    pass holds its UAV until the release bound: the time the least fire
+    area takes to fall to EXTINGUISH_AREA at len(uavs) * area_rate, less
+    two ticks.  Before it the stage skips the UAV, which keeps its
+    snapshot; at it the UAV defers again and renews the bound.  A noisy
+    deferral, or one with a fire undetected, sets no bound."""
+    fires = [FireFront(i, (1500.0 * i, 0.0), 100.0 + 10.0 * i, 80.0)
+             for i in range(3)]
+    sensing = dataclasses.replace(SENSING, noise_std=noise)
+    cutoff = cull_distance(sensing, thermal=True)
+    uavs = [UavState(id=i, pos=(1500.0 * (i % 3) + 150.0, 0.0),
+                     mode=MITIGATING_MODES[i % 3]) for i in range(6)]
+    streams = RngStreams(7, 0, len(uavs))
+    every = dict.fromkeys(range(3), 0.0)
+    dt = 0.5
+
+    def tick(now, detected=every):
+        sample(uavs, fires, now, dt, 0.0, AREA_RATE, CRUISE, sensing,
+               streams, cutoff, detected)
+        return [u.reading is DEFERRED for u in uavs]
+
+    def bound(now):
+        least = math.pi * 100.0 * 80.0   # fire 0's area, the least
+        return now + (least - EXTINGUISH_AREA) / (6 * AREA_RATE) - 2.0 * dt
+
+    assert all(tick(dt))
+    if noise:
+        assert all(u.far_until == -math.inf for u in uavs)
+        return
+    assert all(u.far_until == bound(dt) for u in uavs)
+    assert bound(dt) == pytest.approx(dt + 25131.74 / 1200.0 - 1.0)
+    snapshots = [u.deferred for u in uavs]
+    now = 2.0 * dt
+    while now < bound(dt):
+        assert all(tick(now))
+        assert all(u.deferred is p for u, p in zip(uavs, snapshots))
+        now += dt
+    assert all(tick(now))
+    assert all(u.deferred is not p for u, p in zip(uavs, snapshots))
+    assert all(u.far_until == bound(now) for u in uavs)
+
+    for uav in uavs:
+        uav.far_until = -math.inf   # a detection is never taken away
+    # UAVs 1 and 4 are near fire 1 and take full passes
+    assert tick(now + dt, {0: 0.0, 2: 0.0}) == [True, False, True] * 2
+    assert all(u.far_until == -math.inf for u in uavs)
