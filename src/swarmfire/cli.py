@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import platform
 import sys
 from contextlib import contextmanager
@@ -87,15 +86,8 @@ def _write_trace(path: Path, result: RunResult) -> None:
 def _load(config_arg: str, seed: int | None) -> ScenarioConfig:
     """The config with the seed override applied; a config error or a bad
     seed exits with code 2."""
-    env_seed = os.environ.get("SWARMFIRE_SEED")
     try:
         cfg = load_config(config_arg)
-        if seed is None and env_seed is not None:
-            try:
-                seed = int(env_seed)
-            except ValueError:
-                raise ConfigError(f"SWARMFIRE_SEED: expected an integer, "
-                                  f"got {env_seed!r}") from None
         if seed is not None:
             cfg = validate(dataclasses.replace(
                 cfg, engine=dataclasses.replace(cfg.engine, base_seed=seed)))
@@ -124,8 +116,10 @@ def _print_metrics(r: RunResult) -> None:
     click.echo(f"  objective      : {r.objective:10.4g}")
 
 
-# shared by subcommands; an out-of-range value exits 2, naming the flag
+# shared by subcommands; an out-of-range value exits 2, naming the flag.
+# An empty SWARMFIRE_SEED counts as unset.
 SEED = click.option("--seed", type=int, default=None,
+                    envvar="SWARMFIRE_SEED", show_envvar=True,
                     help="Base seed; without it, SWARMFIRE_SEED if set, "
                          "else the config's.")
 RUNS = click.option("--runs", type=click.IntRange(min=1), required=True,

@@ -300,9 +300,11 @@ def from_dict(data: dict) -> ScenarioConfig:
                     "fuel: the spread rate fuel.alpha * fuel.flame_length "
                     "** fuel.beta / (fuel.heat_of_combustion * "
                     "fuel.fuel_mass) must be finite")
-    _require_finite(lambda: cfg.area_rate,
-                    "quench: the area rate quench.water_rate / (quench.c * "
-                    "fuel.flame_length ** quench.nu) must be finite")
+    # an area rate that underflows to 0.0 would put no fire out
+    rate_msg = ("quench: the area rate quench.water_rate / (quench.c * "
+                "fuel.flame_length ** quench.nu) must be finite and above 0")
+    _require_finite(lambda: cfg.area_rate, rate_msg)
+    _require(cfg.area_rate > 0.0, rate_msg)
     _require(cfg.search.levy_step / cfg.search.brown_step >= 5.0,
              "search: levy_step must be at least 5x brown_step")
     _require_finite(lambda: (math.hypot(*cfg.area) / cfg.search.levy_step)

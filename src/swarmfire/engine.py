@@ -36,7 +36,7 @@ class SwarmState:
     mitigating: bool = False      # exactly while some record lists the swarm
     repel_until: float = -math.inf
     repel_heading: float = 0.0    # set with repel_until, read only before it
-    explore: bool | None = None   # last search stage; None forces a switch
+    explore: bool = True          # search stage of the swarm's current legs
     # the search stage skips the swarm before this time (_swarm_search)
     quiet_until: float = -math.inf
 
@@ -137,6 +137,8 @@ class World:
             rec.n_swarms, m.merge_area, m.merge_fires, m.merge_swarms)
 
     def _swarm_mean_vel(self, swarm: SwarmState) -> tuple[float, float]:
+        """Mean member velocity; only a swarm that draws legs needs it, so
+        it is not summed in every search scan (se.scan_members)."""
         xs = ys = 0.0
         for uid in swarm.member_ids:
             vx, vy = self.uavs[uid].vel
@@ -219,10 +221,6 @@ class World:
         uavs = self.uavs
         detector, k_star, temp_max, near, (cx, cy) = se.scan_members(
             members, uavs, self.records)
-        if k_star is None:
-            # no rate beats -inf: every member's is NaN or -inf (noise
-            # that overflowed), so the lowest id steers
-            k_star = members[0]
 
         # Detection by any member locks the swarm onto the fire (or merges).
         if detector is not None and self._lock_or_merge(
@@ -245,14 +243,17 @@ class World:
                         ve.heading(uavs[k_star], self.rng))
                     self._event("repulsion", t_now, swarm=swarm.id,
                                 fire=r.fire_id)
-                    swarm.explore = None   # the switch below drops every leg
+                    # the repulsion heading takes over at once
+                    swarm.explore = True
+                    for mid in members:
+                        uavs[mid].waypoint = None
                     break
 
         # Stage selection and waypoint generation.
         repelled = t_now < swarm.repel_until
         explore = True if repelled else se.select_explore(
             temp_max, cfg.sensing.temp_threshold)
-        if explore is not swarm.explore:
+        if explore != swarm.explore:
             # stage switch: drop in-flight legs so the new stage takes over
             # immediately instead of after the current (possibly long) leg
             swarm.explore = explore

@@ -28,13 +28,15 @@ def scan_members(members: list[int], uavs, records):
     """One pass over a searching swarm's members (ascending ids).
 
     Returns the first member reading that detects a fire (or None); the
-    member with the highest temperature gradient (ties to the lowest id)
-    and the hottest temperature any member senses; ``(reading, record)``
-    for each member whose reading names a fire that has a record in
-    ``records``; and the mean member position.  ``uavs[uid]`` is the
-    member's UavState, which holds its latest SensorReading.
+    member with the highest temperature gradient, ties and a swarm whose
+    rates are all NaN or -inf to the lowest id, and the hottest
+    temperature any member senses; ``(reading, record)`` for each member
+    whose reading names a fire that has a record in ``records``; and the
+    mean member position.  ``uavs[uid]`` is the member's UavState, which
+    holds its latest SensorReading.
     """
-    detector = k_star = None
+    detector = None
+    k_star = members[0]
     best = temp_max = -math.inf
     near = []
     xs = ys = 0.0

@@ -152,15 +152,16 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
     detected also sets ``uav.far_until``, to the release bound now + (A -
     EXTINGUISH_AREA) / (len(uavs) * area_rate) - 2*dt, with A the least
     pi*a*b of the active fires and ``area_rate`` the area one UAV quenches
-    per second.  Only ``engine.World._extinguish`` releases a swarm, and no
-    fire goes out on a tick before the bound plus dt: a quench step removes
-    at most len(uavs) * area_rate * dt of a fire's area and growth only
-    adds to it.  The other dt is slack for the rounding of the areas and
-    tick times.  Nor can an undetected fire come within reach: ``detected``
-    only grows and fires only leave ``active``.  So until the bound the UAV
-    would defer on every tick; its pass on the release tick still takes
-    the snapshot, and the bound it sets then has passed.  The bound is
-    computed on the tick's first such deferral.
+    per second, which ``config.from_dict`` requires above 0.  Only
+    ``engine.World._extinguish`` releases a swarm, and no fire goes out on
+    a tick before the bound plus dt: a quench step removes at most
+    len(uavs) * area_rate * dt of a fire's area and growth only adds to it.
+    The other dt is slack for the rounding of the areas and tick times.
+    Nor can an undetected fire come within reach: ``detected`` only grows
+    and fires only leave ``active``.  So until the bound the UAV would
+    defer on every tick; its pass on the release tick still takes the
+    snapshot, and the bound it sets then has passed.  The bound is computed
+    on the tick's first such deferral.
     """
     inv_t = 1.0 / (2.0 * sensing.temp_sigma * sensing.temp_sigma)
     ambient = sensing.ambient_temp
@@ -196,10 +197,8 @@ def sample(uavs, active: list[FireFront], now: float, dt: float,
                 if release is None:
                     least = min([math.pi * a * b
                                  for _, _, _, a, b in geometry], default=inf)
-                    # an area rate that underflowed to 0.0 gets no bound
-                    quench = len(uavs) * area_rate
-                    release = (now + (least - EXTINGUISH_AREA) / quench
-                               - 2.0 * dt) if quench > 0.0 else -inf
+                    release = (now + (least - EXTINGUISH_AREA)
+                               / (len(uavs) * area_rate) - 2.0 * dt)
                 uav.far_until = release
                 continue
         kept = [g for g in geometry

@@ -122,12 +122,12 @@ def sample(pos, active, prev, dt, sensing, rng=None, cutoff=math.inf):
 
 
 def max_info_member(members, readings):
-    """Member with the highest temperature gradient (ties to the lowest id;
-    ``members`` ascend by id) and the hottest temperature any member senses.
-    ``readings[uid]`` is the member's SensorReading."""
+    """Member with the highest temperature gradient (ties, and members whose
+    rates are all NaN or -inf, to the lowest id) and the hottest temperature
+    any member senses.  ``readings[uid]`` is the member's SensorReading."""
     if not members:
         raise ValueError("no members with readings")
-    best_id = None
+    best_id = min(members)
     best = -math.inf
     temp_max = -math.inf
     for uid in members:
@@ -138,6 +138,17 @@ def max_info_member(members, readings):
         if r.temperature > temp_max:
             temp_max = r.temperature
     return best_id, temp_max
+
+
+def swarm_mean_velocity(members, uavs):
+    """Mean member velocity (engine.World._swarm_mean_vel)."""
+    xs = ys = 0.0
+    for uid in members:
+        vx, vy = uavs[uid].vel
+        xs += vx
+        ys += vy
+    n = len(members)
+    return (xs / n, ys / n)
 
 
 def swarm_center(members, uavs):

@@ -343,6 +343,17 @@ def test_seed_env_not_an_integer_exit_2(small_config_path):
     assert "SWARMFIRE_SEED" in res.output
 
 
+def test_seed_env_empty_counts_as_unset(tmp_path, small_config_path):
+    """click reads an empty variable as unset: the config's seed holds."""
+    out = tmp_path / "empty"
+    res = invoke("run", small_config_path, "--out", str(out),
+                 env={"SWARMFIRE_SEED": ""})
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    written = json.loads(Path(small_config_path).read_text())
+    assert manifest["base_seed"] == written["engine"]["base_seed"]
+
+
 @pytest.mark.parametrize("args, env", [
     (["--seed", "-5"], None),
     ([], {"SWARMFIRE_SEED": "-5"}),

@@ -183,6 +183,8 @@ MALFORMED = [
     # valid one by one, but what the engine derives from them overflows
     # or divides by zero
     ('{"quench": {"nu": 1000}}', "quench.nu"),
+    # an area rate that underflows to 0.0: no fire under mitigation goes out
+    ('{"quench": {"water_rate": 1e-322, "c": 1e10}}', "quench.water_rate"),
     ('{"fuel": {"beta": 1000}}', "fuel.beta"),
     ('{"fuel": {"flame_length": 1e300}}', "fuel.flame_length"),
     ('{"sensing": {"temp_sigma": 1e-300}}', "sensing.temp_sigma"),

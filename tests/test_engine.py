@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from oracles import closed_form_quench_time, max_info_member, swarm_center
+from oracles import (closed_form_quench_time, max_info_member, swarm_center,
+                     swarm_mean_velocity)
 from test_golden import preposition_setup
 from test_sensing import reading_bits
 from swarmfire import engine
@@ -274,9 +275,12 @@ def test_prepositioned_uavs_all_have_tracks():
 def test_member_scan_matches_oracles_every_tick():
     """The search stage's one pass over a swarm's members finds what the
     per-purpose scans find: the max-information member and temp_max, the
-    centre, the first detector and the members near a fire with a record."""
+    centre, the first detector and the members near a fire with a record;
+    and the engine's mean member velocity is the oracle's.  Mitigating
+    swarms are scanned too: their DEFERRED readings have NaN rates, so no
+    rate beats -inf and the lowest id steers."""
     base = load_config("pine-table1")
-    scans = near_ticks = 0
+    scans = near_ticks = no_rate = 0
     for dt in (0.5, 1.0):
         cfg = dataclasses.replace(base, engine=dataclasses.replace(
             base.engine, dt=dt, t_max=1800.0))
@@ -292,6 +296,8 @@ def test_member_scan_matches_oracles_every_tick():
                     assert (k_star, temp_max) == max_info_member(
                         members, all_readings)
                     assert center == swarm_center(members, world.uavs)
+                    assert world._swarm_mean_vel(swarm) == \
+                        swarm_mean_velocity(members, world.uavs)
                     readings = [all_readings[uid] for uid in members]
                     assert detector is next(
                         (r for r in readings if r.detected), None)
@@ -300,7 +306,9 @@ def test_member_scan_matches_oracles_every_tick():
                                     if r.fire_id in world.records]
                     scans += 1
                     near_ticks += bool(near)
-    assert scans > 0 and near_ticks > 0
+                    no_rate += not any(all_readings[uid].temp_rate
+                                       > -math.inf for uid in members)
+    assert scans > 0 and near_ticks > 0 and no_rate > 0
 
 
 def test_returning_member_on_lock_repulsion_and_stage_switch():
@@ -685,24 +693,6 @@ def test_preposition_mid_mission_matches_twin():
     preposition_every_swarm(twin)
     step_beside_twin(world, twin)
     assert "extinguish" in {e["type"] for e in world.events}
-
-
-def test_zero_quench_rate_sets_no_release_bound():
-    """A quench so weak that its area rate underflows to 0.0 validates;
-    mitigating UAVs then defer every tick with no release bound, where
-    the bound would divide by zero."""
-    base = small_cfg(t_max=30.0)
-    cfg = validate(dataclasses.replace(base, quench=dataclasses.replace(
-        base.quench, water_rate=1e-322, c=1e10)))
-    assert cfg.area_rate == 0.0
-    world = World(cfg, 0)
-    preposition_mitigation(world, 0, world.swarms[0].member_ids)
-    while not world.done():
-        world.tick()
-        for uid in world.swarms[0].member_ids:
-            uav = world.uavs[uid]
-            assert uav.reading is sn.DEFERRED
-            assert uav.far_until == -math.inf
 
 
 def test_detected_count_non_decreasing():

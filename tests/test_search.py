@@ -12,8 +12,8 @@ from swarmfire.config import SearchParams
 from swarmfire.search import (baseline_waypoint, clamp_to_area, next_waypoint,
                               sample_brown_length, sample_heading,
                               sample_levy_length, sample_step_length,
-                              search_cone_halfwidth, select_explore,
-                              wrap_angle)
+                              scan_members, search_cone_halfwidth,
+                              select_explore, wrap_angle)
 
 AREA = (10000.0, 10000.0)
 PARAMS = SearchParams()
@@ -50,6 +50,20 @@ def test_max_info_member_tie_lowest_id():
 
 def test_max_info_member_single():
     assert max_info_member([9], readings({9: -3.0})) == (9, 300.0)
+
+
+def test_no_rate_above_minus_inf_steers_by_lowest_id():
+    """Rates that are all NaN or -inf (a deferred reading, noise that
+    overflowed) beat no rate: the scan and its oracle both pick the lowest
+    member id."""
+    rates = {3: math.nan, 5: -math.inf, 8: math.nan}
+    r = readings(rates, [300.0, 310.0, 305.0])
+    assert max_info_member([3, 5, 8], r) == (3, 310.0)
+    uavs = {uid: SimpleNamespace(
+        reading=SimpleNamespace(detected=False, fire_id=None, **vars(rd)),
+        pos=(float(uid), 0.0)) for uid, rd in r.items()}
+    _, k_star, temp_max, near, center = scan_members([3, 5, 8], uavs, {})
+    assert (k_star, temp_max, near, center) == (3, 310.0, [], (16.0 / 3, 0.0))
 
 
 def test_max_info_member_empty_raises():
