@@ -14,7 +14,9 @@ bit-identically regardless of how many runs execute in parallel.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -27,6 +29,12 @@ from . import sensing as sn
 from . import vehicle as ve
 from .config import ScenarioConfig
 from .rng import RngStreams, uniform
+
+
+def _total(values):
+    """``values`` added left to right from int 0, as sum() adds floats up
+    to CPython 3.11; 3.12's compensated sum() gives other bits."""
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass
@@ -88,7 +96,7 @@ class World:
         self.events: list[dict] = []
         self.series: list[tuple] = []
         self.trace: list[dict] | None = [] if collect_trace else None
-        self.total_area0 = sum(fi.area(f) for f in self.fires)
+        self.total_area0 = _total(fi.area(f) for f in self.fires)
         self.peak_total_area = self.total_area0
         self._cutoff = sn.cull_distance(
             cfg.sensing, cfg.engine.strategy in se.THERMAL_STRATEGIES)
@@ -596,8 +604,8 @@ def run(cfg: ScenarioConfig, run_index: int,
     violations = [fid for fid, q in quench_times.items()
                   if q >= cfg.objective.quench_time_max]
 
-    detected_area_sum = sum(world.detected_area.values())
-    undetected_area_sum = sum(
+    detected_area_sum = _total(world.detected_area.values())
+    undetected_area_sum = _total(
         fi.area(f) for f in world.fires if f.id not in world.detected)
     if world.total_area0 > 0.0:
         fer = max(0.0, (world.peak_total_area - world.total_area0)
@@ -605,7 +613,7 @@ def run(cfg: ScenarioConfig, run_index: int,
     else:
         fer = 0.0
     objective = weighted_objective(
-        detected_area_sum, undetected_area_sum, sum(quench_times.values()),
+        detected_area_sum, undetected_area_sum, _total(quench_times.values()),
         cfg.objective.w1, cfg.objective.w2, cfg.objective.w3)
 
     return RunResult(

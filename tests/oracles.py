@@ -10,12 +10,16 @@ stages replaced.
 ``mitigate``, ``quench`` and ``bookkeep`` are ``World._mitigate``,
 ``World._quench`` and ``World._bookkeep`` as first written: one step per
 record, a sin/cos for the waypoint and another for the feed-forward, and
-generator sums.  Each is called as ``stage(world, t_now)``, like an entry
-of ``World.stages``; ``mitigate`` sweeps with ``angular_control`` as first
-written, which decays every tracking error, a zero one included.
+generator totals, added left to right as the engine adds them.  Each is
+called as ``stage(world, t_now)``, like an entry of ``World.stages``;
+``mitigate`` sweeps with ``angular_control`` as first written, which
+decays every tracking error, a zero one included.  ``compensated_sum`` is
+sum() as CPython 3.12 and later add floats.
 """
 
+import functools
 import math
+import operator
 
 from scipy import integrate
 
@@ -119,6 +123,26 @@ def sample(pos, active, prev, dt, sensing, rng=None, cutoff=math.inf):
     return SensorReading(temp, rate, best_fire.id, prob,
                          math.atan2(fy - py, fx - px),
                          prob >= sensing.detect_threshold)
+
+
+def compensated_sum(values, start=0):
+    """sum() as CPython 3.12 and later add floats: Neumaier's compensated
+    summation, which carries each float addition's rounding error and adds
+    it back at the end, where 3.11 adds left to right."""
+    total, carry = start, 0.0
+    for x in values:
+        if not (isinstance(total, float) and isinstance(x, float)):
+            total = total + x
+            continue
+        t = total + x
+        if abs(total) >= abs(x):
+            carry += (total - t) + x
+        else:
+            carry += (x - t) + total
+        total = t
+    if isinstance(total, float) and carry and math.isfinite(carry):
+        total += carry
+    return total
 
 
 def max_info_member(members, readings):
@@ -275,8 +299,9 @@ def quench(world, t_now):
 def bookkeep(world, t_now):
     """Bookkeeping stage: peak burning area, clock and the series row."""
     spent = fi.EXTINGUISHED
-    total_area = sum(fi.area(f) for f in world.fires
-                     if f.state is not spent)
+    # not sum(), which compensates float sums from CPython 3.12 on
+    total_area = functools.reduce(operator.add, (
+        fi.area(f) for f in world.fires if f.state is not spent), 0)
     if total_area > world.peak_total_area:
         world.peak_total_area = total_area
     world.time = t_now

@@ -10,7 +10,6 @@ determinism contract (criterion 8) makes the results independent of that.
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 import pytest
@@ -63,8 +62,8 @@ def mc_batch(strategy="MSCIDC", swarm_sizes=None):
         cfg = trend_cfg(strategy=strategy)
         if swarm_sizes is not None:
             cfg = dataclasses.replace(cfg, swarm_sizes=swarm_sizes)
-        _mc_cache[key] = monte_carlo(cfg, N_RUNS,
-                                     jobs=len(os.sched_getaffinity(0)))
+        # monte_carlo caps the pool at the CPUs this process may use
+        _mc_cache[key] = monte_carlo(cfg, N_RUNS, jobs=N_RUNS)
     return _mc_cache[key]
 
 

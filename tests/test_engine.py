@@ -5,7 +5,6 @@ import gc
 import inspect
 import math
 import os
-import struct
 import subprocess
 import sys
 import weakref
@@ -13,11 +12,11 @@ from pathlib import Path
 
 import pytest
 
+import lockstep
 import oracles
 from oracles import (closed_form_quench_time, max_info_member, swarm_center,
                      swarm_mean_velocity)
 from test_golden import preposition_setup
-from test_sensing import reading_bits
 from swarmfire import engine
 from swarmfire import fire as fi
 from swarmfire import mitigation as mi
@@ -470,22 +469,11 @@ def deadline_free(world: World) -> None:
         swarm.quiet_until = -math.inf
 
 
-def uav_bits(world: World) -> list:
-    """Each UAV's position, velocity, waypoint, mode and reading, by bits."""
-    return [(struct.pack("<4d", *u.pos, *u.vel),
-             u.waypoint and struct.pack("<4d", *u.waypoint), u.mode,
-             reading_bits(u.reading)) for u in world.uavs]
-
-
 def tick_beside_twin(world: World, twin: World) -> None:
-    """One tick of ``world`` and of ``twin``, whose deadlines are expired
-    first; both end it alike, and the invariants and the deadlines'
-    soundness hold."""
+    """One lockstep step of ``world`` and of ``twin``, whose deadlines are
+    expired first; the invariants and the deadlines' soundness hold."""
     deadline_free(twin)
-    world.tick()
-    twin.tick()
-    assert uav_bits(world) == uav_bits(twin), f"tick {world.tick_index}"
-    assert world.events == twin.events, f"tick {world.tick_index}"
+    lockstep.step(world, twin)
     check_invariants(world)
 
 
@@ -780,10 +768,14 @@ def test_run_reports_the_swarms_it_flew(strategy):
     assert run(cfg, 0).n_swarms == (7 if strategy == "MSCIDC" else 15)
 
 
-@pytest.mark.parametrize("index", range(7))
-def test_wrapped_stage_leaves_the_mission_unchanged(index):
+@pytest.mark.parametrize("index, nudged", [
+    *(pytest.param(index, None, id=str(index)) for index in range(7)),
+    pytest.param(4, 3, id="nudged")])   # after the vehicle stage
+def test_wrapped_stage_leaves_the_mission_unchanged(index, nudged):
     """A pass-through wrapper in place of one stage, as a stage timer
-    would be, runs once per tick and changes no event or series row."""
+    would be, runs once per tick and leaves every tick as the twin's.  One
+    that moves UAV ``nudged`` by one ulp after its stage on tick 13 fails
+    the lockstep, which names that tick and that UAV."""
     cfg = load_config("pine-table1")
     cfg = dataclasses.replace(
         cfg, engine=dataclasses.replace(cfg.engine, t_max=1800.0))
@@ -793,34 +785,22 @@ def test_wrapped_stage_leaves_the_mission_unchanged(index):
     def wrapped(w, t_now):
         calls.append(t_now)
         stage(w, t_now)
+        if len(calls) == 13 and nudged is not None:
+            uav = w.uavs[nudged]
+            uav.pos = (math.nextafter(uav.pos[0], math.inf), uav.pos[1])
 
     world.stages = (world.stages[:index] + (wrapped,)
                     + world.stages[index + 1:])
+    if nudged is not None:
+        with pytest.raises(AssertionError, match=f"^tick 13: uav {nudged}\n"):
+            while not world.done():
+                lockstep.step(world, twin)
+        return
     while not world.done():
-        world.tick()
-        twin.tick()
+        lockstep.step(world, twin)
     assert twin.done()
     assert len(calls) == world.tick_index
     assert {"detection", "lock", "join"} <= {e["type"] for e in world.events}
-    assert world.events == twin.events
-    assert world.series == twin.series
-
-
-def stage_writes(world) -> dict:
-    """Every field the mitigation, quench and bookkeeping stages write.  A
-    series row is never rewritten, so the row this tick may have logged
-    stands for the whole series; both it and the events go by repr, as in
-    the golden digests, where a logged int 0 is not the float 0.0."""
-    return {
-        "uavs": [(u.pos, u.vel, u.waypoint, u.mode) for u in world.uavs],
-        "fires": [(f.a, f.b, f.state) for f in world.fires],
-        "tracks": {fid: [(t.uav_id, t.theta, t.direction, t.joined,
-                          t.merging) for t in rec.tracks]
-                   for fid, rec in world.records.items()},
-        "peak_total_area": world.peak_total_area,
-        "series": (len(world.series), repr(world.series[-1])),
-        "events": repr(world.events),
-    }
 
 
 @pytest.mark.parametrize("setup", ["preposition", "merge"])
@@ -840,11 +820,7 @@ def test_stages_match_their_oracles_every_tick(setup):
     twin.stages = tuple(oracle.get(stage, stage) for stage in twin.stages)
     assert set(oracle.values()) <= set(twin.stages)
     while not world.done():
-        world.tick()
-        twin.tick()
-        got, want = stage_writes(world), stage_writes(twin)
-        for field, value in want.items():
-            assert got[field] == value, f"tick {world.tick_index}: {field}"
+        lockstep.step(world, twin)
     assert twin.done()
     kinds = {e["type"] for e in world.events}
     assert "extinguish" in kinds
@@ -1089,18 +1065,12 @@ def test_detection_only_cull_changes_only_temperatures(strategy, noise_std):
     twin._cutoff = sn.cull_distance(cfg.sensing, thermal=True)
     temperatures_differ = False
     while not world.done():
-        world.tick()
-        twin.tick()
-        assert world.events == twin.events
-        for u, v in zip(world.uavs, twin.uavs):
-            assert (u.pos, u.vel, u.waypoint, u.mode) == (
-                v.pos, v.vel, v.waypoint, v.mode)
-            r, s = u.reading, v.reading
-            assert (r.fire_id, r.probability, r.detected) == (
-                s.fire_id, s.probability, s.detected)
-            if (r is not sn.DEFERRED and s is not sn.DEFERRED
-                    and r.temperature != s.temperature):
-                temperatures_differ = True
+        lockstep.step(world, twin, reading=lambda r: (
+            r.fire_id, r.probability, r.detected))
+        temperatures_differ |= any(
+            u.reading is not sn.DEFERRED and v.reading is not sn.DEFERRED
+            and u.reading.temperature != v.reading.temperature
+            for u, v in zip(world.uavs, twin.uavs))
     assert twin.done()
     assert temperatures_differ
     assert any(e["type"] == "join" for e in world.events)

@@ -22,6 +22,8 @@ from pathlib import Path
 
 import pytest
 
+from oracles import compensated_sum
+from swarmfire import engine
 from swarmfire.config import STRATEGIES, load_config
 from swarmfire.engine import World, preposition_mitigation, run
 
@@ -114,6 +116,22 @@ def test_golden_digests(grid):
     assert sorted(digests) == sorted(expected)
     changed = [k for k in expected if digests[k] != expected[k]]
     assert not changed, f"digests changed: {changed}"
+
+
+# The dt 1.0 runs whose digests CPython 3.12's compensated float sum()
+# changed while the engine added its totals with sum() (four dt 0.5 runs
+# changed too).
+SUM_SENSITIVE = (("MSCIDC", 0), ("OMS", 1), ("UNIFORM", 1))
+
+
+@pytest.mark.parametrize("strategy, idx", SUM_SENSITIVE)
+def test_digest_does_not_rest_on_sum_rounding(monkeypatch, strategy, idx):
+    """The engine's float totals are added left to right, so a run's
+    digest is the same under 3.12's compensated sum() as under 3.11's."""
+    monkeypatch.setattr(engine, "sum", compensated_sum, raising=False)
+    r = run(_cfg(strategy, 1.0), idx)
+    assert run_digest(r) == json.loads(DIGESTS.read_text())[
+        f"{strategy}/dt1.0/run{idx}"]
 
 
 def test_grid_covers_every_coordination_event(grid):

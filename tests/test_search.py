@@ -96,23 +96,8 @@ def test_heading_bounded_and_centered():
 
 def test_brown_length_folded_normal_mean():
     g = rng(11)
-    draws = np.abs(g.standard_normal(1_000_000))
-    # sampler draws one at a time; check it against the same distribution
     sample_mean = np.mean([sample_brown_length(g) for _ in range(20000)])
-    assert np.mean(draws) == pytest.approx(math.sqrt(2 / math.pi), rel=0.01)
     assert sample_mean == pytest.approx(math.sqrt(2 / math.pi), rel=0.05)
-
-
-def test_levy_tail_exponent_fit():
-    g = rng(13)
-    mu = 1.5
-    draws = np.array([sample_levy_length(g, mu, 1e9) for _ in range(200_000)])
-    assert draws.min() >= 1.0
-    # log-log CCDF slope over the mid-tail
-    xs = np.logspace(0.2, 2.0, 30)
-    ccdf = [(draws > x).mean() for x in xs]
-    slope = np.polyfit(np.log(xs), np.log(ccdf), 1)[0]
-    assert slope == pytest.approx(-mu, abs=0.1)
 
 
 def test_levy_truncation():

@@ -1,16 +1,16 @@
 import copy
 import dataclasses
 import math
-import struct
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from lockstep import reading_bits
 from swarmfire import sensing as sensing_module
 from swarmfire.config import KinematicsParams, ScenarioConfig, SensingParams
 from swarmfire.fire import (EXTINGUISH_AREA, FireFront, FireState,
-                            apply_quench, distance_to_front, grow)
+                            apply_quench, grow)
 from swarmfire.rng import RngStreams
 from swarmfire.search import clamp_to_area
 from swarmfire.sensing import (DEFERRED, ROUNDING_ALLOWANCE, SensorReading,
@@ -24,18 +24,11 @@ CRUISE = KinematicsParams().cruise_speed
 AREA_RATE = ScenarioConfig().area_rate
 
 
-def temperature_at(fires: list[FireFront], p: tuple[float, float],
-                   ambient: float, fire_temp: float, temp_sigma: float) -> float:
-    """Oracle for the field temperature at p: ambient + (fire - ambient) *
-    max Gaussian over the active fires, without culling."""
-    best = 0.0
-    inv = 1.0 / (2.0 * temp_sigma * temp_sigma)
-    for f in active_fires(fires):
-        d, _ = distance_to_front(f, p)
-        g = math.exp(-d * d * inv)
-        if g > best:
-            best = g
-    return ambient + (fire_temp - ambient) * best
+def temperature_at(fires: list[FireFront], p: tuple[float, float]) -> float:
+    """The field temperature at p under SENSING (ambient 300 K, fire
+    1200 K, temp_sigma 250 m), as the per-UAV oracle reads it unculled."""
+    return oracles.sample(p, active_fires(fires), None, 1.0,
+                          SENSING).temperature
 
 
 def sample_one(pos, fires, prev=None, dt=1.0, sensing=SENSING, cutoff=None):
@@ -54,24 +47,24 @@ def make_fire(a=100.0, b=100.0, center=(0.0, 0.0), fid=0):
 
 def test_temperature_inside_fire():
     f = make_fire()
-    assert temperature_at([f], (10.0, 0.0), 300.0, 1200.0, 250.0) == 1200.0
+    assert temperature_at([f], (10.0, 0.0)) == 1200.0
 
 
 def test_temperature_no_fires():
-    assert temperature_at([], (0.0, 0.0), 300.0, 1200.0, 250.0) == 300.0
+    assert temperature_at([], (0.0, 0.0)) == 300.0
 
 
 def test_temperature_one_sigma_out():
     f = make_fire()
-    t = temperature_at([f], (100.0 + 250.0, 0.0), 300.0, 1200.0, 250.0)
+    t = temperature_at([f], (100.0 + 250.0, 0.0))
     assert t == pytest.approx(300.0 + 900.0 * math.exp(-0.5))
 
 
 def test_temperature_max_combination():
     near = make_fire(center=(0.0, 0.0), fid=0)
     far = make_fire(center=(5000.0, 0.0), fid=1)
-    t_both = temperature_at([near, far], (150.0, 0.0), 300.0, 1200.0, 250.0)
-    t_near = temperature_at([near], (150.0, 0.0), 300.0, 1200.0, 250.0)
+    t_both = temperature_at([near, far], (150.0, 0.0))
+    t_near = temperature_at([near], (150.0, 0.0))
     assert t_both == t_near
     assert t_both <= 1200.0
 
@@ -79,7 +72,7 @@ def test_temperature_max_combination():
 def test_temperature_ignores_extinguished():
     f = make_fire()
     f.state = FireState.EXTINGUISHED
-    assert temperature_at([f], (0.0, 0.0), 300.0, 1200.0, 250.0) == 300.0
+    assert temperature_at([f], (0.0, 0.0)) == 300.0
 
 
 def test_detection_probability_values():
@@ -193,55 +186,63 @@ def test_sample_temperature_matches_field_oracle():
     for pos in [(1000.0, 1000.0), (1350.0, 1050.0), (1450.0, 1100.0),
                 (2000.0, 2000.0), (9000.0, 9000.0)]:
         r = sample_one(pos, fires, cutoff=1e9)
-        assert r.temperature == temperature_at(
-            fires, pos, SENSING.ambient_temp, SENSING.fire_temp,
-            SENSING.temp_sigma)
+        assert r.temperature == temperature_at(fires, pos)
 
 
 # -- stage against the per-UAV oracle -------------------------------------------
-
-def reading_bits(r):
-    if r is None:
-        return None
-    heading = (None if r.heading_to_fire is None
-               else struct.pack("<d", r.heading_to_fire))
-    return (struct.pack("<3d", r.temperature, r.temp_rate, r.probability),
-            r.fire_id, heading, r.detected)
-
 
 def one_ulp_away(v: float, origin: float) -> float:
     return math.nextafter(v, math.inf if v >= origin else -math.inf)
 
 
-def twin_stage(fires, positions, prevs, dt, sensing, cutoff, seed=7, ticks=1):
-    """Stage and per-UAV oracle on the same input, each with its own copy of
-    the run's Philox streams; returns both readings, detections and the next
-    draw of every agent stream."""
-    n = len(positions)
-    out = []
-    for stage in (True, False):
-        streams = RngStreams(seed, 0, n)
-        uavs = [UavState(id=i, pos=p, reading=prev)
-                for i, (p, prev) in enumerate(zip(positions, prevs))]
-        readings = list(prevs)
-        detections = []
-        for k in range(ticks):
-            if stage:
-                detections.append(sample(
-                    uavs, fires, (k + 1) * dt, dt, 0.0, AREA_RATE, CRUISE,
-                    sensing, streams if sensing.noise_std > 0.0 else None,
-                    cutoff, {}))
-                readings = [u.reading for u in uavs]
-            else:
-                for uav in uavs:
-                    readings[uav.id] = oracles.sample(
-                        uav.pos, fires, readings[uav.id], dt, sensing,
-                        streams.agent(uav.id), cutoff)
-                detections.append([u.id for u in uavs
-                                   if readings[u.id].detected])
-        draws = [streams.agent(i).random() for i in range(n)]
-        out.append(([reading_bits(r) for r in readings], detections, draws))
-    return out
+def burn(fires, rates, acts, dt):
+    """One tick of each burning fire: grow at its rate, quench, go out or
+    none, as ``acts`` says."""
+    for f, rate, act in zip(fires, rates, acts):
+        if f.state is FireState.EXTINGUISHED:
+            continue
+        if act == "grow":
+            grow(f, rate, dt)
+        elif act == "quench":
+            f.state = FireState.UNDER_MITIGATION
+            apply_quench(f, 2, 40.0, rate, dt)
+        elif act == "out":
+            f.state = FireState.EXTINGUISHED
+
+
+def sense_beside_oracle(uavs, fires, rates, ticks, dt, speed, sensing,
+                        cutoff, before=lambda moves: None,
+                        after=lambda moves: None):
+    """The stage, with its deadlines and ``speed`` bounding every UAV's,
+    beside the unskipped per-UAV oracle, which starts from each UAV's
+    reading; each draws from its own copy of the run's Philox streams.
+    Each tick burns the fires as its acts say, calls ``before`` with its
+    UAV moves, senses and calls ``after`` with them.  Every reading field
+    and the detections agree bit for bit on every tick, and each agent
+    stream's next draw at the end."""
+    n = len(uavs)
+    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
+    oracle_readings = [u.reading for u in uavs]
+    now = 0.0
+    for fire_acts, moves in ticks:
+        burn(fires, rates, fire_acts, dt)
+        before(moves)
+        now += dt
+        active = active_fires(fires)
+        # the largest rate bounds every front's growth
+        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
+                            speed, sensing, streams[0], cutoff, {})
+        for uav in uavs:
+            oracle_readings[uav.id] = oracles.sample(
+                uav.pos, active, oracle_readings[uav.id], dt, sensing,
+                streams[1].agent(uav.id), cutoff)
+        assert [reading_bits(u.reading) for u in uavs] == \
+            [reading_bits(r) for r in oracle_readings]
+        assert detections == [u.id for u in uavs
+                              if oracle_readings[u.id].detected]
+        after(moves)
+    assert [streams[0].agent(i).random() for i in range(n)] == \
+        [streams[1].agent(i).random() for i in range(n)]
 
 
 @st.composite
@@ -292,9 +293,11 @@ def test_stage_matches_per_uav_oracle(sc, dt, ticks):
     """Bit for bit: every reading field, the detections in UAV order and
     the state of every agent stream afterwards."""
     fires, positions, prevs, sensing, cutoff = sc
-    stage, oracle = twin_stage(fires, positions, prevs, dt, sensing, cutoff,
-                               ticks=ticks)
-    assert stage == oracle
+    uavs = [UavState(id=i, pos=p, reading=prev)
+            for i, (p, prev) in enumerate(zip(positions, prevs))]
+    sense_beside_oracle(uavs, fires, [0.0] * len(fires),
+                        [(["none"] * len(fires), ())] * ticks, dt, CRUISE,
+                        sensing, cutoff)
 
 
 @pytest.mark.parametrize("noise", [0.0, 2.5])
@@ -307,12 +310,12 @@ def test_stage_best_fire_not_last(noise):
     positions = [(1500.0, 150.0), (1720.0, 10.0), (1800.0, 0.0),
                  (1500.0, 0.0), (300.0, 0.0), (5000.0, 5000.0)]
     sensing = dataclasses.replace(SENSING, noise_std=noise)
-    stage, oracle = twin_stage(fires, positions, [None] * 6, 0.5, sensing,
-                               cull_distance(sensing, thermal=True), ticks=2)
-    assert stage == oracle
-    ids = [r[1] for r in stage[0]]
-    assert ids == [1, 1, 1, 1, 0, None]
-    assert stage[1][0][:2] == [0, 1]
+    uavs = [UavState(id=i, pos=p) for i, p in enumerate(positions)]
+    sense_beside_oracle(uavs, fires, [0.0] * 3, [(["none"] * 3, ())] * 2,
+                        0.5, CRUISE, sensing,
+                        cull_distance(sensing, thermal=True))
+    assert [u.reading.fire_id for u in uavs] == [1, 1, 1, 1, 0, None]
+    assert [u.id for u in uavs if u.reading.detected][:2] == [0, 1]
 
 
 # -- far-field skip over many ticks ---------------------------------------------
@@ -386,36 +389,6 @@ def one_fire_scene(noise, spread, offset, acts, moves):
 STAY = ("stay",)
 
 
-def burn(fires, rates, acts, dt):
-    """One tick of each burning fire: grow at its rate, quench, go out or
-    none, as ``acts`` says."""
-    for f, rate, act in zip(fires, rates, acts):
-        if f.state is FireState.EXTINGUISHED:
-            continue
-        if act == "grow":
-            grow(f, rate, dt)
-        elif act == "quench":
-            f.state = FireState.UNDER_MITIGATION
-            apply_quench(f, 2, 40.0, rate, dt)
-        elif act == "out":
-            f.state = FireState.EXTINGUISHED
-
-
-def match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
-                 streams, cutoff):
-    """Advance each UAV's oracle reading over this tick (drawing from
-    ``streams``); the stage's readings and detections equal the oracle's,
-    bit for bit."""
-    for uav in uavs:
-        oracle_readings[uav.id] = oracles.sample(
-            uav.pos, active, oracle_readings[uav.id], dt, sensing,
-            streams.agent(uav.id), cutoff)
-    assert [reading_bits(u.reading) for u in uavs] == \
-        [reading_bits(r) for r in oracle_readings]
-    assert detections == [u.id for u in uavs
-                          if oracle_readings[u.id].detected]
-
-
 @settings(max_examples=100, deadline=None)
 @given(moving_scene(), st.floats(0.1, 2.0))
 # moves 5 m in, to 0.5 mm inside the cull boundary, after a pass 5 m out
@@ -435,13 +408,9 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
     UAV moved to a boundary has no speed bound, so the move resets its
     deadline, as preposition_mitigation does."""
     fires, rates, starts, ticks, sensing, cutoff = copy.deepcopy(sc)
-    n = len(starts)
     uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
-    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
-    oracle_readings = [None] * n
-    now = 0.0
-    for fire_acts, moves in ticks:
-        burn(fires, rates, fire_acts, dt)
+
+    def move(moves):
         for uav, move in zip(uavs, moves):
             if move[0] == "step":
                 uav.pos = (uav.pos[0] + move[1], uav.pos[1] + move[2])
@@ -449,15 +418,9 @@ def test_far_skip_matches_oracle_over_ticks(sc, dt):
                 uav.pos = to_boundary(uav.pos, fires[move[1]], cutoff,
                                       move[2])
                 uav.far_until = -math.inf
-        now += dt
-        active = active_fires(fires)
-        # the largest rate bounds every front's growth
-        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
-                            15.0 / dt, sensing, streams[0], cutoff, {})
-        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
-                     streams[1], cutoff)
-    assert [streams[0].agent(i).random() for i in range(n)] == \
-        [streams[1].agent(i).random() for i in range(n)]
+
+    sense_beside_oracle(uavs, fires, rates, ticks, dt, 15.0 / dt, sensing,
+                        cutoff, before=move)
 
 
 # Fractions of the most a UAV may fly in a tick; flying the whole of it,
@@ -515,24 +478,15 @@ def test_far_skip_deadlines_match_oracle_over_ticks(sc, dt):
     while fronts grow, shrink and go out: every reading and the
     detections on every tick, and each agent stream's next draw."""
     fires, rates, starts, ticks, sensing, cutoff, cruise = copy.deepcopy(sc)
-    n = len(starts)
     uavs = [UavState(id=i, pos=p) for i, p in enumerate(starts)]
-    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
-    oracle_readings = [None] * n
-    now = 0.0
-    for fire_acts, moves in ticks:
-        burn(fires, rates, fire_acts, dt)
-        now += dt
-        active = active_fires(fires)
-        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
-                            cruise, sensing, streams[0], cutoff, {})
-        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
-                     streams[1], cutoff)
-        # the vehicle stage runs after sensing
+
+    def fly(moves):
         for uav, move in zip(uavs, moves):
             uav.pos = flown(uav.pos, move, fires, cruise * dt)
-    assert [streams[0].agent(i).random() for i in range(n)] == \
-        [streams[1].agent(i).random() for i in range(n)]
+
+    # the vehicle stage runs after sensing
+    sense_beside_oracle(uavs, fires, rates, ticks, dt, cruise, sensing,
+                        cutoff, after=fly)
 
 
 @st.composite
@@ -582,28 +536,22 @@ def fast_approach(speed, spread=0.0):
 def test_far_skip_deadlines_under_vehicle_step(sc, dt):
     """The stage with its deadlines, UAVs flown by the vehicle stage from
     speeds above and below the cruise speed, against the unskipped
-    oracle: every reading and the detections on every tick."""
+    oracle: every reading and the detections on every tick, and each agent
+    stream's next draw."""
     (fires, rates, starts, vels, ticks, sensing, cutoff, kin,
      area) = copy.deepcopy(sc)
-    n = len(starts)
     # a UAV starts inside the area, as every UAV of a World does
     uavs = [UavState(id=i, pos=clamp_to_area(p, area), vel=v)
             for i, (p, v) in enumerate(zip(starts, vels))]
-    streams = [RngStreams(7, 0, n), RngStreams(7, 0, n)]
-    oracle_readings = [None] * n
-    now = 0.0
-    for fire_acts, waypoints in ticks:
-        burn(fires, rates, fire_acts, dt)
-        now += dt
-        active = active_fires(fires)
-        detections = sample(uavs, active, now, dt, max(rates), AREA_RATE,
-                            kin.cruise_speed, sensing, streams[0], cutoff, {})
-        match_oracle(uavs, detections, active, oracle_readings, dt, sensing,
-                     streams[1], cutoff)
+
+    def fly(waypoints):
         for uav, waypoint in zip(uavs, waypoints):
             if waypoint is not STAY:
                 uav.waypoint = waypoint
         step(uavs, kin, dt, area)
+
+    sense_beside_oracle(uavs, fires, rates, ticks, dt, kin.cruise_speed,
+                        sensing, cutoff, after=fly)
 
 
 @pytest.mark.parametrize("noise", [0.0, 2.5])
